@@ -57,14 +57,9 @@ pub struct LintOptions {
 impl Default for LintOptions {
     fn default() -> LintOptions {
         LintOptions {
-            panic_roots: [
-                "writer_loop",
-                "follower_loop",
-                "shard_loop",
-                "committer_loop",
-            ]
-            .map(String::from)
-            .to_vec(),
+            panic_roots: ["owner_loop", "shard_loop", "committer_loop"]
+                .map(String::from)
+                .to_vec(),
         }
     }
 }

@@ -4,10 +4,9 @@
 //! blocking call (a contended mutex, a blocking channel `recv`, an
 //! unbounded read, a sleep) stalls *all* of them. This rule is textual
 //! and file-scoped on purpose: it scans the functions that make up the
-//! reactor (`reactor.rs`) and the legacy per-connection handler, not the
-//! engine they call into — the engine's admission layer
-//! (`try_enqueue` + typed `Overloaded`) is the approved way work crosses
-//! from the event loop into the blocking world.
+//! reactor (`reactor.rs`), not the engine they call into — the engine's
+//! admission layer (`try_enqueue` + typed `Overloaded`) is the approved
+//! way work crosses from the event loop into the blocking world.
 //!
 //! Deliberate waits (the bounded idle park in `poll`) carry a pragma
 //! with the reason inline.
@@ -44,8 +43,7 @@ pub fn run(model: &Model) -> Vec<Finding> {
         if file.kind != FileKind::Production {
             continue;
         }
-        let in_scope = file.stem() == "reactor" || f.name == "handle_connection";
-        if !in_scope {
+        if file.stem() != "reactor" {
             continue;
         }
         for c in &f.calls {

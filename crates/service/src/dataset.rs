@@ -1,60 +1,63 @@
-//! One served dataset: an [`AnnotatedRelation`] + [`IncrementalMiner`]
-//! pair behind a coalescing write queue and an atomically published
-//! snapshot.
+//! One served dataset: an [`AnnotatedRelation`](anno_store::AnnotatedRelation)
+//! and its [`IncrementalMiner`](anno_mine::IncrementalMiner), behind a
+//! coalescing mailbox and an atomically published snapshot.
 //!
 //! # Concurrency contract
 //!
-//! * **Readers never block on writers.** [`Dataset::snapshot`] takes the
-//!   `published` read lock only long enough to clone an `Arc` — the write
-//!   side takes the matching write lock only to swap the pointer. Neither
-//!   side holds it across real work, so a query served from a snapshot
-//!   proceeds even while a maintenance batch is mid-flight on the write
-//!   mutex.
-//! * **One writer.** All mutations funnel through the queue into a single
-//!   writer thread, which owns the `write` mutex during a drain and
-//!   mutates the relation **in place** — the relation is a persistent
+//! * **One owner.** The write state, the write-ahead log, the mining
+//!   configuration, the auto-checkpoint policy and a follower's tail
+//!   cursor belong to the dataset's one long-lived thread (`owner.rs`)
+//!   and to nothing else — no lock guards them because no other thread
+//!   can name them. Everything that needs that state is a message in
+//!   the mailbox the thread drains: queued [`UpdateOp`]s, and the
+//!   [`Request`]s behind `mine`, `verify`, `checkpoint`,
+//!   `quiesce_maintenance`, `catchup_now` and `promote`. Requests are
+//!   served after the ops queued before them, so each still means
+//!   "flush, then …".
+//! * **Readers never block on the owner.** The owner swaps one
+//!   `Arc<Published>` — rule snapshot, discovery top-k and a status
+//!   block, all from the same instant — once per drain.
+//!   [`Dataset::snapshot`], [`Dataset::discovery`] and every `stats`-side
+//!   getter take the `published` read lock only long enough to clone
+//!   that `Arc`; none of them waits on a drain, a mine or an fsync.
+//! * **In-place mutation, cheap publish.** The relation is a persistent
 //!   segment store, so a mutation copy-on-writes at most the one segment
-//!   (and posting bitset) a published snapshot still shares. Publishing
-//!   clones the relation at O(#segments) pointer cost. The old
-//!   `Arc::make_mut` path — one full O(|D|) relation clone per effective
-//!   drain, because the published snapshot always held a second
-//!   reference — is gone; publish cost now scales with the drain's
-//!   delta, as `benches/publish.rs` measures.
+//!   (and posting bitset) a published snapshot still shares, and
+//!   publishing clones the relation at O(#segments) pointer cost.
 //! * **Epochs.** The relation's mutation epoch advances many times inside
-//!   one drain, but snapshots are built only at drain boundaries:
-//!   [`publish`] asserts the published relation epoch never regresses,
-//!   and a reader can only ever observe a pre- or post-drain epoch,
-//!   never an intermediate one (the concurrency suite pins this down).
-//! * **Exactness.** The writer applies each coalesced batch through the
+//!   one drain, but snapshots are built only at drain boundaries: the
+//!   owner asserts the published relation epoch never regresses, and a
+//!   reader can only ever observe a pre- or post-drain epoch, never an
+//!   intermediate one (the concurrency suite pins this down).
+//! * **Exactness.** The owner applies each coalesced batch through the
 //!   miner's §4.3 incremental maintenance, so every published snapshot's
 //!   rules are exactly what a from-scratch mine would produce
 //!   ([`Dataset::verify`] checks this on demand).
+//!
+//! The locks that remain on [`Inner`] are the mailbox (`queue` +
+//! `queue_cv`), `published`, and the `name_cache`; none is ever held
+//! while another is taken.
 
-use std::collections::VecDeque;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::path::Path;
+use std::sync::mpsc;
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use anno_discover::{DiscoveryIndex, DiscoverySnapshot};
+use anno_discover::DiscoverySnapshot;
 use anno_metrics::{Event, EventJournal};
-use anno_mine::{IncrementalConfig, IncrementalMiner};
-use anno_store::fxhash::FxHashSet;
-use anno_store::{
-    parse_tuple_line, snapshot_from_string, snapshot_to_string, AnnotatedRelation,
-    AnnotationUpdate, ItemKind, Tuple, TupleId,
-};
+use anno_mine::IncrementalConfig;
+use anno_store::ItemKind;
 use anno_wal::{
-    checkpoint as wal_checkpoint, CheckpointPolicy, GroupCommitStats, LogPosition, SyncTicket,
-    TailCursor, Wal, WalError, WalObserver, WalOptions, WalStats,
+    CheckpointPolicy, GroupCommitStats, LogPosition, SyncPolicy, Wal, WalOptions, WalStats,
 };
 
+use crate::apply::{recover_write_state, WriteState, MAX_PIPELINED_ACKS};
 use crate::error::ServiceError;
-use crate::metrics::{timed, DatasetObs, Metrics, MetricsReport};
-use crate::queue::{coalesce, QosClass, QueueState, UpdateOp};
+use crate::metrics::{DatasetObs, Metrics, MetricsReport};
+use crate::owner::{record_recovery, Mode, Owner, Tail};
+use crate::queue::{QosClass, QueueState, UpdateOp};
 use crate::snapshot::RuleSnapshot;
-use crate::walcodec::{self, WalRecord};
 
 /// How a durable dataset runs its write-ahead log: the log's own tuning
 /// (segment size, [sync policy](anno_wal::SyncPolicy) — pass
@@ -70,9 +73,9 @@ pub struct DurabilityOptions {
     /// by default (all thresholds `None`).
     pub auto_checkpoint: CheckpointPolicy,
     /// Test hook: sleep this long inside the checkpoint *encode* step.
-    /// Lets the offload regression test hold an automatic checkpoint's
-    /// helper thread mid-encode and prove concurrent drains do not block
-    /// on it. `None` (no stall) in production.
+    /// Lets the offload regression test hold a checkpoint's encoder
+    /// thread mid-encode and prove concurrent drains do not block on it.
+    /// `None` (no stall) in production.
     pub encode_stall_for_tests: Option<Duration>,
 }
 
@@ -99,7 +102,7 @@ impl Role {
     }
 }
 
-/// Point-in-time progress of a follower's tail loop — the lag a
+/// Point-in-time progress of a follower's tailing — the lag a
 /// replication dashboard watches. Sequence numbers are log *segment*
 /// numbers (the WAL's coarse clock); `bytes_behind` is the exact byte lag.
 #[derive(Debug, Clone, Default)]
@@ -116,175 +119,90 @@ pub struct ReplicationStatus {
     pub restarts: u64,
     /// Tail polls completed since attach.
     pub polls: u64,
-    /// Set when the tail loop stopped on undecodable or unappliable
-    /// shipped state; reads keep serving the last good prefix.
+    /// Set when tailing stopped on undecodable or unappliable shipped
+    /// state; reads keep serving the last good prefix.
     pub failed: Option<String>,
 }
 
-/// Shared state between a follower's tail thread and the dataset handle.
-#[derive(Default)]
-struct FollowerCtl {
-    state: Mutex<FollowerProgress>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct FollowerProgress {
-    stop: bool,
-    /// Highest poll number a `catchup` has asked for.
-    poll_requests: u64,
-    /// Polls the loop has begun (a catchup must wait for a poll that
-    /// *starts* after the request, or an in-flight poll could satisfy it
-    /// with a pre-request view of the directory).
-    polls_started: u64,
-    polls_done: u64,
-    applied_seq: u64,
-    leader_seq: u64,
-    bytes_behind: u64,
-    records_applied: u64,
-    restarts: u64,
-    failed: Option<String>,
-}
-
-impl FollowerProgress {
-    fn status(&self) -> ReplicationStatus {
-        ReplicationStatus {
-            applied_seq: self.applied_seq,
-            leader_seq: self.leader_seq,
-            bytes_behind: self.bytes_behind,
-            records_applied: self.records_applied,
-            restarts: self.restarts,
-            polls: self.polls_done,
-            failed: self.failed.clone(),
-        }
-    }
-}
-
-impl FollowerCtl {
-    fn stop(&self) {
-        let mut st = self.state.lock().expect("follower lock");
-        st.stop = true;
-        self.cv.notify_all();
-    }
-}
-
-/// A live follower attachment: the tail thread and its control block.
-struct FollowerHandle {
-    ctl: Arc<FollowerCtl>,
-    dir: PathBuf,
-    thread: Option<JoinHandle<()>>,
-}
-
-/// The writer acks a grouped drain only when its sync ticket resolves;
-/// this caps how many unacked drains may pipeline behind one sync window
-/// before the writer stops to retire the oldest.
-const MAX_PIPELINED_ACKS: usize = 32;
-
 /// Maintenance events each dataset retains (oldest evicted first).
 const JOURNAL_CAPACITY: usize = 256;
-
-/// Feeds the log's fsync reports into the owning dataset's metrics.
-/// Holds only the `Arc<Metrics>` — never `Inner` — so no reference
-/// cycle forms through the `Wal` the `Inner` owns.
-struct DatasetWalObserver {
-    metrics: Arc<Metrics>,
-}
-
-impl WalObserver for DatasetWalObserver {
-    fn fsync(&self, nanos: u64) {
-        self.metrics.record_fsync(nanos);
-    }
-}
 
 /// Ranked discovery pairs a snapshot materializes per side (cross- and
 /// within-namespace). Bounds snapshot build cost per publish; `discover`
 /// queries clamp `top=K` to it.
 pub const DISCOVERY_TOPK_CAP: usize = 64;
 
-struct WriteState {
-    relation: AnnotatedRelation,
-    miner: Option<IncrementalMiner>,
-    /// The incrementally maintained correlation-discovery index, refreshed
-    /// from the miner's touch log after every maintenance pass (empty and
-    /// inert until mined).
-    discovery: DiscoveryIndex,
+/// What readers see: swapped as one pointer by the owner, so the rule
+/// snapshot, the discovery top-k (same epoch — a reader pairing the two
+/// verbs sees one instant) and the status block can never disagree.
+#[derive(Default)]
+pub(crate) struct Published {
+    pub rules: Option<Arc<RuleSnapshot>>,
+    pub discovery: Option<Arc<DiscoverySnapshot>>,
+    pub status: Status,
 }
 
-struct Inner {
-    name: String,
-    /// The mining configuration. Mutable because replication moves it:
-    /// a follower adopts the configuration carried by replayed `mine`
-    /// records and restored checkpoints, and promotion installs the
-    /// recovered one. Lock order: write mutex before config, never the
-    /// reverse (readers take config alone).
-    config: Mutex<IncrementalConfig>,
-    write: Mutex<WriteState>,
-    published: RwLock<Option<Arc<RuleSnapshot>>>,
-    /// The discovery top-k published alongside `published`, carrying the
-    /// same epoch — a reader pairing the two verbs sees one instant.
-    /// Swapped under the write mutex by the same [`publish`] call.
-    published_discovery: RwLock<Option<Arc<DiscoverySnapshot>>>,
+/// The small facts the `stats`-side getters report, copied out of the
+/// owner's state at publish time.
+#[derive(Default)]
+pub(crate) struct Status {
+    pub config: IncrementalConfig,
+    /// Live tuple count.
+    pub tuples: usize,
+    /// The write-ahead log, when this dataset owns one. `None` for
+    /// memory-only datasets *and* for followers — a follower replays
+    /// somebody else's log.
+    pub wal: Option<WalStatus>,
+    pub auto_checkpoint: CheckpointPolicy,
+    /// Tailing progress; `Some` exactly while the dataset is a follower.
+    pub replication: Option<ReplicationStatus>,
+}
+
+pub(crate) struct WalStatus {
+    pub stats: WalStats,
+    pub sync: SyncPolicy,
+}
+
+/// Where the owner sends a request's answer. A hung-up channel (the
+/// owner dropped the request: shutdown, fence, or panic) reads as
+/// [`ServiceError::ShutDown`] on the caller's side.
+pub(crate) type Reply<T> = mpsc::Sender<T>;
+
+pub(crate) type CheckpointResult = Result<(LogPosition, usize), ServiceError>;
+
+/// A control message to the owner thread.
+pub(crate) enum Request {
+    Mine(Reply<Result<Arc<RuleSnapshot>, ServiceError>>),
+    Verify(Reply<Result<bool, ServiceError>>),
+    Checkpoint(Reply<CheckpointResult>),
+    /// Answered once no checkpoint is in flight.
+    Quiesce(Reply<()>),
+    Catchup(Reply<Result<ReplicationStatus, ServiceError>>),
+    Promote(DurabilityOptions, Reply<Result<(), ServiceError>>),
+    /// From a checkpoint's encoder thread: the payload write is over and
+    /// the owner should finish (or fail) the in-flight checkpoint.
+    CheckpointEncoded,
+}
+
+pub(crate) struct Inner {
+    pub name: String,
+    /// The mailbox: queued ops and control requests, plus the admission
+    /// and flush-barrier accounting the owner keeps under the same lock.
+    pub queue: Mutex<QueueState>,
+    pub queue_cv: Condvar,
+    pub published: RwLock<Arc<Published>>,
     /// Positive-only lookaside over the vocabulary HAMT for protocol-side
     /// name resolution, one map per [`ItemKind`] namespace (indexed by the
     /// kind's discriminant). Interning is append-only, so a cached hit can
     /// never go stale; misses are *never* cached — a later drain may
     /// intern the name.
     name_cache: [RwLock<anno_store::fxhash::FxHashMap<String, anno_store::Item>>; 3],
-    queue: Mutex<QueueState>,
-    queue_cv: Condvar,
-    publish_seq: AtomicU64,
-    /// Relation epoch of the latest published snapshot. Publishes happen
-    /// only at drain boundaries; this asserts they never move backwards
-    /// (and never expose a mid-drain epoch twice).
-    published_relation_epoch: AtomicU64,
-    /// Live tuple count, refreshed by the writer after each drain so
-    /// listings never contend on the write mutex.
-    tuples_hint: AtomicU64,
     /// Shared (`Arc`) so the WAL observer can record fsync latencies
-    /// into the same histograms without holding a reference to `Inner`
-    /// (which would cycle: `Inner` owns the `Wal` that owns the
-    /// observer).
-    metrics: Arc<Metrics>,
+    /// into the same histograms.
+    pub metrics: Arc<Metrics>,
     /// Bounded journal of maintenance events (recovery, checkpoints,
     /// fencing) — the `events` verb reads it.
-    journal: Arc<EventJournal>,
-    /// The write-ahead log, when the dataset was opened with a durability
-    /// directory. Lock order: checkpoint lock before write mutex before
-    /// wal mutex, never the reverse — every mutation path (writer drains,
-    /// `mine`, `checkpoint`) appends under the write mutex, so a recorded
-    /// log position is always consistent with the applied state it claims
-    /// to cover. (`wal_stats` takes the wal mutex alone, which respects
-    /// the order.) `None` for memory-only datasets *and* for followers —
-    /// a follower must not hold the leader's `wal.lock`; promotion
-    /// installs a log here.
-    durability: Mutex<Option<Wal>>,
-    /// Serializes checkpoints (manual vs. the writer's automatic ones):
-    /// two racing checkpoints could commit their payloads out of position
-    /// order and compact records the surviving checkpoint does not cover.
-    /// Held across capture → encode → commit; the write mutex is only
-    /// taken for the capture, so the O(|D|) encode stalls nobody.
-    ckpt_lock: Mutex<()>,
-    /// The in-flight automatic-checkpoint helper thread, when one is
-    /// running. Auto checkpoints capture under `ckpt_lock` on the writer
-    /// thread but encode-and-commit here, so a drain is never blocked on
-    /// an O(|D|) encode. A manual checkpoint **joins** this first (under
-    /// `ckpt_lock`): an older in-flight commit landing after a newer
-    /// manual one would record a position whose follow-up segments the
-    /// newer checkpoint already compacted.
-    ckpt_helper: Mutex<Option<JoinHandle<()>>>,
-    /// The policy under which the writer checkpoints by itself after a
-    /// drain. Disabled (never fires) for memory-only datasets. Mutable so
-    /// promotion can install the policy of its [`DurabilityOptions`].
-    auto_checkpoint: Mutex<CheckpointPolicy>,
-    /// `true` while the dataset is a read-only follower replica; every
-    /// mutation path checks it first. Flipped exactly once, by
-    /// [`Dataset::promote`].
-    follower: AtomicBool,
-    /// The follower attachment (tail thread + control block), when one
-    /// is live. Promotion takes it out.
-    replication: Mutex<Option<FollowerHandle>>,
-    /// See [`DurabilityOptions::encode_stall_for_tests`].
-    encode_stall: Mutex<Option<Duration>>,
+    pub journal: Arc<EventJournal>,
 }
 
 /// A served dataset handle. Cheap to clone via `Arc` (the [`Service`]
@@ -297,33 +215,22 @@ pub struct Dataset {
 }
 
 impl Dataset {
-    /// Create an empty, purely in-memory dataset and start its writer
+    /// Create an empty, purely in-memory dataset and start its owner
     /// thread. Errs (instead of panicking) if the OS refuses a new
     /// thread, so a registry holding its lock across creation survives
     /// resource exhaustion.
     pub fn spawn(name: &str, config: IncrementalConfig) -> Result<Dataset, ServiceError> {
-        let state = WriteState {
-            relation: AnnotatedRelation::new(name),
-            miner: None,
-            discovery: DiscoveryIndex::new(),
-        };
-        Dataset::boot(
-            name,
-            config,
-            state,
-            None,
-            0,
-            CheckpointPolicy::default(),
-            None,
-            Role::Leader,
-        )
+        let options = DurabilityOptions::default();
+        let state = WriteState::empty(name);
+        Dataset::boot(name, config, state, Mode::Leader(None), 0, &options)
     }
 
     /// Open a **durable** dataset rooted at directory `dir`: restore the
     /// latest checkpoint (relation snapshot + miner checkpoint, screened
-    /// with [`IncrementalMiner::validate_against`]), replay the log tail
-    /// through the same apply path the live writer uses, then start the
-    /// writer with every future drain logged before it is applied.
+    /// with [`IncrementalMiner::validate_against`](anno_mine::IncrementalMiner::validate_against)),
+    /// replay the log tail through the same apply path the live owner
+    /// uses, then start the owner with every future drain logged before
+    /// it is applied.
     ///
     /// A torn or bit-rotted log tail is recovered to the last intact
     /// record and reported to stderr, never fatal. `config` only applies
@@ -340,99 +247,60 @@ impl Dataset {
 
     /// [`Dataset::open`] with explicit [`DurabilityOptions`]: WAL tuning
     /// (segment size, per-append vs. grouped sync) and the automatic
-    /// checkpoint policy the writer enforces after each drain.
+    /// checkpoint policy the owner enforces after each drain.
     pub fn open_with(
         name: &str,
         config: IncrementalConfig,
         dir: &Path,
         options: DurabilityOptions,
     ) -> Result<Dataset, ServiceError> {
-        let (wal, recovery) =
-            Wal::open(dir, options.wal).map_err(|e| ServiceError::Durability(e.to_string()))?;
+        let (wal, recovery) = Wal::open(dir, options.wal.clone())
+            .map_err(|e| ServiceError::Durability(e.to_string()))?;
         let rec = recover_write_state(name, config, recovery)?;
+        let mode = Mode::Leader(Some(wal));
         let ds = Dataset::boot(
             name,
             rec.config,
             rec.state,
-            Some(wal),
+            mode,
             rec.publish_seed,
-            options.auto_checkpoint,
-            options.encode_stall_for_tests,
-            Role::Leader,
+            &options,
         )?;
-        ds.inner.journal.record(
-            "recovery",
-            format!(
-                "checkpoint={} replayed_records={}",
-                rec.restored_checkpoint, rec.replayed_records
-            ),
-        );
-        if let Some(damage) = rec.damage {
-            ds.inner.journal.record("truncated_tail", damage);
-        }
+        record_recovery(&ds.inner.journal, "recovery", rec.report);
         Ok(ds)
     }
 
     /// Shared constructor: publish recovered state (if mined) and start
-    /// the writer thread.
-    #[allow(clippy::too_many_arguments)]
+    /// the owner thread.
     fn boot(
         name: &str,
         config: IncrementalConfig,
         state: WriteState,
-        mut wal: Option<Wal>,
+        mode: Mode,
         publish_seed: u64,
-        auto_checkpoint: CheckpointPolicy,
-        encode_stall: Option<Duration>,
-        role: Role,
+        options: &DurabilityOptions,
     ) -> Result<Dataset, ServiceError> {
-        let tuples = state.relation.len() as u64;
-        let metrics = Arc::new(Metrics::new());
-        if let Some(wal) = &mut wal {
-            // The log reports its own fsyncs (per-append syncs, segment
-            // seals) into this dataset's histograms; grouped-sync fsyncs
-            // belong to the shared committer and are observed at the
-            // service level instead.
-            wal.set_observer(Arc::new(DatasetWalObserver {
-                metrics: Arc::clone(&metrics),
-            }));
-            metrics.set_wal_backlog_bytes(wal.stats().since_checkpoint_bytes);
-        }
-        metrics.set_role_follower(role == Role::Follower);
         let inner = Arc::new(Inner {
             name: name.to_string(),
-            config: Mutex::new(config),
-            write: Mutex::new(state),
-            published: RwLock::new(None),
-            published_discovery: RwLock::new(None),
-            name_cache: Default::default(),
             queue: Mutex::new(QueueState::default()),
             queue_cv: Condvar::new(),
-            publish_seq: AtomicU64::new(publish_seed),
-            published_relation_epoch: AtomicU64::new(0),
-            tuples_hint: AtomicU64::new(tuples),
-            metrics,
+            published: RwLock::default(),
+            name_cache: Default::default(),
+            metrics: Arc::new(Metrics::new()),
             journal: Arc::new(EventJournal::new(JOURNAL_CAPACITY)),
-            durability: Mutex::new(wal),
-            ckpt_lock: Mutex::new(()),
-            ckpt_helper: Mutex::new(None),
-            auto_checkpoint: Mutex::new(auto_checkpoint),
-            follower: AtomicBool::new(role == Role::Follower),
-            replication: Mutex::new(None),
-            encode_stall: Mutex::new(encode_stall),
         });
-        {
-            // Recovered mined state is served immediately — the relation
-            // epoch a reader sees after restart is the pre-crash one.
-            let w = inner.write.lock().expect("fresh write lock");
-            if w.miner.is_some() {
-                publish(&inner, &w);
-            }
-        }
-        let worker_inner = Arc::clone(&inner);
+        let owner = Owner::new(
+            Arc::clone(&inner),
+            state,
+            config,
+            mode,
+            publish_seed,
+            options.auto_checkpoint,
+            options.encode_stall_for_tests,
+        );
         let worker = std::thread::Builder::new()
             .name(format!("annod-writer-{name}"))
-            .spawn(move || writer_loop(&worker_inner))
+            .spawn(move || owner.owner_loop())
             .map_err(|e| ServiceError::Io(format!("cannot spawn writer thread: {e}")))?;
         Ok(Dataset {
             inner,
@@ -445,42 +313,65 @@ impl Dataset {
         &self.inner.name
     }
 
+    /// What the owner last published. A poisoned lock is read through:
+    /// the only write is a pointer swap, which leaves the value valid at
+    /// every step.
+    fn published(&self) -> Arc<Published> {
+        let guard = self.inner.published.read();
+        Arc::clone(&guard.unwrap_or_else(PoisonError::into_inner))
+    }
+
+    fn shut_down(&self) -> ServiceError {
+        ServiceError::ShutDown(self.inner.name.clone())
+    }
+
+    fn not_mined(&self) -> ServiceError {
+        ServiceError::NotMined(self.inner.name.clone())
+    }
+
+    /// Post a control request to the owner and wait for its answer.
+    fn request<T>(&self, make: impl FnOnce(Reply<T>) -> Request) -> Result<T, ServiceError> {
+        let (reply, answer) = mpsc::channel();
+        {
+            let mut q = self.inner.queue.lock().expect("queue lock");
+            if q.shutdown {
+                return Err(self.shut_down());
+            }
+            q.requests.push_back(make(reply));
+            self.inner.queue_cv.notify_all();
+        }
+        answer.recv().map_err(|_| self.shut_down())
+    }
+
     /// The mining configuration this dataset currently runs under. For a
     /// follower this tracks the leader: replayed `mine` records and
     /// restored checkpoints carry the leader's configuration with them.
     pub fn config(&self) -> IncrementalConfig {
-        *self.inner.config.lock().expect("config lock")
+        self.published().status.config
     }
 
     /// Queue one mutation. Returns the op's sequence number (pass it to
     /// nothing — [`Dataset::flush`] waits for everything queued so far).
     ///
     /// Applies backpressure: past the queue's high-water mark of pending
-    /// individual updates, this blocks until the writer drains, so a fast
+    /// individual updates, this blocks until the owner drains, so a fast
     /// client cannot grow the daemon's memory without bound. An op larger
     /// than the whole cap is still accepted once the queue is empty.
     pub fn enqueue(&self, op: UpdateOp) -> Result<u64, ServiceError> {
         self.check_writable()?;
         let mut q = self.inner.queue.lock().expect("queue lock");
         loop {
-            // A writer panic sets both flags and notifies, so a blocked
-            // client fails fast instead of hanging on the condvar.
+            // A fence sets both flags and notifies, so a blocked client
+            // fails fast instead of hanging on the condvar.
             if q.shutdown {
-                return Err(ServiceError::ShutDown(self.inner.name.clone()));
+                return Err(self.shut_down());
             }
             if q.pending.is_empty() || q.pending_updates + op.len() <= q.cap_updates {
                 break;
             }
             q = self.inner.queue_cv.wait(q).expect("queue lock");
         }
-        self.inner.metrics.record_enqueue(op.len() as u64);
-        q.pending_updates += op.len();
-        self.inner.metrics.set_queue_depth(q.pending_updates as u64);
-        q.pending.push(op);
-        q.enqueued += 1;
-        let seq = q.enqueued;
-        self.inner.queue_cv.notify_all();
-        Ok(seq)
+        Ok(self.admit(&mut q, op))
     }
 
     /// Queue one mutation without ever blocking: the admission path for
@@ -495,9 +386,9 @@ impl Dataset {
         self.check_writable()?;
         let mut q = self.inner.queue.lock().expect("queue lock");
         if q.shutdown {
-            return Err(ServiceError::ShutDown(self.inner.name.clone()));
+            return Err(self.shut_down());
         }
-        let window_full = self.inner.metrics.unacked_drains() >= MAX_PIPELINED_ACKS as u64;
+        let window_full = q.unacked >= MAX_PIPELINED_ACKS;
         if !q.pending.is_empty() && (q.pending_updates + op.len() > q.cap_updates || window_full) {
             self.inner.metrics.record_admission_shed();
             return Err(ServiceError::Overloaded {
@@ -506,14 +397,18 @@ impl Dataset {
                 cap: q.cap_updates as u64,
             });
         }
+        Ok(self.admit(&mut q, op))
+    }
+
+    /// Put an admitted op in the mailbox and wake the owner.
+    fn admit(&self, q: &mut QueueState, op: UpdateOp) -> u64 {
         self.inner.metrics.record_enqueue(op.len() as u64);
         q.pending_updates += op.len();
         self.inner.metrics.set_queue_depth(q.pending_updates as u64);
         q.pending.push(op);
         q.enqueued += 1;
-        let seq = q.enqueued;
         self.inner.queue_cv.notify_all();
-        Ok(seq)
+        q.enqueued
     }
 
     /// `true` while [`Dataset::try_enqueue`] would shed a one-update op:
@@ -523,18 +418,16 @@ impl Dataset {
     pub fn overloaded(&self) -> bool {
         let q = self.inner.queue.lock().expect("queue lock");
         !q.pending.is_empty()
-            && (q.pending_updates >= q.cap_updates
-                || self.inner.metrics.unacked_drains() >= MAX_PIPELINED_ACKS as u64)
+            && (q.pending_updates >= q.cap_updates || q.unacked >= MAX_PIPELINED_ACKS)
     }
 
-    /// `true` once the writer has drained back below half the cap (and
+    /// `true` once the owner has drained back below half the cap (and
     /// the unacked-drain window has room): the hysteresis point at which
     /// a suspended connection's reads are resumed, so a tenant does not
     /// flap between suspended and resumed at the cap boundary.
     pub fn admission_ready(&self) -> bool {
         let q = self.inner.queue.lock().expect("queue lock");
-        q.pending_updates <= q.cap_updates / 2
-            && self.inner.metrics.unacked_drains() < MAX_PIPELINED_ACKS as u64
+        q.pending_updates <= q.cap_updates / 2 && q.unacked < MAX_PIPELINED_ACKS
     }
 
     /// The admission cap on pending individual updates.
@@ -565,7 +458,7 @@ impl Dataset {
         self.inner.metrics.set_qos_bulk(class == QosClass::Bulk);
     }
 
-    /// Test hook: while paused the writer leaves pending work queued, so
+    /// Test hook: while paused the owner leaves its mailbox untouched, so
     /// admission tests can fill the bounded queue deterministically.
     /// Cleared automatically at shutdown so the final drain still runs.
     #[doc(hidden)]
@@ -580,38 +473,29 @@ impl Dataset {
     /// budget-triggered full re-mine can run minutes on large relations;
     /// an arbitrary timeout here would misreport still-queued work as
     /// failed and invite duplicate re-submission). Errs only when the
-    /// writer actually died with the work undone.
+    /// owner actually died with the work undone.
     pub fn flush(&self) -> Result<(), ServiceError> {
         self.inner.metrics.record_flush();
         let mut q = self.inner.queue.lock().expect("queue lock");
         let target = q.enqueued;
         while q.applied < target {
             if q.writer_dead {
-                return Err(ServiceError::ShutDown(self.inner.name.clone()));
+                return Err(self.shut_down());
             }
             q = self.inner.queue_cv.wait(q).expect("queue lock");
         }
         Ok(())
     }
 
-    /// Role fence: every mutation path calls this first, so a follower
-    /// rejects writes with a *typed* error a client can distinguish from
-    /// a dead writer ([`ServiceError::ShutDown`]) — a follower is healthy,
-    /// just not the leader.
+    /// Role fence for the queueing paths: a follower rejects writes with
+    /// a *typed* error a client can distinguish from a dead owner
+    /// ([`ServiceError::ShutDown`]) — a follower is healthy, just not the
+    /// leader. (`mine` and `checkpoint` are fenced by the owner itself.)
     fn check_writable(&self) -> Result<(), ServiceError> {
-        if self.inner.follower.load(Ordering::SeqCst) {
-            return Err(ServiceError::ReadOnlyRole(self.inner.name.clone()));
+        match self.role() {
+            Role::Leader => Ok(()),
+            Role::Follower => Err(ServiceError::ReadOnlyRole(self.inner.name.clone())),
         }
-        Ok(())
-    }
-
-    /// The write mutex, with poisoning (a writer panic mid-apply) mapped
-    /// to [`ServiceError::ShutDown`] instead of propagating the panic.
-    fn write_lock(&self) -> Result<std::sync::MutexGuard<'_, WriteState>, ServiceError> {
-        self.inner
-            .write
-            .lock()
-            .map_err(|_| ServiceError::ShutDown(self.inner.name.clone()))
     }
 
     /// Drain the queue, then mine the relation from scratch and publish
@@ -621,75 +505,35 @@ impl Dataset {
     /// before any checkpoint exists.
     ///
     /// An unloggable mine **disables the dataset** — the same fencing the
-    /// writer applies to an unloggable drain. Serving a freshly mined
+    /// owner applies to an unloggable drain. Serving a freshly mined
     /// snapshot the log never heard of would let served state diverge
     /// from what a restart recovers; one failure policy covers both
-    /// mutation paths.
+    /// mutation paths. A fenced dataset refuses further mines outright.
     pub fn mine(&self) -> Result<Arc<RuleSnapshot>, ServiceError> {
-        self.check_writable()?;
-        self.flush()?;
-        // A fenced dataset (unloggable drain, mine, or sync — the writer
-        // died abnormally) refuses further mines outright instead of
-        // re-attempting the log.
-        if self.inner.queue.lock().expect("queue lock").writer_dead {
-            return Err(ServiceError::ShutDown(self.inner.name.clone()));
-        }
-        let mut w = self.write_lock()?;
-        let config = *self.inner.config.lock().expect("config lock");
-        {
-            let mut dur = self.inner.durability.lock().expect("wal lock");
-            if let Some(wal) = dur.as_mut() {
-                let payload = walcodec::encode_mine(&config);
-                if let Err(e) = wal.append(&payload) {
-                    drop(dur);
-                    drop(w);
-                    disable(
-                        &self.inner,
-                        &format!("cannot log a mine event ({e}); dataset disabled"),
-                    );
-                    return Err(ServiceError::Durability(e.to_string()));
-                }
-            }
-        }
-        let miner = IncrementalMiner::mine_initial(&w.relation, config);
-        w.miner = Some(miner);
-        sync_discovery(&self.inner.metrics, &mut w);
-        // anno-lint: allow(panic-path) -- w.miner was assigned Some two lines above; publish only returns None without a miner
-        Ok(publish(&self.inner, &w).expect("just mined"))
+        self.request(Request::Mine)?
     }
 
     /// The latest published snapshot. Never blocks on the write path.
     pub fn snapshot(&self) -> Result<Arc<RuleSnapshot>, ServiceError> {
-        self.inner.metrics.record_snapshot_read();
-        self.inner
-            .published
-            .read()
-            .map_err(|_| ServiceError::ShutDown(self.inner.name.clone()))?
-            .clone()
-            .ok_or_else(|| ServiceError::NotMined(self.inner.name.clone()))
+        self.try_snapshot().ok_or_else(|| self.not_mined())
     }
 
     /// The latest snapshot, if one has been published.
     pub fn try_snapshot(&self) -> Option<Arc<RuleSnapshot>> {
         self.inner.metrics.record_snapshot_read();
-        self.inner.published.read().ok()?.clone()
+        self.published().rules.clone()
     }
 
     /// The latest published discovery top-k. Published in lock-step with
     /// the rule snapshot (same epoch), so pairing the two verbs reads one
     /// consistent instant. Never blocks on the write path.
     pub fn discovery(&self) -> Result<Arc<DiscoverySnapshot>, ServiceError> {
-        self.inner
-            .published_discovery
-            .read()
-            .map_err(|_| ServiceError::ShutDown(self.inner.name.clone()))?
-            .clone()
-            .ok_or_else(|| ServiceError::NotMined(self.inner.name.clone()))
+        self.try_discovery().ok_or_else(|| self.not_mined())
     }
 
     /// The latest discovery top-k, if one has been published.
     pub fn try_discovery(&self) -> Option<Arc<DiscoverySnapshot>> {
-        self.inner.published_discovery.read().ok()?.clone()
+        self.published().discovery.clone()
     }
 
     /// Resolve `name` in namespace `kind` through the per-dataset
@@ -719,11 +563,7 @@ impl Dataset {
 
     /// `true` once [`Dataset::mine`] has published a snapshot.
     pub fn is_mined(&self) -> bool {
-        self.inner
-            .published
-            .read()
-            .map(|guard| guard.is_some())
-            .unwrap_or(false)
+        self.published().rules.is_some()
     }
 
     /// The paper's validation check: drain the queue, then compare the
@@ -731,59 +571,42 @@ impl Dataset {
     /// — and the incrementally maintained discovery index against a full
     /// rescan of the miner's itemset table.
     pub fn verify(&self) -> Result<bool, ServiceError> {
-        self.flush()?;
-        let w = self.write_lock()?;
-        match &w.miner {
-            Some(miner) => Ok(miner.verify_against_remine(&w.relation)
-                && w.discovery.verify_against_rescan(miner.table())),
-            None => Err(ServiceError::NotMined(self.inner.name.clone())),
-        }
+        self.request(Request::Verify)?
     }
 
     /// `true` iff this dataset logs its drains to a write-ahead log.
     /// Followers are not durable in this sense: they replay somebody
     /// else's log and own none.
     pub fn is_durable(&self) -> bool {
-        self.inner.durability.lock().expect("wal lock").is_some()
+        self.published().status.wal.is_some()
     }
 
-    /// Write-ahead-log counters, if the dataset is durable.
+    /// Write-ahead-log counters, if the dataset is durable, as of the
+    /// last drain, mine, or checkpoint.
     pub fn wal_stats(&self) -> Option<WalStats> {
-        self.inner
-            .durability
-            .lock()
-            .expect("wal lock")
-            .as_ref()
-            .map(Wal::stats)
+        self.published().status.wal.as_ref().map(|wal| wal.stats)
     }
 
     /// The automatic checkpoint policy this dataset runs under (disabled
     /// for memory-only datasets and durable opens without one).
     pub fn auto_checkpoint_policy(&self) -> CheckpointPolicy {
-        *self.inner.auto_checkpoint.lock().expect("policy lock")
+        self.published().status.auto_checkpoint
     }
 
     /// Short label of the WAL's sync policy (`per_append`, `none`,
     /// `grouped`), if the dataset is durable.
     pub fn sync_policy_label(&self) -> Option<&'static str> {
-        self.inner
-            .durability
-            .lock()
-            .expect("wal lock")
-            .as_ref()
-            .map(|wal| wal.options().sync.label())
+        let published = self.published();
+        published.status.wal.as_ref().map(|wal| wal.sync.label())
     }
 
     /// Counters of the shared group committer, when this dataset's log
     /// syncs through one. Process-wide numbers: every tenant sharing the
     /// committer contributes to them — that sharing is the point.
     pub fn group_commit_stats(&self) -> Option<GroupCommitStats> {
-        self.inner
-            .durability
-            .lock()
-            .expect("wal lock")
-            .as_ref()
-            .and_then(|wal| wal.options().sync.committer().map(|c| c.stats()))
+        let published = self.published();
+        let wal = published.status.wal.as_ref()?;
+        wal.sync.committer().map(|c| c.stats())
     }
 
     /// Take a durability checkpoint: drain the queue, persist the
@@ -796,48 +619,27 @@ impl Dataset {
     /// once again proportional to the post-checkpoint delta, not the
     /// dataset's full history.
     ///
-    /// The write mutex is held only to *capture* the state (a persistent
-    /// relation clone plus a miner clone — pointer-and-rule-table cost,
-    /// never O(|D|)) and pin the log position; the O(|D|) encode and the
-    /// payload write happen outside it, so a checkpoint of a large
-    /// dataset stalls neither the writer nor other clients. (This is
+    /// The owner only *captures* the state (a persistent relation clone
+    /// plus a miner clone — pointer-and-rule-table cost, never O(|D|))
+    /// and pins the log position; the O(|D|) encode and the payload
+    /// write happen on a transient encoder thread, so a checkpoint of a
+    /// large dataset stalls neither drains nor other clients. (This is
     /// what makes the automatic policy safe to fire on the write path.)
+    /// A checkpoint requested while another is still encoding waits its
+    /// turn: positions commit in capture order.
     pub fn checkpoint(&self) -> Result<(LogPosition, usize), ServiceError> {
-        self.check_writable()?;
-        if self.inner.durability.lock().expect("wal lock").is_none() {
-            return Err(ServiceError::Durability(format!(
-                "dataset {:?} has no durability directory; reopen it with one",
-                self.inner.name
-            )));
-        }
-        self.flush()?;
-        let guard = self.inner.ckpt_lock.lock().expect("checkpoint lock");
-        // Join any in-flight automatic helper under the checkpoint lock:
-        // its captured position is older than ours, and letting its
-        // commit land *after* ours would re-point recovery at a position
-        // whose follow-up segments we are about to compact.
-        if let Some(h) = self.inner.ckpt_helper.lock().expect("helper lock").take() {
-            let _ = h.join();
-        }
-        let (position, bytes) = run_checkpoint(&self.inner, &guard)?;
-        self.inner.journal.record(
-            "checkpoint",
-            format!("position={position} payload_bytes={bytes}"),
-        );
-        Ok((position, bytes))
+        self.request(Request::Checkpoint)?
     }
 
-    /// Wait for any in-flight automatic checkpoint commit to land.
+    /// Wait for any in-flight checkpoint commit to land.
     ///
-    /// Auto-checkpoint encodes run on a helper thread, so counters and
+    /// Checkpoint encodes run off the owner thread, so counters and
     /// durable artifacts trail the drain that tripped the policy. Tests
     /// and operational tooling call this to observe a settled state
     /// without forcing an extra checkpoint of their own.
     pub fn quiesce_maintenance(&self) {
-        let _guard = self.inner.ckpt_lock.lock().expect("checkpoint lock");
-        if let Some(h) = self.inner.ckpt_helper.lock().expect("helper lock").take() {
-            let _ = h.join();
-        }
+        // A dataset that is shut down has nothing in flight either.
+        let _ = self.request(Request::Quiesce);
     }
 
     /// Point-in-time operation counters.
@@ -866,14 +668,14 @@ impl Dataset {
         self.inner.metrics.as_ref()
     }
 
-    /// Live tuple count as of the last completed write pass. Lock-free —
-    /// does not wait on an in-flight drain (prefer
-    /// [`RuleSnapshot::db_size`] once mined).
+    /// Live tuple count as of the last completed write pass. Does not
+    /// wait on an in-flight drain (prefer [`RuleSnapshot::db_size`] once
+    /// mined).
     pub fn live_tuples(&self) -> usize {
-        self.inner.tuples_hint.load(Ordering::Relaxed) as usize
+        self.published().status.tuples
     }
 
-    /// Number of coalesced drains the writer has taken off the queue — the
+    /// Number of coalesced drains the owner has taken off the queue — the
     /// `M` the publish-cost model amortizes over (stress suites pin
     /// readers across a minimum drain count with this).
     pub fn drains(&self) -> u64 {
@@ -882,28 +684,24 @@ impl Dataset {
 
     /// Which side of replication this dataset is on right now.
     pub fn role(&self) -> Role {
-        if self.inner.follower.load(Ordering::SeqCst) {
-            Role::Follower
-        } else {
-            Role::Leader
+        match self.published().status.replication {
+            Some(_) => Role::Follower,
+            None => Role::Leader,
         }
     }
 
-    /// The follower's tail-loop progress, when one is attached. `None`
-    /// for leaders (including freshly promoted ones).
+    /// The follower's tailing progress, as of its last poll. `None` for
+    /// leaders (including freshly promoted ones).
     pub fn replication_status(&self) -> Option<ReplicationStatus> {
-        let repl = self.inner.replication.lock().expect("replication lock");
-        repl.as_ref()
-            .map(|h| h.ctl.state.lock().expect("follower lock").status())
+        self.published().status.replication.clone()
     }
 
     /// Attach a **follower** replica to a leader's log directory `dir`:
-    /// spawn a tail thread that polls the directory every `poll`, replays
-    /// shipped checkpoints and records through the same apply path
-    /// recovery uses, and publishes read-only snapshots as the leader's
-    /// drains arrive. The directory is never locked or written — the
-    /// leader may be live in another process (or another thread) the
-    /// whole time.
+    /// the owner thread polls the directory every `poll`, replays shipped
+    /// checkpoints and records through the same apply path recovery
+    /// uses, and publishes read-only snapshots as the leader's drains
+    /// arrive. The directory is never locked or written — the leader may
+    /// be live in another process (or another thread) the whole time.
     ///
     /// Every mutation verb on the returned dataset fails with
     /// [`ServiceError::ReadOnlyRole`] until [`Dataset::promote`] turns it
@@ -915,34 +713,10 @@ impl Dataset {
         dir: &Path,
         poll: Duration,
     ) -> Result<Dataset, ServiceError> {
-        let state = WriteState {
-            relation: AnnotatedRelation::new(name),
-            miner: None,
-            discovery: DiscoveryIndex::new(),
-        };
-        let ds = Dataset::boot(
-            name,
-            config,
-            state,
-            None,
-            0,
-            CheckpointPolicy::default(),
-            None,
-            Role::Follower,
-        )?;
-        let ctl = Arc::new(FollowerCtl::default());
-        let worker_inner = Arc::clone(&ds.inner);
-        let worker_ctl = Arc::clone(&ctl);
-        let tail_dir = dir.to_path_buf();
-        let thread = std::thread::Builder::new()
-            .name(format!("annod-follower-{name}"))
-            .spawn(move || follower_loop(&worker_inner, &worker_ctl, &tail_dir, poll))
-            .map_err(|e| ServiceError::Io(format!("cannot spawn follower thread: {e}")))?;
-        *ds.inner.replication.lock().expect("replication lock") = Some(FollowerHandle {
-            ctl,
-            dir: dir.to_path_buf(),
-            thread: Some(thread),
-        });
+        let options = DurabilityOptions::default();
+        let state = WriteState::empty(name);
+        let mode = Mode::Follower(Tail::new(dir, poll));
+        let ds = Dataset::boot(name, config, state, mode, 0, &options)?;
         ds.inner
             .journal
             .record("attach", format!("dir={}", dir.display()));
@@ -951,46 +725,11 @@ impl Dataset {
 
     /// Force a tail poll now and wait for it to finish, returning the
     /// post-poll progress — `catchup` for clients that just wrote to the
-    /// leader and want the follower to reflect it. Errs if this dataset
-    /// is not a follower or its tail loop has failed.
+    /// leader and want the follower to reflect it. The poll starts after
+    /// this request, so it sees every write that preceded the call. Errs
+    /// if this dataset is not a follower or its tailing has failed.
     pub fn catchup_now(&self) -> Result<ReplicationStatus, ServiceError> {
-        let ctl = {
-            let repl = self.inner.replication.lock().expect("replication lock");
-            match repl.as_ref() {
-                Some(h) => Arc::clone(&h.ctl),
-                None => {
-                    return Err(ServiceError::Durability(format!(
-                        "dataset {:?} is not a follower; nothing to catch up",
-                        self.inner.name
-                    )))
-                }
-            }
-        };
-        let mut st = ctl.state.lock().expect("follower lock");
-        // Wait for a poll that *starts* after this request: an in-flight
-        // poll read the directory before the caller's writes landed.
-        let target = st.polls_started + 1;
-        st.poll_requests = st.poll_requests.max(target);
-        ctl.cv.notify_all();
-        while st.polls_done < target {
-            if st.stop {
-                break;
-            }
-            if let Some(why) = &st.failed {
-                return Err(ServiceError::Durability(format!(
-                    "dataset {:?} follower failed: {why}",
-                    self.inner.name
-                )));
-            }
-            st = ctl.cv.wait(st).expect("follower lock");
-        }
-        if let Some(why) = &st.failed {
-            return Err(ServiceError::Durability(format!(
-                "dataset {:?} follower failed: {why}",
-                self.inner.name
-            )));
-        }
-        Ok(st.status())
+        self.request(Request::Catchup)?
     }
 
     /// Promote this follower to leader with default [`DurabilityOptions`].
@@ -1001,126 +740,35 @@ impl Dataset {
 
     /// Promote a follower to **leader**: acquire the log directory's
     /// `wal.lock` (the fencing point — a still-live leader refuses the
-    /// takeover with a lock error and the follower keeps tailing; a dead
-    /// leader's stale lock is reclaimed), stop the tail loop, re-run full
-    /// recovery over the directory (checkpoint + every intact record —
-    /// this resolves what a tailing follower never can: whether a torn
-    /// tip was a mid-write or real damage), install the recovered state
-    /// and the log, and start accepting writes.
+    /// takeover with a lock error; a dead leader's stale lock is
+    /// reclaimed), re-run full recovery over the directory (checkpoint +
+    /// every intact record — this resolves what a tailing follower never
+    /// can: whether a torn tip was a mid-write or real damage), install
+    /// the recovered state and the log, and start accepting writes.
     ///
-    /// Publish epochs stay monotone across the role flip: the recovered
-    /// seed is taken with `fetch_max`, never stored blindly.
+    /// A promotion that fails at any step — the lock, the checkpoint,
+    /// the replay — releases the lock again and leaves the dataset a
+    /// follower, still tailing and still serving its last prefix.
+    ///
+    /// Publish epochs stay monotone across the role flip.
     pub fn promote_with(&self, options: DurabilityOptions) -> Result<(), ServiceError> {
-        if !self.inner.follower.load(Ordering::SeqCst) {
-            return Err(ServiceError::Durability(format!(
-                "dataset {:?} is already the leader",
-                self.inner.name
-            )));
-        }
-        let dir = {
-            let repl = self.inner.replication.lock().expect("replication lock");
-            match repl.as_ref() {
-                Some(h) => h.dir.clone(),
-                None => {
-                    return Err(ServiceError::Durability(format!(
-                        "dataset {:?} has no replication attachment",
-                        self.inner.name
-                    )))
-                }
-            }
-        };
-        // Take the lock FIRST. Failing here (live leader) leaves the
-        // follower untouched and still tailing.
-        let (mut wal, recovery) = Wal::open(&dir, options.wal)
-            .map_err(|e| ServiceError::Durability(format!("cannot take over the log: {e}")))?;
-        // Now the takeover is committed: stop the tail loop.
-        let handle = self
-            .inner
-            .replication
-            .lock()
-            .expect("replication lock")
-            .take();
-        if let Some(mut h) = handle {
-            h.ctl.stop();
-            if let Some(t) = h.thread.take() {
-                let _ = t.join();
-            }
-        }
-        let config = *self.inner.config.lock().expect("config lock");
-        let rec = recover_write_state(&self.inner.name, config, recovery)?;
-        wal.set_observer(Arc::new(DatasetWalObserver {
-            metrics: Arc::clone(&self.inner.metrics),
-        }));
-        self.inner
-            .metrics
-            .set_wal_backlog_bytes(wal.stats().since_checkpoint_bytes);
-        {
-            let mut w = self.write_lock()?;
-            *self.inner.durability.lock().expect("wal lock") = Some(wal);
-            *w = rec.state;
-            self.inner
-                .tuples_hint
-                .store(w.relation.len() as u64, Ordering::Relaxed);
-            self.inner.metrics.set_store_shape(
-                w.relation.segments().len() as u64,
-                w.relation.vocab_chunk_count() as u64,
-            );
-            // Monotone across the role flip: the follower's own publishes
-            // may already be past the recovered seed.
-            self.inner
-                .publish_seq
-                .fetch_max(rec.publish_seed, Ordering::SeqCst);
-            *self.inner.config.lock().expect("config lock") = rec.config;
-            *self.inner.auto_checkpoint.lock().expect("policy lock") = options.auto_checkpoint;
-            *self.inner.encode_stall.lock().expect("stall lock") = options.encode_stall_for_tests;
-            self.inner.follower.store(false, Ordering::SeqCst);
-            self.inner.metrics.set_role_follower(false);
-            if w.miner.is_some() {
-                publish(&self.inner, &w);
-            }
-        }
-        self.inner.journal.record(
-            "promote",
-            format!(
-                "checkpoint={} replayed_records={}",
-                rec.restored_checkpoint, rec.replayed_records
-            ),
-        );
-        if let Some(damage) = rec.damage {
-            self.inner.journal.record("truncated_tail", damage);
-        }
-        Ok(())
+        self.request(|reply| Request::Promote(options, reply))?
     }
 
-    /// Stop the writer thread, draining anything already queued. Further
-    /// enqueues fail with [`ServiceError::ShutDown`]. Idempotent.
+    /// Stop the owner thread, draining anything already queued. Further
+    /// enqueues — and control requests still waiting — fail with
+    /// [`ServiceError::ShutDown`]. An in-flight checkpoint commit lands
+    /// before this returns. Idempotent.
     pub fn shutdown(&self) {
         {
             let mut q = self.inner.queue.lock().expect("queue lock");
             q.shutdown = true;
-            // A paused writer (test hook) must still run its final drain.
+            // A paused owner (test hook) must still run its final drain.
             q.paused = false;
             self.inner.queue_cv.notify_all();
         }
-        if let Some(mut h) = self
-            .inner
-            .replication
-            .lock()
-            .expect("replication lock")
-            .take()
-        {
-            h.ctl.stop();
-            if let Some(t) = h.thread.take() {
-                let _ = t.join();
-            }
-        }
         if let Some(handle) = self.worker.lock().expect("worker lock").take() {
             let _ = handle.join();
-        }
-        // An in-flight auto-checkpoint commit finishes before shutdown
-        // returns, so a reopen of the directory sees it.
-        if let Some(h) = self.inner.ckpt_helper.lock().expect("helper lock").take() {
-            let _ = h.join();
         }
     }
 }
@@ -1140,1148 +788,14 @@ impl std::fmt::Debug for Dataset {
     }
 }
 
-/// Build and swap in a fresh snapshot; no-op (returning `None`) pre-mine.
-/// The snapshot's relation is a persistent clone sharing every segment
-/// with `w.relation` — publish cost is O(#segments), not O(|D|).
-fn publish(inner: &Inner, w: &WriteState) -> Option<Arc<RuleSnapshot>> {
-    let miner = w.miner.as_ref()?;
-    let epoch = inner.publish_seq.fetch_add(1, Ordering::SeqCst) + 1;
-    let snap = Arc::new(RuleSnapshot::build(&inner.name, epoch, &w.relation, miner));
-    // Drain-boundary epoch contract: published relation epochs only move
-    // forward. A regression would mean a reader could observe time running
-    // backwards across two snapshot reads.
-    let prev = inner
-        .published_relation_epoch
-        .swap(snap.relation_epoch(), Ordering::SeqCst);
-    assert!(
-        snap.relation_epoch() >= prev,
-        "published relation epoch regressed: {prev} -> {}",
-        snap.relation_epoch()
-    );
-    *inner.published.write().expect("published lock") = Some(Arc::clone(&snap));
-    // The discovery top-k rides the same epoch: a client pairing `rules`
-    // with `discover` can check the epochs match and know both views are
-    // from the same drain boundary.
-    let discovery = Arc::new(w.discovery.snapshot(
-        epoch,
-        w.relation.len() as u64,
-        DISCOVERY_TOPK_CAP,
-        w.relation.vocab(),
-    ));
-    inner.metrics.set_discovery_shape(
-        w.discovery.pairs_tracked() as u64,
-        discovery.cross.len() as u64,
-        discovery.within.len() as u64,
-    );
-    *inner
-        .published_discovery
-        .write()
-        .expect("published discovery lock") = Some(discovery);
-    inner.metrics.record_publish();
-    Some(snap)
-}
-
-/// Drain the miner's touch log into the discovery index — the step that
-/// keeps discovery *incremental*: only pairs involving items a drain
-/// touched are re-scored, everything else keeps its rank (the n-invariant
-/// rank key makes that sound; see `anno-discover`). Called on every path
-/// that runs maintenance: live drains, `mine`, recovery replay, and
-/// follower record application. No-op pre-mine or when nothing moved.
-fn sync_discovery(metrics: &Metrics, w: &mut WriteState) {
-    let WriteState {
-        miner, discovery, ..
-    } = w;
-    let Some(miner) = miner.as_mut() else { return };
-    let touches = miner.take_touches();
-    if touches.is_empty() {
-        return;
-    }
-    let ((), nanos) = timed(|| discovery.refresh(miner.table(), &touches));
-    metrics.record_discover_update(nanos);
-}
-
-/// Mark the ops up to `drained_to` as applied-and-durable, releasing
-/// their `flush` barriers.
-fn ack(inner: &Inner, drained_to: u64) {
-    let mut q = inner.queue.lock().expect("queue lock");
-    q.applied = q.applied.max(drained_to);
-    inner.queue_cv.notify_all();
-}
-
-/// Fence the dataset: reject new work, fail waiting clients fast. The
-/// single failure policy for every unloggable mutation (drain, mine, or
-/// a grouped sync that never became durable) and for writer panics.
-fn disable(inner: &Inner, why: &str) {
-    eprintln!("annod: writer for dataset {:?}: {why}", inner.name);
-    inner.journal.record("fenced", why.to_string());
-    let mut q = inner.queue.lock().expect("queue lock");
-    q.shutdown = true;
-    q.writer_dead = true;
-    inner.queue_cv.notify_all();
-}
-
-/// Block on the oldest outstanding group-commit ticket and release its
-/// flush barrier. Tickets resolve in append order, so waiting on the
-/// front covers everything behind it.
-fn retire_oldest(inner: &Inner, inflight: &mut VecDeque<(u64, SyncTicket)>) -> Result<(), String> {
-    let Some((drained_to, ticket)) = inflight.pop_front() else {
-        return Ok(());
-    };
-    inner.metrics.set_unacked_drains(inflight.len() as u64);
-    ticket
-        .wait()
-        .map_err(|e| format!("grouped sync failed ({e})"))?;
-    ack(inner, drained_to);
-    Ok(())
-}
-
-/// Retire every ticket whose sync window already closed, oldest first,
-/// without blocking — the writer calls this between drains so pipelined
-/// acks flow out while fresh work keeps flowing in.
-fn retire_ready(inner: &Inner, inflight: &mut VecDeque<(u64, SyncTicket)>) -> Result<(), String> {
-    while let Some((drained_to, ticket)) = inflight.front() {
-        match ticket.try_ready() {
-            None => break,
-            Some(Ok(())) => {
-                let drained_to = *drained_to;
-                inflight.pop_front();
-                inner.metrics.set_unacked_drains(inflight.len() as u64);
-                ack(inner, drained_to);
-            }
-            Some(Err(e)) => return Err(format!("grouped sync failed ({e})")),
-        }
-    }
-    Ok(())
-}
-
-/// How long the writer parks between ticket polls when it has unacked
-/// grouped drains but no fresh work. Bounds the extra flush latency a
-/// quiet moment adds on top of the committer's sync window.
-const ACK_POLL: std::time::Duration = std::time::Duration::from_micros(200);
-
-/// Everything recovery derives from a log directory, shared by
-/// [`Dataset::open_with`] and [`Dataset::promote_with`].
-struct Recovered {
-    state: WriteState,
-    config: IncrementalConfig,
-    publish_seed: u64,
-    replayed_records: usize,
-    restored_checkpoint: bool,
-    damage: Option<String>,
-}
-
-/// Restore a discovery index from its checkpointed text, or — for
-/// payloads written before discovery existed — rebuild it from the
-/// restored miner's table (one rescan, paid only on that upgrade path).
-fn restore_discovery<E>(
-    text: Option<&str>,
-    miner: Option<&IncrementalMiner>,
-    err: impl Fn(&str, String) -> E,
-) -> Result<DiscoveryIndex, E> {
-    match text {
-        Some(text) => {
-            DiscoveryIndex::decode_from_string(text).map_err(|m| err("discovery checkpoint", m))
-        }
-        None => Ok(miner
-            .map(|m| DiscoveryIndex::rebuilt_from(m.table()))
-            .unwrap_or_default()),
-    }
-}
-
-/// Rebuild write state from a WAL recovery: restore the checkpoint
-/// (validated), replay the tail through [`apply_op`], and derive the
-/// publish-counter seed. See [`Dataset::open_with`] for the contract.
-fn recover_write_state(
-    name: &str,
-    config: IncrementalConfig,
-    recovery: anno_wal::Recovery,
-) -> Result<Recovered, ServiceError> {
-    let dur = |stage: &str, msg: String| {
-        ServiceError::Durability(format!("dataset {name:?} {stage}: {msg}"))
-    };
-    // Publish epochs must never regress across a restart. Seed the
-    // publish counter past anything the dead process can have handed
-    // out: the checkpoint stores the counter at capture time, and
-    // every logged record after it published at most one snapshot.
-    // Under grouped sync a pipelined drain can be published *before*
-    // its record is durable, so a power loss (page cache gone, unlike
-    // the process-kill case where the OS still has the bytes) may
-    // recover fewer records than were published — the writer caps
-    // that overhang at its ack pipeline depth plus the one drain in
-    // flight, so that slack is added unconditionally. (The relation's
-    // mutation epoch is a floor for checkpoints from before the
-    // counter was persisted: publishes happen only at epoch-advancing
-    // drain boundaries, so the count never exceeds the epoch by more
-    // than the replayed mine records — which the tail term covers.)
-    let mut publish_seed = recovery.tail.len() as u64 + MAX_PIPELINED_ACKS as u64 + 1;
-    let replayed_records = recovery.tail.len();
-    let restored_checkpoint = recovery.checkpoint.is_some();
-    let mut state = match recovery.checkpoint {
-        Some(ck) => {
-            let parts = walcodec::decode_checkpoint(&ck.payload)
-                .map_err(|m| dur("checkpoint payload", m))?;
-            publish_seed += parts.publish_seq.unwrap_or(0);
-            let relation =
-                snapshot_from_string(&parts.snapshot).map_err(|m| dur("checkpoint snapshot", m))?;
-            let miner = parts
-                .miner
-                .as_deref()
-                .map(IncrementalMiner::checkpoint_from_string)
-                .transpose()
-                .map_err(|m| dur("miner checkpoint", m))?;
-            if let Some(m) = &miner {
-                // The two halves of the checkpoint must be from the
-                // same instant; continuing maintenance from a
-                // mismatched pair would silently void exactness.
-                m.validate_against(&relation)
-                    .map_err(|m| dur("checkpoint validation", m))?;
-            }
-            let discovery =
-                restore_discovery(parts.discovery.as_deref(), miner.as_ref(), |stage, m| {
-                    dur(stage, m)
-                })?;
-            WriteState {
-                relation,
-                miner,
-                discovery,
-            }
-        }
-        None => WriteState {
-            relation: AnnotatedRelation::new(name),
-            miner: None,
-            discovery: DiscoveryIndex::new(),
-        },
-    };
-    for payload in &recovery.tail {
-        let record = walcodec::decode(payload).map_err(|m| dur("log record", m))?;
-        // The live writer contains apply panics with catch_unwind
-        // ("an unforeseen panic in maintenance code must disable the
-        // dataset loudly"); replay needs the same containment, or a
-        // drain that was logged and then panicked would turn every
-        // future open into a crash loop instead of a clean error.
-        // The log is left untouched: the record may replay fine once
-        // the offending code is fixed.
-        let replayed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match record {
-            WalRecord::Drain(ops) => {
-                for op in ops {
-                    apply_op(&mut state, op);
-                }
-            }
-            WalRecord::Mine(mine_config) => {
-                state.miner = Some(IncrementalMiner::mine_initial(&state.relation, mine_config));
-            }
-        }));
-        if replayed.is_err() {
-            return Err(dur(
-                "log replay",
-                "a logged record panicked during re-application; \
-                 the log is preserved for inspection"
-                    .to_string(),
-            ));
-        }
-    }
-    if let Some(m) = &state.miner {
-        // Cheap resume screen over the fully replayed state; the
-        // exhaustive check stays on demand (`Dataset::verify`).
-        m.validate_against(&state.relation)
-            .map_err(|m| dur("post-replay validation", m))?;
-    }
-    {
-        // The replay loop accumulated one merged touch log across every
-        // replayed record; fold it into the discovery index once. (A
-        // replayed `mine` marks the log all-dirty, so the rebuild case is
-        // covered too.)
-        let WriteState {
-            miner, discovery, ..
-        } = &mut state;
-        if let Some(m) = miner.as_mut() {
-            let touches = m.take_touches();
-            if !touches.is_empty() {
-                discovery.refresh(m.table(), &touches);
-            }
-        }
-    }
-    let damage = recovery.damaged.as_ref().map(|damage| {
-        eprintln!("annod: dataset {name:?}: {damage}; recovered to the last intact record");
-        damage.to_string()
-    });
-    // A restored miner's configuration wins over the caller's: the
-    // maintained table is only exact under the thresholds it was
-    // built with.
-    let config = state.miner.as_ref().map_or(config, |m| m.config());
-    // Pre-publish-sequence checkpoints: the relation epoch dominates
-    // the dead process's publish count (see above), so take the max.
-    let publish_seed = publish_seed.max(state.relation.epoch());
-    Ok(Recovered {
-        state,
-        config,
-        publish_seed,
-        replayed_records,
-        restored_checkpoint,
-        damage,
-    })
-}
-
-/// How a follower poll went wrong. Transient faults (I/O against a
-/// directory mid-change) are retried at the next poll; fatal faults
-/// (undecodable or unappliable shipped state) stop the tail loop — the
-/// follower keeps serving its last good prefix, and `catchup` reports
-/// the failure.
-enum FollowerFault {
-    Transient(String),
-    Fatal(String),
-}
-
-/// Refresh the lock-free read hints after the write state changed under
-/// the write mutex.
-fn refresh_shape(inner: &Inner, w: &WriteState) {
-    inner
-        .tuples_hint
-        .store(w.relation.len() as u64, Ordering::Relaxed);
-    inner.metrics.set_store_shape(
-        w.relation.segments().len() as u64,
-        w.relation.vocab_chunk_count() as u64,
-    );
-}
-
-/// One tail poll: pull whatever the leader's directory has past the
-/// cursor and apply it. Returns `(leader_seq, bytes_behind)`.
-///
-/// Publishes are gated to **record boundaries whose apply changed the
-/// relation epoch** (or installed a miner), exactly like the live
-/// writer's drain boundaries — so every snapshot a follower ever serves
-/// equals some drain-prefix of the leader's history, never a partial
-/// batch.
-fn follower_poll(inner: &Inner, cursor: &mut TailCursor) -> Result<(u64, u64), FollowerFault> {
-    let polled = match cursor.poll() {
-        Ok(p) => p,
-        Err(WalError::Io(e)) => return Err(FollowerFault::Transient(e.to_string())),
-        Err(e) => return Err(FollowerFault::Fatal(e.to_string())),
-    };
-    let fatal = |stage: &str, msg: String| FollowerFault::Fatal(format!("{stage}: {msg}"));
-    if let Some(ck) = polled.restart {
-        // The cursor restarted from a shipped checkpoint (compaction
-        // passed us, or first contact with a checkpointed log): replace
-        // the whole write state, exactly as recovery would.
-        let parts =
-            walcodec::decode_checkpoint(&ck.payload).map_err(|m| fatal("checkpoint payload", m))?;
-        let relation =
-            snapshot_from_string(&parts.snapshot).map_err(|m| fatal("checkpoint snapshot", m))?;
-        let miner = parts
-            .miner
-            .as_deref()
-            .map(IncrementalMiner::checkpoint_from_string)
-            .transpose()
-            .map_err(|m| fatal("miner checkpoint", m))?;
-        if let Some(m) = &miner {
-            m.validate_against(&relation)
-                .map_err(|m| fatal("checkpoint validation", m))?;
-        }
-        let discovery = restore_discovery(parts.discovery.as_deref(), miner.as_ref(), fatal)?;
-        let config = miner.as_ref().map(|m| m.config());
-        let ckpt_seq = parts.publish_seq;
-        let mut w = inner.write.lock().expect("write lock");
-        *w = WriteState {
-            relation,
-            miner,
-            discovery,
-        };
-        if let Some(config) = config {
-            *inner.config.lock().expect("config lock") = config;
-        }
-        // Keep handed-out snapshot epochs monotone past the leader's
-        // checkpointed publish counter.
-        inner
-            .publish_seq
-            .fetch_max(ckpt_seq.unwrap_or(0), Ordering::SeqCst);
-        refresh_shape(inner, &w);
-        if w.miner.is_some() {
-            publish(inner, &w);
-        }
-        inner
-            .journal
-            .record("follower_restart", format!("position={}", ck.position));
-    }
-    for payload in &polled.records {
-        let record = walcodec::decode(payload).map_err(|m| fatal("log record", m))?;
-        let mut w = inner.write.lock().expect("write lock");
-        let mined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match record {
-            WalRecord::Drain(ops) => {
-                for op in ops {
-                    apply_op(&mut w, op);
-                }
-                false
-            }
-            WalRecord::Mine(mine_config) => {
-                w.miner = Some(IncrementalMiner::mine_initial(&w.relation, mine_config));
-                *inner.config.lock().expect("config lock") = mine_config;
-                true
-            }
-        }))
-        .map_err(|_| {
-            fatal(
-                "record apply",
-                "a shipped record panicked during application".to_string(),
-            )
-        })?;
-        sync_discovery(&inner.metrics, &mut w);
-        // Same republish screen as the live writer: only at record
-        // (= drain) boundaries, only when the state actually moved.
-        let stale = mined
-            || match inner.published.read().expect("published lock").as_ref() {
-                Some(snap) => snap.relation_epoch() != w.relation.epoch(),
-                None => w.miner.is_some(),
-            };
-        refresh_shape(inner, &w);
-        if stale {
-            publish(inner, &w);
-        }
-    }
-    Ok((polled.leader_position.segment, polled.bytes_behind))
-}
-
-/// The follower's tail thread: poll the leader's directory on a timer
-/// (or sooner, when `catchup` asks), apply what arrived, and publish the
-/// progress numbers.
-fn follower_loop(inner: &Arc<Inner>, ctl: &FollowerCtl, dir: &Path, poll: Duration) {
-    let mut cursor = TailCursor::new(dir);
-    loop {
-        {
-            let mut st = ctl.state.lock().expect("follower lock");
-            if st.stop {
-                return;
-            }
-            st.polls_started += 1;
-        }
-        let outcome = follower_poll(inner, &mut cursor);
-        {
-            let mut st = ctl.state.lock().expect("follower lock");
-            st.polls_done += 1;
-            st.applied_seq = cursor.position().segment;
-            st.records_applied = cursor.records_read();
-            st.restarts = cursor.restarts();
-            match outcome {
-                Ok((leader_seq, bytes_behind)) => {
-                    st.leader_seq = leader_seq;
-                    st.bytes_behind = bytes_behind;
-                    inner.metrics.set_replication_lag(
-                        st.applied_seq,
-                        st.leader_seq,
-                        st.bytes_behind,
-                        st.records_applied,
-                        st.restarts,
-                    );
-                }
-                Err(FollowerFault::Transient(msg)) => {
-                    // Directory mid-change (leader rolling a segment,
-                    // compaction deleting behind us): next poll retries.
-                    inner.journal.record("follower_retry", msg);
-                }
-                Err(FollowerFault::Fatal(msg)) => {
-                    eprintln!(
-                        "annod: follower for dataset {:?}: {msg}; tailing stopped \
-                         (last good prefix still served)",
-                        inner.name
-                    );
-                    inner.journal.record("follower_failed", msg.clone());
-                    st.failed = Some(msg);
-                    ctl.cv.notify_all();
-                    return;
-                }
-            }
-            ctl.cv.notify_all();
-            // Park until the next poll is due — or a catchup wants one
-            // sooner.
-            let deadline = Instant::now() + poll;
-            loop {
-                if st.stop {
-                    return;
-                }
-                if st.poll_requests > st.polls_done {
-                    break;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
-                }
-                let (guard, _) = ctl
-                    .cv
-                    .wait_timeout(st, deadline - now)
-                    .expect("follower lock");
-                st = guard;
-            }
-        }
-    }
-}
-
-fn writer_loop(inner: &Arc<Inner>) {
-    // Drains whose effects are applied and published but whose group-
-    // commit sync window has not yet closed, oldest first. Empty unless
-    // the WAL runs `SyncPolicy::Grouped`.
-    let mut inflight: VecDeque<(u64, SyncTicket)> = VecDeque::new();
-    loop {
-        let taken = loop {
-            // Never park on an open sync window while work could arrive:
-            // drain the acks that are already resolved, take fresh work
-            // if there is any, and otherwise nap briefly and re-poll.
-            if let Err(msg) = retire_ready(inner, &mut inflight) {
-                disable(inner, &format!("{msg}; dataset disabled"));
-                return;
-            }
-            let shutdown_draining = {
-                let mut q = inner.queue.lock().expect("queue lock");
-                if !q.pending.is_empty() && !q.paused {
-                    q.pending_updates = 0;
-                    inner.metrics.set_queue_depth(0);
-                    q.drains += 1;
-                    // Wake enqueuers blocked on backpressure now that the
-                    // queue is empty again; they need not wait for the
-                    // apply below.
-                    inner.queue_cv.notify_all();
-                    break Some((std::mem::take(&mut q.pending), q.enqueued));
-                }
-                if q.shutdown {
-                    if inflight.is_empty() {
-                        break None;
-                    }
-                    true
-                } else if inflight.is_empty() {
-                    let _unused = inner.queue_cv.wait(q).expect("queue lock");
-                    false
-                } else {
-                    let _unused = inner
-                        .queue_cv
-                        .wait_timeout(q, ACK_POLL)
-                        .expect("queue lock");
-                    false
-                }
-            };
-            if shutdown_draining {
-                // Last acks at shutdown: nothing else can arrive, so a
-                // blocking wait (at most one sync window) is the fastest
-                // way out.
-                if let Err(msg) = retire_oldest(inner, &mut inflight) {
-                    disable(inner, &format!("{msg}; dataset disabled"));
-                    return;
-                }
-            }
-        };
-        let Some((ops, drained_to)) = taken else {
-            return;
-        };
-        inner
-            .metrics
-            .record_drain_size(ops.iter().map(|op| op.len() as u64).sum());
-        let (mut batches, folded) = coalesce(ops);
-        // Canonicalize before the log sees the drain: segment-locality
-        // sort plus within-batch dedupe. Coalescing can merge two
-        // clients' updates to the same (tuple, annotation) into one
-        // batch; only the first can have an effect, and logging the echo
-        // would waste log bytes and replay work on every recovery.
-        for batch in &mut batches {
-            canonicalize_batch(batch);
-        }
-        // Defense in depth: prefilter screens out every known panic source
-        // (mis-kinded items, dead targets), but an unforeseen panic in
-        // maintenance code must disable the dataset loudly — clients get
-        // `ShutDown` — rather than silently wedge enqueue/flush forever.
-        let pass = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            timed(|| -> Result<(u64, Option<SyncTicket>), String> {
-                let mut applied = 0u64;
-                let mut ticket = None;
-                let mut w = inner.write.lock().expect("write lock");
-                // If no batch can change the current relation, the whole
-                // drain is a no-op — each batch leaves the state unchanged,
-                // so the screen holds inductively across the batch
-                // sequence — and neither the log nor the apply loop needs
-                // to see it. This keeps the WAL invariant "one appended
-                // record per *effective* drain".
-                let effective = batches.iter().any(|b| op_has_effect(&w.relation, b));
-                if effective {
-                    let mut dur = inner.durability.lock().expect("wal lock");
-                    if let Some(wal) = dur.as_mut() {
-                        // Log before apply: the coalesced drain is written
-                        // (and, under per-append sync, durable) before any
-                        // of its effects can be published, so a crash
-                        // between the two replays the drain instead of
-                        // losing acknowledged-and-served state. Under
-                        // grouped sync the returned ticket gates the
-                        // client-visible ack instead: flush barriers
-                        // release only once the sync window closes.
-                        let payload = walcodec::encode_drain(&batches);
-                        ticket = wal.append_async(&payload).map_err(|e| e.to_string())?.1;
-                        inner
-                            .metrics
-                            .set_wal_backlog_bytes(wal.stats().since_checkpoint_bytes);
-                    }
-                    drop(dur);
-                    for batch in batches {
-                        if apply_op(&mut w, batch) {
-                            applied += 1;
-                        }
-                    }
-                    sync_discovery(&inner.metrics, &mut w);
-                }
-                inner
-                    .tuples_hint
-                    .store(w.relation.len() as u64, Ordering::Relaxed);
-                inner.metrics.set_store_shape(
-                    w.relation.segments().len() as u64,
-                    w.relation.vocab_chunk_count() as u64,
-                );
-                // Republish only when the drain actually changed the
-                // relation (prefiltered no-op batches leave the epoch
-                // untouched) or no snapshot exists yet — snapshot builds
-                // clone the rule set and rebuild the recommendation index,
-                // so skipping them keeps ineffective drains cheap.
-                let stale = match inner.published.read().expect("published lock").as_ref() {
-                    Some(snap) => snap.relation_epoch() != w.relation.epoch(),
-                    None => true,
-                };
-                if stale {
-                    publish(inner, &w);
-                }
-                Ok((applied, ticket))
-            })
-        }));
-        match pass {
-            Ok((Ok((batch_count, ticket)), nanos)) => {
-                inner.metrics.record_write_pass(batch_count, folded, nanos);
-                // Policy check *before* the ack: a flush that observes
-                // this drain also observes any checkpoint it triggered,
-                // which keeps recovery-size guarantees deterministic for
-                // clients that pace themselves with flush barriers.
-                maybe_auto_checkpoint(inner);
-                match ticket {
-                    Some(ticket) => {
-                        inflight.push_back((drained_to, ticket));
-                        inner.metrics.set_unacked_drains(inflight.len() as u64);
-                        if inflight.len() > MAX_PIPELINED_ACKS {
-                            if let Err(msg) = retire_oldest(inner, &mut inflight) {
-                                disable(inner, &format!("{msg}; dataset disabled"));
-                                return;
-                            }
-                        }
-                    }
-                    None => ack(inner, drained_to),
-                }
-            }
-            Ok((Err(msg), _)) => {
-                // A drain that cannot be made durable must not be applied:
-                // disabling the dataset is the only honest move, or the
-                // served state would silently diverge from the log.
-                disable(
-                    inner,
-                    &format!("cannot log a drain ({msg}); dataset disabled"),
-                );
-                return;
-            }
-            Err(_) => {
-                disable(inner, "apply panicked; dataset disabled");
-                return;
-            }
-        }
-    }
-}
-
-/// The cheap half of a checkpoint, taken under the write mutex: clones
-/// of the state to persist plus the pinned log position. Owning (not
-/// borrowing) everything lets [`commit_checkpoint`] run on a helper
-/// thread while the writer keeps draining.
-struct CapturedCheckpoint {
-    relation: AnnotatedRelation,
-    miner: Option<IncrementalMiner>,
-    discovery: DiscoveryIndex,
-    publish_seq: u64,
-    dir: PathBuf,
-    prepared: anno_wal::PreparedCheckpoint,
-}
-
-/// Capture checkpoint state under an already-held checkpoint lock: a
-/// persistent relation clone (O(#segments) pointer copies), a miner clone
-/// (O(rule table), far below O(|D|)), the discovery index, the publish
-/// counter, and the pinned log position. The writer appends under this
-/// same mutex, so the position cannot drift past the captured state.
-fn capture_checkpoint(
-    inner: &Inner,
-    _ckpt_guard: &std::sync::MutexGuard<'_, ()>,
-) -> Result<CapturedCheckpoint, ServiceError> {
-    let w = inner
-        .write
-        .lock()
-        .map_err(|_| ServiceError::ShutDown(inner.name.clone()))?;
-    let mut dur = inner.durability.lock().expect("wal lock");
-    // anno-lint: allow(panic-path) -- both checkpoint entry points return Durability errors before this when no WAL is attached, and a WAL is never detached
-    let wal = dur.as_mut().expect("checkpoint callers verify durability");
-    let prepared = wal
-        .prepare_checkpoint()
-        .map_err(|e| ServiceError::Durability(e.to_string()))?;
-    let dir = wal.dir().to_path_buf();
-    drop(dur);
-    Ok(CapturedCheckpoint {
-        relation: w.relation.clone(),
-        miner: w.miner.clone(),
-        discovery: w.discovery.clone(),
-        publish_seq: inner.publish_seq.load(Ordering::SeqCst),
-        dir,
-        prepared,
-    })
-}
-
-/// The O(|D|) half: encode the captured state and durably write the
-/// payload with no dataset lock held — drains, mines, and readers all
-/// proceed — then take a brief wal lock to compact and reset the policy
-/// accounting. Callers guarantee at most one commit is in flight at a
-/// time (the `ckpt_lock`/`ckpt_helper` protocol), so positions reach
-/// `finish_checkpoint` in capture order.
-fn commit_checkpoint(
-    inner: &Inner,
-    cap: CapturedCheckpoint,
-) -> Result<(LogPosition, usize), ServiceError> {
-    let stall = *inner.encode_stall.lock().expect("stall lock");
-    let (payload, encode_nanos) = timed(|| {
-        if let Some(stall) = stall {
-            std::thread::sleep(stall);
-        }
-        let snap_text = snapshot_to_string(&cap.relation);
-        let miner_text = cap.miner.as_ref().map(|m| m.checkpoint_to_string());
-        let discovery_text = cap.miner.as_ref().map(|_| cap.discovery.encode_to_string());
-        walcodec::encode_checkpoint(
-            &snap_text,
-            miner_text.as_deref(),
-            cap.publish_seq,
-            discovery_text.as_deref(),
-        )
-    });
-    inner.metrics.record_checkpoint_encode(encode_nanos);
-    wal_checkpoint::write_checkpoint(&cap.dir, cap.prepared.position(), &payload)
-        .map_err(|e| ServiceError::Durability(e.to_string()))?;
-    {
-        let mut dur = inner.durability.lock().expect("wal lock");
-        // anno-lint: allow(panic-path) -- a capture only exists for a dataset with an attached WAL, and a WAL is never detached
-        let wal = dur.as_mut().expect("checkpoint callers verify durability");
-        wal.finish_checkpoint(&cap.prepared);
-        inner
-            .metrics
-            .set_wal_backlog_bytes(wal.stats().since_checkpoint_bytes);
-    }
-    inner.metrics.record_checkpoint();
-    Ok((cap.prepared.position(), payload.len()))
-}
-
-/// Run one full checkpoint cycle (capture + commit, synchronously) under
-/// an already-held checkpoint lock. See [`Dataset::checkpoint`] for the
-/// contract.
-fn run_checkpoint(
-    inner: &Inner,
-    ckpt_guard: &std::sync::MutexGuard<'_, ()>,
-) -> Result<(LogPosition, usize), ServiceError> {
-    let cap = capture_checkpoint(inner, ckpt_guard)?;
-    commit_checkpoint(inner, cap)
-}
-
-/// The automatic-checkpoint check the writer runs after each drain: fire
-/// when the policy says the log has accumulated past a threshold. A
-/// failed attempt is reported and retried after the next drain (the log
-/// keeps growing but stays correct); a manual checkpoint already holding
-/// the lock simply wins — it resets the same accounting.
-///
-/// The writer only *captures* here (pointer-cost clones under the
-/// checkpoint lock); the O(|D|) encode-and-commit runs on a detached
-/// helper thread parked in `ckpt_helper`, so the drain that tripped the
-/// policy — and every drain after it — is never blocked on the encode.
-/// At most one helper runs at a time, and a manual checkpoint joins it
-/// before committing its own (see [`Dataset::checkpoint`]), so commits
-/// still reach the log in capture order.
-fn maybe_auto_checkpoint(inner: &Arc<Inner>) {
-    {
-        // Reap a finished helper — or bail while one is still committing
-        // — *before* the due check: a commit that just landed already
-        // reset the policy accounting this check reads.
-        let mut slot = inner.ckpt_helper.lock().expect("helper lock");
-        if let Some(h) = slot.as_ref() {
-            if !h.is_finished() {
-                return;
-            }
-            // anno-lint: allow(panic-path) -- slot.as_ref() matched Some on the line above and the lock is still held
-            let _ = slot.take().expect("just checked").join();
-        }
-    }
-    let policy = *inner.auto_checkpoint.lock().expect("policy lock");
-    if !policy.is_enabled() {
-        return;
-    }
-    let due = match inner.durability.lock().expect("wal lock").as_ref() {
-        Some(wal) => policy.due(&wal.stats()),
-        None => return,
-    };
-    if !due {
-        return;
-    }
-    let Ok(guard) = inner.ckpt_lock.try_lock() else {
-        return;
-    };
-    let cap = match capture_checkpoint(inner, &guard) {
-        Ok(cap) => cap,
-        Err(e) => {
-            eprintln!(
-                "annod: dataset {:?}: auto-checkpoint failed ({e}); retrying after the next drain",
-                inner.name
-            );
-            return;
-        }
-    };
-    let helper_inner = Arc::clone(inner);
-    let spawned = std::thread::Builder::new()
-        .name(format!("annod-ckpt-{}", inner.name))
-        .spawn(move || match commit_checkpoint(&helper_inner, cap) {
-            Ok((position, bytes)) => {
-                helper_inner.metrics.record_auto_checkpoint();
-                helper_inner.journal.record(
-                    "auto_checkpoint",
-                    format!("position={position} payload_bytes={bytes}"),
-                );
-            }
-            Err(e) => eprintln!(
-                "annod: dataset {:?}: auto-checkpoint failed ({e}); \
-                 retrying after the next drain",
-                helper_inner.name
-            ),
-        });
-    match spawned {
-        Ok(handle) => {
-            *inner.ckpt_helper.lock().expect("helper lock") = Some(handle);
-        }
-        Err(e) => eprintln!(
-            "annod: dataset {:?}: cannot spawn checkpoint helper ({e}); \
-             retrying after the next drain",
-            inner.name
-        ),
-    }
-}
-
-/// Apply one coalesced batch: through the miner's incremental maintenance
-/// once mined, directly to the relation during the pre-mine loading phase.
-///
-/// Ops are pre-filtered against the relation first: a batch that cannot
-/// change anything (dead targets, already-present/absent annotations,
-/// comment-only rows) returns `false` before any mutation, so ineffective
-/// drains neither touch the segment store (whose own no-op prechecks keep
-/// shared segments shared) nor intern stray names into the vocabulary.
-/// Returns `true` iff a maintenance pass actually ran.
-fn apply_op(state: &mut WriteState, op: UpdateOp) -> bool {
-    let Some(mut op) = prefilter(&state.relation, op) else {
-        return false;
-    };
-    canonicalize_batch(&mut op);
-    let WriteState {
-        relation, miner, ..
-    } = state;
-    let rel = relation;
-    match op {
-        UpdateOp::InsertRows(lines) => {
-            let tuples: Vec<Tuple> = lines
-                .iter()
-                .filter_map(|line| parse_tuple_line(rel.vocab_mut(), line))
-                .collect();
-            insert_tuples(rel, miner, tuples);
-        }
-        UpdateOp::InsertTuples(tuples) => insert_tuples(rel, miner, tuples),
-        UpdateOp::Annotate(updates) => annotate(rel, miner, updates),
-        UpdateOp::AnnotateNamed(named) => {
-            let updates: Vec<AnnotationUpdate> = named
-                .into_iter()
-                .map(|(tuple, name)| {
-                    // Read-only resolution first: `vocab_mut` copy-on-writes
-                    // the whole interner when a published snapshot shares
-                    // it, so only genuinely new names may pay that.
-                    let annotation = rel
-                        .vocab()
-                        .get(ItemKind::Annotation, &name)
-                        .unwrap_or_else(|| rel.vocab_mut().annotation(&name));
-                    AnnotationUpdate { tuple, annotation }
-                })
-                .collect();
-            annotate(rel, miner, updates);
-        }
-        UpdateOp::RemoveAnnotations(updates) => remove(rel, miner, &updates),
-        UpdateOp::RemoveNamed(named) => {
-            let updates: Vec<AnnotationUpdate> = named
-                .into_iter()
-                .filter_map(|(tuple, name)| {
-                    rel.vocab()
-                        .get(ItemKind::Annotation, &name)
-                        .map(|annotation| AnnotationUpdate { tuple, annotation })
-                })
-                .collect();
-            remove(rel, miner, &updates);
-        }
-        UpdateOp::DeleteTuples(tids) => match miner {
-            Some(m) => {
-                m.delete_tuples(rel, &tids);
-            }
-            None => {
-                for tid in tids {
-                    rel.delete_tuple(tid);
-                }
-            }
-        },
-    }
-    true
-}
-
-/// Group a batch's updates by target tuple — and therefore by segment,
-/// since segment id is `tid >> SEGMENT_BITS` — before applying. A
-/// scatter-heavy batch then walks each touched segment's updates
-/// back-to-back: the segment (and its postings) is pulled into cache
-/// once, its copy-on-write clone is amortized across all of its updates,
-/// and the application order is deterministic.
-///
-/// Determinism matters beyond tidiness: WAL replay runs this same sort
-/// (both paths go through [`apply_op`]), so name-interning order — and
-/// with it every raw item id — is identical live and after recovery. The
-/// sort is stable, keeping same-tuple updates in client order; insert ops
-/// are never reordered (tuple ids are assigned by arrival).
-fn sort_for_segment_locality(op: &mut UpdateOp) {
-    match op {
-        UpdateOp::Annotate(updates) | UpdateOp::RemoveAnnotations(updates) => {
-            updates.sort_by_key(|u| u.tuple);
-        }
-        UpdateOp::AnnotateNamed(named) | UpdateOp::RemoveNamed(named) => {
-            named.sort_by_key(|(tid, _)| *tid);
-        }
-        UpdateOp::DeleteTuples(tids) => tids.sort_unstable(),
-        UpdateOp::InsertRows(_) | UpdateOp::InsertTuples(_) => {}
-    }
-}
-
-/// The canonical batch form every path agrees on — the live writer
-/// before logging, [`apply_op`] (and therefore WAL replay, including
-/// logs written before the dedupe existed): [`sort_for_segment_locality`]
-/// followed by [`dedupe_within_batch`]. Idempotent, so re-canonicalizing
-/// an already-canonical batch (replay of a post-dedupe log) is a no-op.
-fn canonicalize_batch(op: &mut UpdateOp) {
-    sort_for_segment_locality(op);
-    dedupe_within_batch(op);
-}
-
-/// Drop updates that repeat an earlier one in the same batch. The
-/// `effective`/`prefilter` screen checks each update against the
-/// pre-batch relation only, so when [`coalesce`] merges two clients'
-/// ops targeting the same `(tuple, annotation)` into one batch, both
-/// pass the screen — the echo must be dropped here or it is logged,
-/// replayed, and pushed through the maintenance path on every recovery.
-/// Keep-first is canonical: the locality sort is stable, so the first
-/// occurrence in client order survives. Insert batches are untouched —
-/// repeated rows are distinct tuples by definition.
-fn dedupe_within_batch(op: &mut UpdateOp) {
-    match op {
-        UpdateOp::Annotate(updates) | UpdateOp::RemoveAnnotations(updates) => {
-            let mut seen = FxHashSet::default();
-            updates.retain(|u| seen.insert((u.tuple, u.annotation)));
-        }
-        UpdateOp::AnnotateNamed(named) | UpdateOp::RemoveNamed(named) => {
-            let mut seen: FxHashSet<(TupleId, String)> = FxHashSet::default();
-            named.retain(|(tid, name)| seen.insert((*tid, name.clone())));
-        }
-        // Already sorted; duplicates are adjacent.
-        UpdateOp::DeleteTuples(tids) => tids.dedup(),
-        UpdateOp::InsertRows(_) | UpdateOp::InsertTuples(_) => {}
-    }
-}
-
-/// Per-element effectiveness predicates, shared verbatim by
-/// [`op_has_effect`] (folded with `any`) and [`prefilter`] (folded with
-/// `filter`). Keeping them in one place is load-bearing: the writer
-/// neither logs nor applies a drain the screen deems ineffective, so a
-/// divergence between the two callers would silently drop acknowledged
-/// client updates. All predicates are read-only — never interning.
-mod effective {
-    use super::*;
-
-    /// A text row that parses to at least one item. Comment/blank/
-    /// separator-only rows would otherwise silently inflate every support
-    /// denominator.
-    pub(super) fn row(line: &str) -> bool {
-        anno_store::line_has_items(line)
-    }
-
-    /// A tuple with items — the pre-parsed form of the same hazard
-    /// [`row`] guards on the text path.
-    pub(super) fn tuple(t: &Tuple) -> bool {
-        !t.items().is_empty()
-    }
-
-    /// An annotation add that is correctly kinded (a data-kind Item would
-    /// panic the store's annotate path inside the writer thread), live-
-    /// targeted, and not already present.
-    pub(super) fn annotate(rel: &AnnotatedRelation, u: &AnnotationUpdate) -> bool {
-        u.annotation.is_annotation_like()
-            && rel
-                .tuple(u.tuple)
-                .is_some_and(|t| !t.contains(u.annotation))
-    }
-
-    /// A named annotation add with a live target whose name is new or not
-    /// yet attached. Dropping dead targets keeps the vocabulary free of
-    /// names that never attach to anything.
-    pub(super) fn annotate_named(rel: &AnnotatedRelation, tid: TupleId, name: &str) -> bool {
-        match rel.tuple(tid) {
-            None => false,
-            Some(t) => rel
-                .vocab()
-                .get(ItemKind::Annotation, name)
-                .is_none_or(|item| !t.contains(item)),
-        }
-    }
-
-    /// An annotation removal that is correctly kinded and actually held.
-    pub(super) fn remove(rel: &AnnotatedRelation, u: &AnnotationUpdate) -> bool {
-        u.annotation.is_annotation_like()
-            && rel.tuple(u.tuple).is_some_and(|t| t.contains(u.annotation))
-    }
-
-    /// A named removal whose name resolves and is attached to the target.
-    pub(super) fn remove_named(rel: &AnnotatedRelation, tid: TupleId, name: &str) -> bool {
-        rel.vocab()
-            .get(ItemKind::Annotation, name)
-            .is_some_and(|item| rel.tuple(tid).is_some_and(|t| t.contains(item)))
-    }
-
-    /// A deletion of a still-live tuple.
-    pub(super) fn delete(rel: &AnnotatedRelation, tid: TupleId) -> bool {
-        rel.is_live(tid)
-    }
-}
-
-/// `true` iff applying `op` to `rel` would change anything — the
-/// [`effective`] predicates folded with `any`, without consuming the op.
-/// Used by the writer to decide whether a drain deserves a WAL append at
-/// all: if every batch is ineffective against the current state, applying
-/// them in sequence leaves the state unchanged at every step, so the
-/// whole drain is skippable.
-fn op_has_effect(rel: &AnnotatedRelation, op: &UpdateOp) -> bool {
-    match op {
-        UpdateOp::InsertRows(lines) => lines.iter().any(|line| effective::row(line)),
-        UpdateOp::InsertTuples(tuples) => tuples.iter().any(effective::tuple),
-        UpdateOp::Annotate(updates) => updates.iter().any(|u| effective::annotate(rel, u)),
-        UpdateOp::AnnotateNamed(named) => named
-            .iter()
-            .any(|(tid, name)| effective::annotate_named(rel, *tid, name)),
-        UpdateOp::RemoveAnnotations(updates) => updates.iter().any(|u| effective::remove(rel, u)),
-        UpdateOp::RemoveNamed(named) => named
-            .iter()
-            .any(|(tid, name)| effective::remove_named(rel, *tid, name)),
-        UpdateOp::DeleteTuples(tids) => tids.iter().any(|&tid| effective::delete(rel, tid)),
-    }
-}
-
-/// Drop the parts of `op` that are no-ops against the current relation —
-/// the [`effective`] predicates folded with `filter` — returning `None`
-/// if nothing effective remains.
-fn prefilter(rel: &AnnotatedRelation, op: UpdateOp) -> Option<UpdateOp> {
-    let filtered = match op {
-        UpdateOp::InsertRows(lines) => UpdateOp::InsertRows(
-            lines
-                .into_iter()
-                .filter(|line| effective::row(line))
-                .collect(),
-        ),
-        UpdateOp::InsertTuples(tuples) => {
-            UpdateOp::InsertTuples(tuples.into_iter().filter(effective::tuple).collect())
-        }
-        UpdateOp::Annotate(updates) => UpdateOp::Annotate(
-            updates
-                .into_iter()
-                .filter(|u| effective::annotate(rel, u))
-                .collect(),
-        ),
-        UpdateOp::AnnotateNamed(named) => UpdateOp::AnnotateNamed(
-            named
-                .into_iter()
-                .filter(|(tid, name)| effective::annotate_named(rel, *tid, name))
-                .collect(),
-        ),
-        UpdateOp::RemoveAnnotations(updates) => UpdateOp::RemoveAnnotations(
-            updates
-                .into_iter()
-                .filter(|u| effective::remove(rel, u))
-                .collect(),
-        ),
-        UpdateOp::RemoveNamed(named) => UpdateOp::RemoveNamed(
-            named
-                .into_iter()
-                .filter(|(tid, name)| effective::remove_named(rel, *tid, name))
-                .collect(),
-        ),
-        UpdateOp::DeleteTuples(tids) => UpdateOp::DeleteTuples(
-            tids.into_iter()
-                .filter(|&tid| effective::delete(rel, tid))
-                .collect(),
-        ),
-    };
-    (!filtered.is_empty()).then_some(filtered)
-}
-
-fn insert_tuples(
-    rel: &mut AnnotatedRelation,
-    miner: &mut Option<IncrementalMiner>,
-    tuples: Vec<Tuple>,
-) {
-    if tuples.is_empty() {
-        return;
-    }
-    match miner {
-        // Case split keeps the miner's per-case statistics meaningful.
-        Some(m) if tuples.iter().all(Tuple::is_unannotated) => {
-            m.add_unannotated_tuples(rel, tuples);
-        }
-        Some(m) => {
-            m.add_annotated_tuples(rel, tuples);
-        }
-        None => {
-            rel.extend(tuples);
-        }
-    }
-}
-
-fn annotate(
-    rel: &mut AnnotatedRelation,
-    miner: &mut Option<IncrementalMiner>,
-    updates: Vec<AnnotationUpdate>,
-) {
-    match miner {
-        Some(m) => {
-            m.apply_annotations(rel, updates);
-        }
-        None => {
-            rel.apply_annotation_batch(updates);
-        }
-    }
-}
-
-fn remove(
-    rel: &mut AnnotatedRelation,
-    miner: &mut Option<IncrementalMiner>,
-    updates: &[AnnotationUpdate],
-) {
-    match miner {
-        Some(m) => {
-            m.remove_annotations(rel, updates);
-        }
-        None => {
-            for u in updates {
-                rel.remove_annotation(u.tuple, u.annotation);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anno_mine::Thresholds;
-    use anno_store::TupleId;
+    use crate::apply::{canonicalize_batch, restore_discovery};
+    use crate::queue::coalesce;
+    use anno_discover::DiscoveryIndex;
+    use anno_mine::{IncrementalMiner, Thresholds};
+    use anno_store::{snapshot_to_string, AnnotationUpdate, TupleId};
 
     fn config() -> IncrementalConfig {
         IncrementalConfig {

@@ -74,10 +74,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod apply;
 pub mod dataset;
 pub mod error;
 pub mod expose;
 pub mod metrics;
+mod owner;
 pub mod protocol;
 pub mod query;
 pub mod queue;

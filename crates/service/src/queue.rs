@@ -9,7 +9,11 @@
 //! annotate-then-delete sequence is never reordered into
 //! delete-then-annotate.
 
+use std::collections::VecDeque;
+
 use anno_store::{AnnotationUpdate, Tuple, TupleId};
+
+use crate::dataset::Request;
 
 /// Per-tenant quality-of-service class, set with the `class <ds>
 /// interactive|bulk` protocol verb. The class drives admission control in
@@ -152,11 +156,13 @@ pub fn coalesce(ops: Vec<UpdateOp>) -> (Vec<UpdateOp>, u64) {
 /// bound; past this, `enqueue` blocks until the writer drains.
 pub(crate) const DEFAULT_PENDING_CAP: usize = 65_536;
 
-/// Writer-side queue state, guarded by the dataset's queue mutex.
-#[derive(Debug)]
+/// The dataset's mailbox, guarded by its queue mutex.
 pub(crate) struct QueueState {
-    /// Ops awaiting the writer, in arrival order.
+    /// Ops awaiting the owner, in arrival order.
     pub pending: Vec<UpdateOp>,
+    /// Control requests awaiting the owner. Served after `pending` is
+    /// drained, so a request observes every op queued before it.
+    pub requests: VecDeque<Request>,
     /// Individual updates inside `pending` (backpressure accounting).
     pub pending_updates: usize,
     /// Backpressure high-water mark on `pending_updates`.
@@ -165,6 +171,10 @@ pub(crate) struct QueueState {
     pub enqueued: u64,
     /// Ops whose effects are visible in the published snapshot.
     pub applied: u64,
+    /// Drains applied and published whose grouped sync window is still
+    /// open. Admission control decides on it under this lock; the
+    /// `anno_unacked_drains` gauge is a mirror.
+    pub unacked: usize,
     /// Writer passes that took work off the queue (each is one coalesced
     /// drain — the unit the publish-cost model is amortized over, and the
     /// `M` in "readers pinned across M drains" stress runs).
@@ -189,10 +199,12 @@ impl Default for QueueState {
     fn default() -> Self {
         QueueState {
             pending: Vec::new(),
+            requests: VecDeque::new(),
             pending_updates: 0,
             cap_updates: DEFAULT_PENDING_CAP,
             enqueued: 0,
             applied: 0,
+            unacked: 0,
             drains: 0,
             shutdown: false,
             writer_dead: false,

@@ -9,9 +9,8 @@
 //! layer. No async runtime: the workspace is dependency-free by
 //! construction, and the reactor is built entirely on `std::net`.
 //!
-//! [`handle_connection`] remains as the simple blocking one-connection
-//! handler for embedders; the metrics scrape listener stays
-//! thread-per-request (scrapes are rare and short-lived).
+//! The metrics scrape listener stays thread-per-request (scrapes are rare
+//! and short-lived).
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -77,23 +76,6 @@ fn read_bounded_line<R: BufRead>(reader: &mut R, max: u64) -> std::io::Result<Op
     String::from_utf8(buf)
         .map(Some)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
-/// Serve one accepted connection until `quit`, EOF, or an I/O error.
-pub fn handle_connection(engine: &Engine, stream: TcpStream) -> std::io::Result<()> {
-    let peer = stream.peer_addr()?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    writeln!(writer, "OK annod ready ({peer})")?;
-    while let Some(line) = read_bounded_line(&mut reader, MAX_LINE_BYTES)? {
-        let reply = engine.execute(&line);
-        writer.write_all(reply.to_text().as_bytes())?;
-        writer.flush()?;
-        if reply.quit {
-            break;
-        }
-    }
-    Ok(())
 }
 
 /// Accept connections forever on an already-bound listener, serving them

@@ -374,6 +374,148 @@ fn unloggable_mine_fences_the_dataset_like_an_unloggable_drain() {
     assert!(matches!(ds.mine(), Err(ServiceError::ShutDown(_))));
 }
 
+/// The message path under load: while a bulk loader floods a durable
+/// tenant (with the auto-checkpoint policy firing underneath), concurrent
+/// `mine`, `checkpoint`, `verify` and `wal_stats` callers are all served
+/// by the one owner thread between drains — every call returns, and the
+/// maintained state is still exact at the end.
+#[test]
+fn control_requests_are_served_while_a_bulk_flood_runs() {
+    const ROUNDS: usize = 6;
+    let dir = test_dir("flood-control");
+    let ds = Dataset::open_with("db", config(), &dir, policy_records(8)).unwrap();
+    drain(&ds, rows(&["1 2 A0", "1 2 A0", "1 3 A1", "2 3", "2 4 A1"]));
+    ds.mine().unwrap();
+    // Backpressure paces the loader at the drain rate, which bounds how
+    // large the relation (and each re-mine below) can grow.
+    ds.set_queue_cap(16);
+
+    let flooding = std::sync::atomic::AtomicBool::new(true);
+    let start = std::sync::Barrier::new(5);
+    std::thread::scope(|s| {
+        // The flood runs for as long as any control caller does.
+        let flood = s.spawn(|| {
+            start.wait();
+            let mut sent = 0u32;
+            while flooding.load(Ordering::SeqCst) {
+                let op = rows(&[&format!("{} {} A{}", sent % 9, sent % 7, sent % 3)]);
+                ds.enqueue(op).unwrap();
+                sent += 1;
+            }
+            sent
+        });
+        let callers = [
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..ROUNDS {
+                    ds.mine().unwrap();
+                }
+            }),
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..ROUNDS {
+                    ds.checkpoint().unwrap();
+                }
+            }),
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..ROUNDS {
+                    assert!(ds.verify().unwrap());
+                }
+            }),
+            s.spawn(|| {
+                start.wait();
+                let mut last = 0;
+                for _ in 0..ROUNDS * 50 {
+                    let appends = ds.wal_stats().unwrap().appends;
+                    assert!(appends >= last, "log counters ran backwards");
+                    last = appends;
+                }
+            }),
+        ];
+        for caller in callers {
+            caller.join().unwrap();
+        }
+        flooding.store(false, Ordering::SeqCst);
+        assert!(flood.join().unwrap() > 0);
+    });
+    ds.quiesce_maintenance();
+    assert!(ds.verify().unwrap(), "exact after the flood");
+    let m = ds.metrics();
+    assert!(m.checkpoints >= ROUNDS as u64, "{m:?}");
+
+    // And everything acknowledged is what a restart recovers.
+    ds.flush().unwrap();
+    let text = snapshot_to_string(ds.snapshot().unwrap().relation());
+    drop(ds);
+    let ds = Dataset::open("db", config(), &dir).unwrap();
+    assert_eq!(snapshot_to_string(ds.snapshot().unwrap().relation()), text);
+    assert!(ds.verify().unwrap());
+    drop(ds);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `shutdown()` answers every control request still waiting on the owner
+/// with `ShutDown` — a `checkpoint` parked behind an in-flight (stalled)
+/// encode, and `mine`/`verify` sitting in a paused owner's mailbox — and
+/// never leaves a caller blocked. Queued ops are still drained, and the
+/// in-flight checkpoint still lands.
+#[test]
+fn shutdown_fails_parked_control_requests_instead_of_blocking() {
+    const STALL: Duration = Duration::from_millis(1000);
+    let dir = test_dir("shutdown-parked");
+    let options = DurabilityOptions {
+        encode_stall_for_tests: Some(STALL),
+        ..policy_records(2)
+    };
+    let ds = Dataset::open_with("db", config(), &dir, options).unwrap();
+    drain(&ds, rows(&["1 2 A0", "1 2 A0", "1 3 A1", "2 3"]));
+    ds.mine().unwrap();
+    // Second record: the policy fires before this flush returns, and the
+    // encoder now sleeps out the stall with the checkpoint in flight.
+    drain(&ds, annotate(&[(3, "A0")]));
+    ds.pause_writer_for_tests(true);
+    ds.enqueue(rows(&["5 6 A1"])).unwrap();
+
+    let posting = std::sync::Barrier::new(4);
+    std::thread::scope(|s| {
+        let parked = [
+            s.spawn(|| {
+                posting.wait();
+                ds.checkpoint().map(|_| ())
+            }),
+            s.spawn(|| {
+                posting.wait();
+                ds.mine().map(|_| ())
+            }),
+            s.spawn(|| {
+                posting.wait();
+                ds.verify().map(|_| ())
+            }),
+        ];
+        posting.wait();
+        ds.shutdown();
+        for caller in parked {
+            let answer = caller.join().expect("a parked caller must return");
+            assert!(
+                matches!(answer, Err(ServiceError::ShutDown(_))),
+                "parked request answered {answer:?}"
+            );
+        }
+    });
+    assert!(matches!(ds.mine(), Err(ServiceError::ShutDown(_))));
+    let m = ds.metrics();
+    assert_eq!(m.auto_checkpoints, 1, "in-flight commit landed: {m:?}");
+    drop(ds);
+
+    // The op queued before shutdown was drained and logged.
+    let ds = Dataset::open("db", config(), &dir).unwrap();
+    assert_eq!(ds.snapshot().unwrap().db_size(), 5);
+    assert_eq!(ds.wal_stats().unwrap().replayed_records, 1);
+    drop(ds);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
     /// Recovery transparency: a policy firing at an arbitrary drain index

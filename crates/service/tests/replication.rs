@@ -259,6 +259,121 @@ fn follower_behind_a_compaction_restarts_from_the_checkpoint() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// A promotion that fails *after* taking `wal.lock` — here the directory's
+/// checkpoint turns out undecodable — must leave a healthy follower
+/// behind, not a zombie: still a follower, still attached, still tailing
+/// and serving its last prefix, the lock released, and a retry failing
+/// the same typed way.
+#[test]
+fn failed_promote_leaves_a_tailing_follower_not_a_zombie() {
+    let dir = test_dir("promote-fails");
+    let leader = Dataset::open("db", config(), &dir).unwrap();
+    drain(&leader, rows(&["28 85 Annot_1", "28 85 Annot_1", "28 85"]));
+    leader.mine().unwrap();
+    drain(&leader, annotate(&[(2, "Annot_1")]));
+
+    let follower = Dataset::follow("db", config(), &dir, MANUAL).unwrap();
+    follower.catchup_now().unwrap();
+    let served = fingerprint(&follower);
+    assert_eq!(served, fingerprint(&leader));
+
+    // The leader dies, and the checkpoint recovery would restore is a
+    // cleanly framed payload of garbage, bound to the end of the log
+    // (where the caught-up follower's cursor already is).
+    let end = leader.wal_stats().unwrap().position;
+    drop(leader);
+    anno_wal::checkpoint::write_checkpoint(&dir, end, b"not a checkpoint payload").unwrap();
+
+    let first = follower.promote().unwrap_err();
+    assert!(matches!(first, ServiceError::Durability(_)), "{first:?}");
+    assert_eq!(follower.role(), anno_service::Role::Follower);
+    assert!(
+        follower.replication_status().is_some(),
+        "the attachment must survive a failed promotion"
+    );
+    assert_eq!(
+        fingerprint(&follower),
+        served,
+        "reads serve the last prefix"
+    );
+    assert!(matches!(
+        follower.enqueue(rows(&["1 2"])),
+        Err(ServiceError::ReadOnlyRole(_))
+    ));
+    let st = follower.catchup_now().expect("still tailing");
+    assert_eq!(st.failed, None);
+
+    // Same cause, same typed answer — not "no replication attachment".
+    let second = follower.promote().unwrap_err();
+    assert_eq!(second.to_string(), first.to_string());
+
+    // The failed takeover released `wal.lock`.
+    let reopened = anno_wal::Wal::open(&dir, anno_wal::WalOptions::default());
+    assert!(reopened.is_ok(), "lock must be free: {:?}", reopened.err());
+
+    drop(reopened);
+    drop(follower);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `catchup` and `promote` are both messages to the one owner thread, so
+/// racing them from two threads can interleave any way at all and still
+/// neither hangs: every call comes back `Ok` or with a typed error.
+#[test]
+fn catchup_racing_promote_never_hangs() {
+    const CATCHUPS: usize = 50;
+    let dir = test_dir("catchup-vs-promote");
+    {
+        let leader = Dataset::open("db", config(), &dir).unwrap();
+        drain(&leader, rows(&["28 85 Annot_1", "28 85 Annot_1", "28 85"]));
+        leader.mine().unwrap();
+        for i in 0..8u32 {
+            drain(
+                &leader,
+                rows(&[&format!("{} {} Annot_1", 100 + i, 200 + i)]),
+            );
+        }
+    }
+    let follower = Dataset::follow("db", config(), &dir, Duration::from_millis(1)).unwrap();
+    let start = std::sync::Barrier::new(2);
+    let (caught_up, refused) = std::thread::scope(|s| {
+        let catchups = s.spawn(|| {
+            start.wait();
+            let (mut ok, mut refused) = (0, 0);
+            for _ in 0..CATCHUPS {
+                match follower.catchup_now() {
+                    Ok(st) => {
+                        assert_eq!(st.failed, None);
+                        ok += 1;
+                    }
+                    // Once the promotion lands there is no tail to poll.
+                    Err(ServiceError::Durability(_)) => refused += 1,
+                    Err(other) => panic!("untyped catchup failure: {other:?}"),
+                }
+            }
+            (ok, refused)
+        });
+        start.wait();
+        follower
+            .promote()
+            .expect("the leader is dead; takeover succeeds");
+        catchups.join().unwrap()
+    });
+    assert_eq!(caught_up + refused, CATCHUPS);
+    assert_eq!(follower.role(), anno_service::Role::Leader);
+    assert!(follower.replication_status().is_none());
+    assert!(matches!(
+        follower.catchup_now(),
+        Err(ServiceError::Durability(_))
+    ));
+    assert!(follower.verify().unwrap());
+    drain(&follower, rows(&["7 8 Annot_1"]));
+    assert!(follower.verify().unwrap());
+
+    drop(follower);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// Live-tail soak: with the follower polling on a short timer while the
 /// leader streams drains, every snapshot a sampling reader ever observes
 /// on the follower equals some drain-prefix of the leader's history.
