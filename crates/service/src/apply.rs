@@ -1,18 +1,19 @@
-//! The dataset state machine: [`WriteState`] and the two operators every
-//! path shares. No locks, no threads, no I/O.
+//! The dataset state machine: [`WriteState`] and the operators every path
+//! shares. No locks, no threads, no I/O.
 //!
-//! * [`WriteState::restore`] rebuilds the state from a checkpoint payload.
-//! * [`WriteState::apply`] advances it by one logged record.
+//! * [`WriteState::apply`] advances the state by one logged record. The
+//!   live owner runs *encode + append + `apply`*.
+//! * [`WriteState::replay`] folds what a walk of a log directory
+//!   delivered — a checkpoint payload to restart from, then records —
+//!   into the state. Opening a durable dataset, a follower's poll and a
+//!   promotion are all this one fold over the one walk
+//!   ([`anno_wal::TailCursor`]); they differ only in who holds the lock.
 //!
-//! The live owner runs *encode + append + `apply`*; recovery runs
-//! *`restore` + fold `apply`* over the log tail ([`recover_write_state`]);
-//! a follower runs the same fold with a publish at each record boundary.
-//! One operator is what keeps the three bit-identical — name-interning
-//! order, and with it every raw item id, is the same live, after a
-//! restart, and on a replica. Whoever is about to publish the state
-//! brings the discovery index up to date first
-//! ([`WriteState::sync_discovery`]): per drain live, per record on a
-//! follower, once at the end of a recovery.
+//! One operator each is what keeps a leader, its restart and its replica
+//! bit-identical — name-interning order, and with it every raw item id.
+//! Whoever is about to publish the state brings the discovery index up to
+//! date first ([`WriteState::sync_discovery`]): per drain live, per
+//! record on a follower, once at the end of an open.
 
 use anno_discover::DiscoveryIndex;
 use anno_mine::{IncrementalConfig, IncrementalMiner};
@@ -22,7 +23,6 @@ use anno_store::{
     TupleId,
 };
 
-use crate::error::ServiceError;
 use crate::metrics::timed;
 use crate::queue::UpdateOp;
 use crate::walcodec::{self, WalRecord};
@@ -30,7 +30,7 @@ use crate::walcodec::{self, WalRecord};
 /// The grouped-sync ack pipeline depth: how many applied-and-published
 /// drains may wait on an open sync window before the owner stops to
 /// retire the oldest. Recovery adds it to the publish seed as slack (see
-/// [`recover_write_state`]).
+/// `Dataset::open_with`).
 pub(crate) const MAX_PIPELINED_ACKS: usize = 32;
 
 /// Everything a dataset's owner thread mutates.
@@ -59,9 +59,8 @@ impl WriteState {
     }
 
     /// Rebuild the state a checkpoint payload froze, plus the publish
-    /// counter it was captured at (absent in payloads written before the
-    /// counter was persisted). Errors read `<stage>: <cause>`.
-    pub(crate) fn restore(payload: &[u8]) -> Result<(WriteState, Option<u64>), String> {
+    /// counter it was captured at. Errors read `<stage>: <cause>`.
+    fn restore(payload: &[u8]) -> Result<(WriteState, u64), String> {
         let err = |stage: &str, cause: String| format!("{stage}: {cause}");
         let parts =
             walcodec::decode_checkpoint(payload).map_err(|m| err("checkpoint payload", m))?;
@@ -80,13 +79,51 @@ impl WriteState {
             m.validate_against(&relation)
                 .map_err(|m| err("checkpoint validation", m))?;
         }
-        let discovery = restore_discovery(parts.discovery.as_deref(), miner.as_ref(), err)?;
+        let discovery = (parts.discovery.as_deref())
+            .map(DiscoveryIndex::decode_from_string)
+            .transpose()
+            .map_err(|m| err("discovery checkpoint", m))?
+            .unwrap_or_default();
         let state = WriteState {
             relation,
             miner,
             discovery,
         };
         Ok((state, parts.publish_seq))
+    }
+
+    /// Fold what a walk of the log delivered into the state: rebuild it
+    /// from `restart` (a checkpoint payload) if there is one, then decode
+    /// and [`apply`](WriteState::apply) each record. Returns the publish
+    /// counter the restart's checkpoint was captured at.
+    ///
+    /// A failed restart leaves the state untouched; a record that fails
+    /// leaves it at the record boundary before it, which is still a
+    /// prefix of the leader's history (short of a panic half-way through
+    /// a record — see `apply`). Callers that need to tell the two apart
+    /// fold the restart and the records in separate calls.
+    pub(crate) fn replay(
+        &mut self,
+        restart: Option<&[u8]>,
+        records: &[Vec<u8>],
+    ) -> Result<Option<u64>, String> {
+        let mut restored_seq = None;
+        if let Some(payload) = restart {
+            let (state, seq) = WriteState::restore(payload)?;
+            *self = state;
+            restored_seq = Some(seq);
+        }
+        for payload in records {
+            let record = walcodec::decode(payload).map_err(|m| format!("log record: {m}"))?;
+            // The log is left untouched on a panic: the record may replay
+            // fine once the offending code is fixed.
+            self.apply(record).map_err(|ApplyPanicked| {
+                "log replay: a logged record panicked during re-application; \
+                 the log is preserved for inspection"
+                    .to_string()
+            })?;
+        }
+        Ok(restored_seq)
     }
 
     /// Advance the state by one logged record: a drain's batches through
@@ -147,116 +184,6 @@ impl WriteState {
     pub(crate) fn mined_config(&self) -> Option<IncrementalConfig> {
         self.miner.as_ref().map(IncrementalMiner::config)
     }
-}
-
-/// Restore a discovery index from its checkpointed text, or — for
-/// payloads written before discovery existed — rebuild it from the
-/// restored miner's table (one rescan, paid only on that upgrade path).
-pub(crate) fn restore_discovery<E>(
-    text: Option<&str>,
-    miner: Option<&IncrementalMiner>,
-    err: impl Fn(&str, String) -> E,
-) -> Result<DiscoveryIndex, E> {
-    match text {
-        Some(text) => {
-            DiscoveryIndex::decode_from_string(text).map_err(|m| err("discovery checkpoint", m))
-        }
-        None => Ok(miner
-            .map(|m| DiscoveryIndex::rebuilt_from(m.table()))
-            .unwrap_or_default()),
-    }
-}
-
-/// Everything recovery derives from a log directory, shared by
-/// `Dataset::open_with` and promotion.
-pub(crate) struct Recovered {
-    pub state: WriteState,
-    pub config: IncrementalConfig,
-    pub publish_seed: u64,
-    pub report: RecoveryReport,
-}
-
-/// What the event journal says about a recovery.
-pub(crate) struct RecoveryReport {
-    pub replayed_records: usize,
-    pub restored_checkpoint: bool,
-    pub damage: Option<String>,
-}
-
-/// Rebuild write state from a WAL recovery: [`WriteState::restore`] the
-/// checkpoint, fold [`WriteState::apply`] over the tail, and derive the
-/// publish-counter seed. See `Dataset::open_with` for the contract.
-pub(crate) fn recover_write_state(
-    name: &str,
-    config: IncrementalConfig,
-    recovery: anno_wal::Recovery,
-) -> Result<Recovered, ServiceError> {
-    let dur = |msg: String| ServiceError::Durability(format!("dataset {name:?} {msg}"));
-    // Publish epochs must never regress across a restart. Seed the
-    // publish counter past anything the dead process can have handed
-    // out: the checkpoint stores the counter at capture time, and
-    // every logged record after it published at most one snapshot.
-    // Under grouped sync a pipelined drain can be published *before*
-    // its record is durable, so a power loss (page cache gone, unlike
-    // the process-kill case where the OS still has the bytes) may
-    // recover fewer records than were published — the owner caps
-    // that overhang at its ack pipeline depth plus the one drain in
-    // flight, so that slack is added unconditionally. (The relation's
-    // mutation epoch is a floor for checkpoints from before the
-    // counter was persisted: publishes happen only at epoch-advancing
-    // drain boundaries, so the count never exceeds the epoch by more
-    // than the replayed mine records — which the tail term covers.)
-    let mut publish_seed = recovery.tail.len() as u64 + MAX_PIPELINED_ACKS as u64 + 1;
-    let replayed_records = recovery.tail.len();
-    let restored_checkpoint = recovery.checkpoint.is_some();
-    let mut state = match recovery.checkpoint {
-        Some(ck) => {
-            let (state, seq) = WriteState::restore(&ck.payload).map_err(dur)?;
-            publish_seed += seq.unwrap_or(0);
-            state
-        }
-        None => WriteState::empty(name),
-    };
-    for payload in &recovery.tail {
-        let record = walcodec::decode(payload).map_err(|m| dur(format!("log record: {m}")))?;
-        // The log is left untouched on a panic: the record may replay
-        // fine once the offending code is fixed.
-        state.apply(record).map_err(|ApplyPanicked| {
-            dur(
-                "log replay: a logged record panicked during re-application; \
-                 the log is preserved for inspection"
-                    .to_string(),
-            )
-        })?;
-    }
-    state.sync_discovery();
-    if let Some(m) = &state.miner {
-        // Cheap resume screen over the fully replayed state; the
-        // exhaustive check stays on demand (`Dataset::verify`).
-        m.validate_against(&state.relation)
-            .map_err(|m| dur(format!("post-replay validation: {m}")))?;
-    }
-    let damage = recovery.damaged.as_ref().map(|damage| {
-        eprintln!("annod: dataset {name:?}: {damage}; recovered to the last intact record");
-        damage.to_string()
-    });
-    // A restored miner's configuration wins over the caller's: the
-    // maintained table is only exact under the thresholds it was
-    // built with.
-    let config = state.mined_config().unwrap_or(config);
-    // Pre-publish-sequence checkpoints: the relation epoch dominates
-    // the dead process's publish count (see above), so take the max.
-    let publish_seed = publish_seed.max(state.relation.epoch());
-    Ok(Recovered {
-        state,
-        config,
-        publish_seed,
-        report: RecoveryReport {
-            replayed_records,
-            restored_checkpoint,
-            damage,
-        },
-    })
 }
 
 /// Apply one coalesced batch: through the miner's incremental maintenance

@@ -49,13 +49,14 @@ use anno_metrics::{Event, EventJournal};
 use anno_mine::IncrementalConfig;
 use anno_store::ItemKind;
 use anno_wal::{
-    CheckpointPolicy, GroupCommitStats, LogPosition, SyncPolicy, Wal, WalOptions, WalStats,
+    CheckpointPolicy, GroupCommitStats, LogPosition, SyncPolicy, TailCursor, Wal, WalOptions,
+    WalStats,
 };
 
-use crate::apply::{recover_write_state, WriteState, MAX_PIPELINED_ACKS};
+use crate::apply::{WriteState, MAX_PIPELINED_ACKS};
 use crate::error::ServiceError;
 use crate::metrics::{DatasetObs, Metrics, MetricsReport};
-use crate::owner::{record_recovery, Mode, Owner, Tail};
+use crate::owner::{record_takeover, Mode, Owner, Tail};
 use crate::queue::{QosClass, QueueState, UpdateOp};
 use crate::snapshot::RuleSnapshot;
 
@@ -228,9 +229,10 @@ impl Dataset {
     /// Open a **durable** dataset rooted at directory `dir`: restore the
     /// latest checkpoint (relation snapshot + miner checkpoint, screened
     /// with [`IncrementalMiner::validate_against`](anno_mine::IncrementalMiner::validate_against)),
-    /// replay the log tail through the same apply path the live owner
-    /// uses, then start the owner with every future drain logged before
-    /// it is applied.
+    /// replay the log tail through the same fold a follower's poll uses
+    /// (an open is a follower that reads the whole log under the lock and
+    /// takes over at once), then start the owner with every future drain
+    /// logged before it is applied.
     ///
     /// A torn or bit-rotted log tail is recovered to the last intact
     /// record and reported to stderr, never fatal. `config` only applies
@@ -254,19 +256,37 @@ impl Dataset {
         dir: &Path,
         options: DurabilityOptions,
     ) -> Result<Dataset, ServiceError> {
-        let (wal, recovery) = Wal::open(dir, options.wal.clone())
+        let dur = |msg: String| ServiceError::Durability(format!("dataset {name:?} {msg}"));
+        let (wal, found, damaged) = Wal::take_over(&mut TailCursor::new(dir), options.wal.clone())
             .map_err(|e| ServiceError::Durability(e.to_string()))?;
-        let rec = recover_write_state(name, config, recovery)?;
+        let mut state = WriteState::empty(name);
+        let checkpoint = found.restart.as_ref().map(|ck| ck.payload.as_slice());
+        let restored_seq = state.replay(checkpoint, &found.records).map_err(dur)?;
+        if let Some(m) = &state.miner {
+            // Cheap resume screen over the fully replayed state; the
+            // exhaustive check stays on demand (`Dataset::verify`).
+            m.validate_against(&state.relation)
+                .map_err(|m| dur(format!("post-replay validation: {m}")))?;
+        }
+        // Publish epochs must never regress across a restart. Seed the
+        // publish counter past anything the dead process can have handed
+        // out: the checkpoint stores the counter at capture time, and
+        // every logged record after it published at most one snapshot.
+        // Under grouped sync a pipelined drain can be published *before*
+        // its record is durable, so a power loss (page cache gone, unlike
+        // the process-kill case where the OS still has the bytes) may
+        // recover fewer records than were published — the owner caps
+        // that overhang at its ack pipeline depth plus the one drain in
+        // flight, so that slack is added unconditionally.
+        let publish_seed =
+            restored_seq.unwrap_or(0) + found.records.len() as u64 + MAX_PIPELINED_ACKS as u64 + 1;
+        // A restored miner's configuration wins over the caller's: the
+        // maintained table is only exact under the thresholds it was
+        // built with.
+        let config = state.mined_config().unwrap_or(config);
         let mode = Mode::Leader(Some(wal));
-        let ds = Dataset::boot(
-            name,
-            rec.config,
-            rec.state,
-            mode,
-            rec.publish_seed,
-            &options,
-        )?;
-        record_recovery(&ds.inner.journal, "recovery", rec.report);
+        let ds = Dataset::boot(name, config, state, mode, publish_seed, &options)?;
+        record_takeover(&ds.inner, "recovery", &found, damaged);
         Ok(ds)
     }
 
@@ -741,14 +761,18 @@ impl Dataset {
     /// Promote a follower to **leader**: acquire the log directory's
     /// `wal.lock` (the fencing point — a still-live leader refuses the
     /// takeover with a lock error; a dead leader's stale lock is
-    /// reclaimed), re-run full recovery over the directory (checkpoint +
-    /// every intact record — this resolves what a tailing follower never
-    /// can: whether a torn tip was a mid-write or real damage), install
-    /// the recovered state and the log, and start accepting writes.
+    /// reclaimed), poll once more under it, repair what lies past the
+    /// cursor (this resolves what a tailing follower never can: whether a
+    /// torn tip was a mid-write or real damage), and start accepting
+    /// writes on top of the state the follower already has. A caught-up
+    /// follower replays nothing; only if the dead leader left a
+    /// checkpoint other than the one this follower last adopted does it
+    /// restart from that checkpoint, as a cold open would.
     ///
-    /// A promotion that fails at any step — the lock, the checkpoint,
-    /// the replay — releases the lock again and leaves the dataset a
-    /// follower, still tailing and still serving its last prefix.
+    /// A promotion refused by the lock or by an undecodable checkpoint
+    /// releases the lock again and leaves the dataset a follower, still
+    /// tailing and still serving its last prefix; a shipped record that
+    /// cannot be applied stops the tailing as it would in any poll.
     ///
     /// Publish epochs stay monotone across the role flip.
     pub fn promote_with(&self, options: DurabilityOptions) -> Result<(), ServiceError> {
@@ -791,10 +815,9 @@ impl std::fmt::Debug for Dataset {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apply::{canonicalize_batch, restore_discovery};
+    use crate::apply::canonicalize_batch;
     use crate::queue::coalesce;
-    use anno_discover::DiscoveryIndex;
-    use anno_mine::{IncrementalMiner, Thresholds};
+    use anno_mine::Thresholds;
     use anno_store::{snapshot_to_string, AnnotationUpdate, TupleId};
 
     fn config() -> IncrementalConfig {
@@ -1355,28 +1378,6 @@ mod tests {
         assert_eq!(disco2.epoch, snap2.epoch());
         assert_eq!(disco2.db_size, 6);
         assert!(disco2.stats.updates >= 1 || disco2.stats.rebuilds >= 1);
-    }
-
-    #[test]
-    fn legacy_checkpoint_without_discovery_rebuilds_from_the_miner() {
-        // A pre-discovery checkpoint payload decodes with no discovery
-        // section; restore must fall back to a full rebuild off the
-        // miner's itemset table, not serve an empty index.
-        let ds = loaded();
-        ds.mine().unwrap();
-        let snap = ds.snapshot().unwrap();
-        let miner = IncrementalMiner::mine_initial(snap.relation(), config());
-        let restored =
-            restore_discovery(None, Some(&miner), |ctx, e| format!("{ctx}: {e}")).unwrap();
-        assert_eq!(
-            restored.pairs_tracked(),
-            DiscoveryIndex::rebuilt_from(miner.table()).pairs_tracked()
-        );
-        assert!(restored.verify_against_rescan(miner.table()));
-        // And with no miner either (never-mined legacy dataset), the
-        // index starts empty rather than erroring.
-        let empty = restore_discovery(None, None, |ctx, e| format!("{ctx}: {e}")).unwrap();
-        assert_eq!(empty.pairs_tracked(), 0);
     }
 
     #[test]

@@ -8,12 +8,15 @@
 //!   [`WriteState::apply`]*, publish, ack — then answer the control
 //!   requests that arrived with it.
 //! * **Follower**: wait on the same mailbox with the poll interval as the
-//!   timeout, poll the [`TailCursor`], fold [`WriteState::apply`] over
-//!   what arrived with a publish at each record boundary.
+//!   timeout, poll the [`TailCursor`], fold what arrived into the state
+//!   ([`WriteState::replay`]) record by record, publishing at each
+//!   boundary — so every snapshot is a drain prefix of the leader's.
 //!
-//! `promote` is a request like any other: the owner opens the `Wal` (the
-//! fence), recovers, and either switches mode or — on any failure — drops
-//! the `Wal` again and keeps tailing.
+//! `promote` is a request like any other, and one more poll: the owner
+//! takes the log over where its cursor stands ([`Wal::take_over`], the
+//! fence), folds the suffix it had not seen yet, and switches mode — or,
+//! if the lock or the directory's checkpoint refuses, drops the `Wal`
+//! again and keeps tailing as if nothing had been tried.
 //!
 //! Checkpoints follow one protocol, manual or automatic: the owner
 //! captures the state and pins the log position, a transient encoder
@@ -29,18 +32,14 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use anno_metrics::EventJournal;
 use anno_mine::IncrementalConfig;
 use anno_store::snapshot_to_string;
 use anno_wal::{
-    checkpoint as wal_checkpoint, CheckpointPolicy, LogPosition, PreparedCheckpoint, SyncTicket,
-    TailCursor, TailPoll, Wal, WalError, WalObserver,
+    checkpoint as wal_checkpoint, Checkpoint, CheckpointPolicy, DamagedTail, LogPosition,
+    PreparedCheckpoint, SyncTicket, TailCursor, TailPoll, Wal, WalError, WalObserver,
 };
 
-use crate::apply::{
-    canonicalize_batch, recover_write_state, ApplyPanicked, RecoveryReport, WriteState,
-    MAX_PIPELINED_ACKS,
-};
+use crate::apply::{canonicalize_batch, ApplyPanicked, WriteState, MAX_PIPELINED_ACKS};
 use crate::dataset::{
     CheckpointResult, DurabilityOptions, Inner, Published, ReplicationStatus, Reply, Request,
     Status, WalStatus, DISCOVERY_TOPK_CAP,
@@ -77,7 +76,6 @@ pub(crate) enum Mode {
 /// A follower's attachment to its leader's log directory.
 pub(crate) struct Tail {
     cursor: TailCursor,
-    dir: PathBuf,
     poll: Duration,
     next_poll: Instant,
     status: ReplicationStatus,
@@ -87,7 +85,6 @@ impl Tail {
     pub(crate) fn new(dir: &Path, poll: Duration) -> Tail {
         Tail {
             cursor: TailCursor::new(dir),
-            dir: dir.to_path_buf(),
             poll,
             next_poll: Instant::now(),
             status: ReplicationStatus::default(),
@@ -381,33 +378,29 @@ impl Owner {
 
     /// [`WriteState::apply`] one record and publish what it changed.
     /// Returns the batches applied. A `mine` record replaces the rule set
-    /// (a republish is due even though the relation epoch did not move)
-    /// and carries the configuration it ran under — which is how a
-    /// follower tracks its leader's.
+    /// (a republish is due even though the relation epoch did not move).
     fn apply(&mut self, record: WalRecord) -> Result<u64, String> {
         let mined = matches!(record, WalRecord::Mine(_));
-        if let WalRecord::Mine(config) = &record {
-            self.config = *config;
-        }
         let batches = self
             .state
             .apply(record)
             .map_err(|ApplyPanicked| "apply panicked".to_string())?;
-        if let Some(nanos) = self.state.sync_discovery() {
-            self.inner.metrics.record_discover_update(nanos);
-        }
         self.publish(mined);
         Ok(batches)
     }
 
-    /// Swap in a fresh [`Published`]. The status half is rebuilt every
-    /// time; the rule and discovery snapshots only when the relation
-    /// actually moved (prefiltered no-op batches leave the epoch
-    /// untouched) or `force` says the rule set itself was replaced —
-    /// snapshot builds clone the rule set and rebuild the recommendation
-    /// index, so skipping them keeps ineffective drains cheap. Both
-    /// snapshots carry the same epoch by construction.
+    /// Bring the discovery index up to date and swap in a fresh
+    /// [`Published`]. The status half is rebuilt every time; the rule
+    /// and discovery snapshots only when the relation actually moved
+    /// (prefiltered no-op batches leave the epoch untouched) or `force`
+    /// says the rule set itself was replaced — snapshot builds clone the
+    /// rule set and rebuild the recommendation index, so skipping them
+    /// keeps ineffective drains cheap. Both snapshots carry the same
+    /// epoch by construction.
     fn publish(&mut self, force: bool) {
+        if let Some(nanos) = self.state.sync_discovery() {
+            self.inner.metrics.record_discover_update(nanos);
+        }
         let inner = &self.inner;
         let relation = &self.state.relation;
         let (mut rules, mut discovery) =
@@ -774,25 +767,67 @@ impl Owner {
         }
     }
 
-    /// One tail poll plus its bookkeeping: progress numbers, the lag
-    /// gauges, the journal, and the next deadline. I/O trouble against a
-    /// directory mid-change (the leader rolling a segment, compaction
-    /// deleting behind the cursor) is retried at the next poll;
-    /// undecodable or unappliable shipped state stops the tailing — the
-    /// follower keeps serving its last good prefix, and `catchup` reports
-    /// the failure.
+    /// One tail poll: walk, fold, bookkeeping, publish. I/O trouble
+    /// against a directory mid-change (the leader rolling a segment,
+    /// compaction deleting behind the cursor) is retried at the next
+    /// poll; undecodable or unappliable shipped state stops the tailing —
+    /// the follower keeps serving its last good prefix, and `catchup`
+    /// reports the failure.
     fn poll(&mut self) {
         let Mode::Follower(tail) = &mut self.mode else {
             return;
         };
         let outcome = match tail.cursor.poll() {
-            Ok(polled) => self.replay(polled).map(Some),
+            Ok(polled) => self
+                .replay_poll(&polled)
+                .map(|()| Some((polled.leader_position.segment, polled.bytes_behind))),
             Err(WalError::Io(e)) => {
                 self.inner.journal.record("follower_retry", e.to_string());
                 Ok(None)
             }
             Err(e) => Err(e.to_string()),
         };
+        self.polled(outcome);
+        self.publish(false);
+    }
+
+    /// Fold a poll into the state, publishing after the restart and each
+    /// record — where the leader did: a long catch-up serves growing prefixes.
+    fn replay_poll(&mut self, polled: &TailPoll) -> Result<(), String> {
+        self.replay(polled.restart.as_ref(), &[])?;
+        self.publish(polled.restart.is_some());
+        polled.records.chunks(1).try_for_each(|one| {
+            self.replay(None, one)?;
+            self.publish(true);
+            Ok(())
+        })
+    }
+
+    /// [`WriteState::replay`], plus what the owner keeps beside the
+    /// state. Callers pass the restart and the records in separate
+    /// calls, so an `Err` from the first means nothing changed.
+    fn replay(&mut self, restart: Option<&Checkpoint>, records: &[Vec<u8>]) -> Result<(), String> {
+        let payload = restart.map(|ck| ck.payload.as_slice());
+        let replayed = self.state.replay(payload, records);
+        // A restored miner, like a replayed `mine`, carries the
+        // configuration the leader's table is exact under.
+        self.config = self.state.mined_config().unwrap_or(self.config);
+        if let (Some(ck), Some(seq)) = (restart, replayed?) {
+            // Keep handed-out snapshot epochs monotone past the leader's
+            // checkpointed publish counter.
+            self.publish_seq = self.publish_seq.max(seq);
+            self.inner
+                .journal
+                .record("follower_restart", format!("position={}", ck.position));
+        }
+        Ok(())
+    }
+
+    /// Bookkeeping after a walk: progress numbers, the lag gauges, the
+    /// journal, and the next deadline. `outcome` is the walk's
+    /// `(leader_seq, bytes_behind)`, `None` for one that will be retried,
+    /// or why the tailing stops.
+    fn polled(&mut self, outcome: Result<Option<(u64, u64)>, String>) {
         let Mode::Follower(tail) = &mut self.mode else {
             return;
         };
@@ -825,66 +860,47 @@ impl Owner {
             }
         }
         tail.next_poll = Instant::now() + tail.poll;
-        self.publish(false);
-    }
-
-    /// Apply what a tail poll pulled from the leader's directory. Returns
-    /// `(leader_seq, bytes_behind)`, or why the shipped state cannot be
-    /// applied.
-    ///
-    /// Publishes happen at record boundaries only, exactly like the live
-    /// drain boundaries — so every snapshot a follower ever serves equals
-    /// some drain-prefix of the leader's history, never a partial batch.
-    fn replay(&mut self, polled: TailPoll) -> Result<(u64, u64), String> {
-        if let Some(ck) = polled.restart {
-            // The cursor restarted from a shipped checkpoint (compaction
-            // passed us, or first contact with a checkpointed log):
-            // replace the whole write state, exactly as recovery would.
-            let (state, seq) = WriteState::restore(&ck.payload)?;
-            self.state = state;
-            self.config = self.state.mined_config().unwrap_or(self.config);
-            // Keep handed-out snapshot epochs monotone past the leader's
-            // checkpointed publish counter.
-            self.publish_seq = self.publish_seq.max(seq.unwrap_or(0));
-            self.publish(true);
-            self.inner
-                .journal
-                .record("follower_restart", format!("position={}", ck.position));
-        }
-        for payload in &polled.records {
-            let record = walcodec::decode(payload).map_err(|m| format!("log record: {m}"))?;
-            self.apply(record).map_err(|_| {
-                "record apply: a shipped record panicked during application".to_string()
-            })?;
-        }
-        Ok((polled.leader_position.segment, polled.bytes_behind))
     }
 
     /// See [`Dataset::promote_with`](crate::dataset::Dataset::promote_with).
-    /// Nothing of the follower is touched until recovery has succeeded:
-    /// any failure drops the `Wal` again — releasing `wal.lock` — and
-    /// leaves the follower tailing.
+    /// The take-over runs on a copy of the cursor, committed once the
+    /// lock, the walk, the repair and the restore of a checkpoint this
+    /// follower had not adopted have all succeeded. A failure before
+    /// that drops the `Wal` again (releasing `wal.lock`) with cursor,
+    /// state and status as they were; after it, a record that cannot be
+    /// applied stops the tailing just as it would in a poll.
     fn promote(&mut self, options: DurabilityOptions) -> Result<(), ServiceError> {
+        let inner = Arc::clone(&self.inner);
+        let dur = |msg: String| ServiceError::Durability(format!("dataset {:?} {msg}", inner.name));
         let Mode::Follower(tail) = &self.mode else {
-            return Err(ServiceError::Durability(format!(
-                "dataset {:?} is already the leader",
-                self.inner.name
-            )));
+            return Err(dur("is already the leader".to_string()));
         };
-        let (mut wal, recovery) = Wal::open(&tail.dir, options.wal)
+        if let Some(why) = &tail.status.failed {
+            // The cursor is past a record the state never took in.
+            return Err(dur(format!("follower failed: {why}")));
+        }
+        let mut cursor = tail.cursor.clone();
+        let (mut wal, polled, damaged) = Wal::take_over(&mut cursor, options.wal)
             .map_err(|e| ServiceError::Durability(format!("cannot take over the log: {e}")))?;
-        let rec = recover_write_state(&self.inner.name, self.config, recovery)?;
-        adopt_log(&self.inner.metrics, &mut wal);
-        record_recovery(&self.inner.journal, "promote", rec.report);
-        self.state = rec.state;
-        self.config = rec.config;
-        // Monotone across the role flip: the follower's own publishes
-        // may already be past the recovered seed.
-        self.publish_seq = self.publish_seq.max(rec.publish_seed);
+        self.replay(polled.restart.as_ref(), &[]).map_err(dur)?;
+        if let Mode::Follower(tail) = &mut self.mode {
+            tail.cursor = cursor;
+        }
+        if let Err(why) = self.replay(None, &polled.records) {
+            self.polled(Err(why.clone()));
+            self.publish(true);
+            return Err(dur(why));
+        }
+        adopt_log(&inner.metrics, &mut wal);
+        record_takeover(&inner, "promote", &polled, damaged);
+        // Past anything the dead leader can have handed out — the
+        // arithmetic of `Dataset::open_with`, on a counter that is
+        // already at or past the adopted checkpoint's.
+        self.publish_seq += wal.stats().since_checkpoint_records + MAX_PIPELINED_ACKS as u64 + 1;
         self.auto_checkpoint = options.auto_checkpoint;
         self.encode_stall = options.encode_stall_for_tests;
         self.mode = Mode::Leader(Some(wal));
-        self.inner.metrics.set_role_follower(false);
+        inner.metrics.set_role_follower(false);
         self.publish(true);
         Ok(())
     }
@@ -897,16 +913,23 @@ fn adopt_log(metrics: &Arc<Metrics>, wal: &mut Wal) {
     wal.set_observer(Arc::new(FsyncObserver(Arc::clone(metrics))));
 }
 
-/// Journal what a recovery found (`kind` is `recovery` or `promote`).
-pub(crate) fn record_recovery(journal: &EventJournal, kind: &'static str, report: RecoveryReport) {
-    journal.record(
-        kind,
-        format!(
-            "checkpoint={} replayed_records={}",
-            report.restored_checkpoint, report.replayed_records
-        ),
-    );
-    if let Some(damage) = report.damage {
-        journal.record("truncated_tail", damage);
+/// Journal what taking a log over found (`kind` is `recovery` for an
+/// open, `promote` for a promotion): whether a checkpoint was restored,
+/// how many records were replayed on top, and any damage repaired.
+pub(crate) fn record_takeover(
+    inner: &Inner,
+    kind: &'static str,
+    replayed: &TailPoll,
+    damaged: Option<DamagedTail>,
+) {
+    let (checkpoint, records) = (replayed.restart.is_some(), replayed.records.len());
+    let found = format!("checkpoint={checkpoint} replayed_records={records}");
+    inner.journal.record(kind, found);
+    if let Some(damage) = damaged {
+        eprintln!(
+            "annod: dataset {:?}: {damage}; recovered to the last intact record",
+            inner.name
+        );
+        inner.journal.record("truncated_tail", damage.to_string());
     }
 }

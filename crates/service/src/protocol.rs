@@ -959,7 +959,7 @@ fn help() -> Reply {
         "checkpoint <ds>  persist snapshot+miner at the log head, compact the wal".into(),
         "attach <ds> dir <path> [poll_ms <n>]  read-only follower tailing a leader's log".into(),
         "catchup <ds>     force a follower poll now and report replication lag".into(),
-        "promote <ds>     follower -> leader: take the wal lock, recover, accept writes".into(),
+        "promote <ds>     follower -> leader: take the wal lock, catch up, accept writes".into(),
         "stats [<ds>]     per-dataset counters, or a service-wide block with no name".into(),
         "metrics          Prometheus text exposition (same bytes as GET /metrics)".into(),
         "events [<ds>] [<n>]  maintenance event journal (service-level with no name)".into(),

@@ -151,43 +151,29 @@ pub(crate) fn encode_checkpoint(
     out
 }
 
-/// A decoded checkpoint payload. Optional trailing fields decode to
-/// `None` when absent: payloads written before each field was added
-/// simply end earlier, and the caller substitutes a safe derivation (a
-/// conservative publish seed; a discovery rebuild from the miner table).
+/// A decoded checkpoint payload. `miner` and `discovery` are `None`
+/// together, for a dataset checkpointed before its first `mine`.
 pub(crate) struct CheckpointParts {
     pub snapshot: String,
     pub miner: Option<String>,
-    pub publish_seq: Option<u64>,
+    pub publish_seq: u64,
     pub discovery: Option<String>,
 }
 
 /// Deserialize a checkpoint payload back into its text documents and the
-/// captured publish sequence. Trailing fields are version-optional — see
-/// [`CheckpointParts`] — but a *truncated* field is still an error.
+/// captured publish sequence. Every field [`encode_checkpoint`] writes is
+/// required: a payload that ends early is an error, whichever field it
+/// ends in.
 pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointParts, String> {
     let mut cur = Cursor::new(bytes);
     let snapshot = cur.str()?;
-    let miner = match cur.u8()? {
-        0 => None,
-        1 => Some(cur.str()?),
-        other => return Err(format!("bad miner-presence flag {other}")),
-    };
-    let publish_seq = if cur.exhausted() {
-        None
-    } else {
-        Some(cur.u64()?)
-    };
-    let discovery = if cur.exhausted() {
-        None
-    } else {
-        match cur.u8()? {
-            0 => None,
-            1 => Some(cur.str()?),
-            other => return Err(format!("bad discovery-presence flag {other}")),
-        }
-    };
+    let miner = cur.optional_str("miner")?;
+    let publish_seq = cur.u64()?;
+    let discovery = cur.optional_str("discovery")?;
     cur.finish()?;
+    if miner.is_some() != discovery.is_some() {
+        return Err("miner and discovery index must be checkpointed together".to_string());
+    }
     Ok(CheckpointParts {
         snapshot,
         miner,
@@ -379,8 +365,13 @@ impl<'a> Cursor<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|e| format!("bad utf-8 in payload: {e}"))
     }
 
-    fn exhausted(&self) -> bool {
-        self.pos == self.bytes.len()
+    /// A presence byte, then the string it announces.
+    fn optional_str(&mut self, what: &str) -> Result<Option<String>, String> {
+        match self.u8()? {
+            0 => Ok(None),
+            1 => self.str().map(Some),
+            other => Err(format!("bad {what}-presence flag {other}")),
+        }
     }
 
     fn finish(self) -> Result<(), String> {
@@ -474,51 +465,41 @@ mod tests {
         .unwrap();
         assert_eq!(parts.snapshot, "snapshot text");
         assert_eq!(parts.miner.as_deref(), Some("miner text"));
-        assert_eq!(parts.publish_seq, Some(17));
+        assert_eq!(parts.publish_seq, 17);
         assert_eq!(parts.discovery.as_deref(), Some("discovery text"));
         let parts = decode_checkpoint(&encode_checkpoint("pre-mine", None, 0, None)).unwrap();
         assert_eq!(parts.snapshot, "pre-mine");
         assert_eq!(parts.miner, None);
-        assert_eq!(parts.publish_seq, Some(0));
+        assert_eq!(parts.publish_seq, 0);
         assert_eq!(parts.discovery, None);
     }
 
     #[test]
-    fn pre_sequence_checkpoint_payloads_still_decode() {
-        // The PR-3 on-disk format ended right after the miner field; a
-        // durable directory written by it must keep opening.
-        let mut legacy = Vec::new();
-        put_str(&mut legacy, "old snapshot");
-        legacy.push(1);
-        put_str(&mut legacy, "old miner");
-        let parts = decode_checkpoint(&legacy).unwrap();
-        assert_eq!(parts.snapshot, "old snapshot");
-        assert_eq!(parts.miner.as_deref(), Some("old miner"));
-        assert_eq!(
-            parts.publish_seq, None,
-            "legacy payloads carry no publish sequence"
-        );
-        assert_eq!(parts.discovery, None);
-        // The PR-5..7 format ended right after the publish sequence; it
-        // decodes with `discovery: None` and the caller rebuilds instead.
-        let mut mid = Vec::new();
-        put_str(&mut mid, "mid snapshot");
-        mid.push(0);
-        put_u64(&mut mid, 42);
-        let parts = decode_checkpoint(&mid).unwrap();
-        assert_eq!(parts.snapshot, "mid snapshot");
-        assert_eq!(parts.publish_seq, Some(42));
-        assert_eq!(
-            parts.discovery, None,
-            "pre-discovery payloads decode without a discovery document"
-        );
-        // A *truncated* trailing field is still an error, not a silent None.
+    fn short_checkpoint_payloads_are_typed_errors() {
+        // Nothing writes the two shapes older builds did — ending right
+        // after the miner field, or right after the publish sequence —
+        // so both are truncation like any other.
+        let mut after_miner = Vec::new();
+        put_str(&mut after_miner, "old snapshot");
+        after_miner.push(1);
+        put_str(&mut after_miner, "old miner");
+        let err = decode_checkpoint(&after_miner).err().expect("short");
+        assert!(err.contains("truncated"), "{err}");
+        let mut after_sequence = Vec::new();
+        put_str(&mut after_sequence, "mid snapshot");
+        after_sequence.push(0);
+        put_u64(&mut after_sequence, 42);
+        let err = decode_checkpoint(&after_sequence).err().expect("short");
+        assert!(err.contains("truncated"), "{err}");
+        // A payload cut inside a field is the same error.
         let mut torn = encode_checkpoint("s", None, 7, None);
         torn.truncate(torn.len() - 3);
         assert!(decode_checkpoint(&torn).is_err());
-        let mut torn = encode_checkpoint("s", None, 7, Some("d"));
+        let mut torn = encode_checkpoint("s", Some("m"), 7, Some("d"));
         torn.truncate(torn.len() - 1);
         assert!(decode_checkpoint(&torn).is_err());
+        // A miner without its discovery index is no shape at all.
+        assert!(decode_checkpoint(&encode_checkpoint("s", Some("m"), 7, None)).is_err());
     }
 
     #[test]

@@ -316,6 +316,186 @@ fn failed_promote_leaves_a_tailing_follower_not_a_zombie() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The journal line a promotion leaves: what the take-over restored and
+/// replayed on top of the state the follower already had.
+fn promote_event(ds: &Dataset) -> String {
+    let events = ds.events(32);
+    let event = events.iter().rev().find(|e| e.kind == "promote");
+    event.expect("a promotion is journaled").detail.clone()
+}
+
+/// Promotion keeps what the follower has: caught up on a dead leader's
+/// log it replays nothing, serves the leader's last state, and writes on
+/// top of it durably.
+#[test]
+fn caught_up_promote_replays_nothing_and_writes_on_top() {
+    let dir = test_dir("promote-caught-up");
+    let leader = Dataset::open("db", config(), &dir).unwrap();
+    drain(&leader, rows(&["28 85 Annot_1", "28 85 Annot_1", "28 85"]));
+    leader.mine().unwrap();
+    for i in 0..6u32 {
+        drain(
+            &leader,
+            rows(&[&format!("{} {} Annot_1", 100 + i, 200 + i)]),
+        );
+    }
+    let follower = Dataset::follow("db", config(), &dir, MANUAL).unwrap();
+    let st = follower.catchup_now().unwrap();
+    assert_eq!((st.failed, st.bytes_behind), (None, 0));
+    let last = fingerprint(&leader);
+    drop(leader);
+
+    follower.promote().unwrap();
+    let event = promote_event(&follower);
+    assert!(
+        event.contains("checkpoint=false") && event.contains("replayed_records=0"),
+        "a caught-up follower has nothing left to replay: {event}"
+    );
+    assert_eq!(fingerprint(&follower), last);
+    assert!(follower.verify().unwrap());
+
+    drain(&follower, annotate(&[(2, "Annot_1")]));
+    let written = fingerprint(&follower);
+    assert_ne!(written, last, "the new leader's write took effect");
+    drop(follower);
+    let reopened = Dataset::open("db", config(), &dir).unwrap();
+    assert_eq!(fingerprint(&reopened), written);
+    assert!(reopened.verify().unwrap());
+
+    drop(reopened);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A follower publishes where its leader did — after every record — not
+/// once per poll: a long catch-up serves growing prefixes, and one catchup
+/// over five drains hands out five snapshot epochs.
+#[test]
+fn a_poll_publishes_at_every_record_boundary() {
+    let dir = test_dir("per-record-publish");
+    let leader = Dataset::open("db", config(), &dir).unwrap();
+    drain(&leader, rows(&["28 85 Annot_1", "28 85 Annot_1", "28 85"]));
+    leader.mine().unwrap();
+    let follower = Dataset::follow("db", config(), &dir, MANUAL).unwrap();
+    follower.catchup_now().unwrap();
+    let before = follower.try_snapshot().unwrap().epoch();
+
+    for i in 0..5u32 {
+        drain(
+            &leader,
+            rows(&[&format!("{} {} Annot_1", 100 + i, 200 + i)]),
+        );
+    }
+    let st = follower.catchup_now().unwrap();
+    assert_eq!((st.failed, st.bytes_behind), (None, 0));
+    assert_eq!(follower.try_snapshot().unwrap().epoch(), before + 5);
+    assert_eq!(fingerprint(&follower), fingerprint(&leader));
+
+    drop((leader, follower));
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The one case where a promotion does not keep what it has: the dead
+/// leader's directory holds a checkpoint the follower never adopted,
+/// *behind* its cursor, where no ordinary poll would look at it. The new
+/// leader will depend on that file at its own next restart, so the
+/// take-over restarts from it — and lands where a cold open of the same
+/// directory does.
+///
+/// The follower tails a streamed copy of the leader's directory, so the
+/// test decides what arrives when: the segments first, the checkpoint
+/// that was taken in between last.
+#[test]
+fn promote_restarts_from_a_checkpoint_behind_the_cursor() {
+    let leader_dir = test_dir("ckpt-behind-leader");
+    let dir = test_dir("ckpt-behind-copy");
+    let leader = Dataset::open("db", config(), &leader_dir).unwrap();
+    drain(&leader, rows(&["28 85 Annot_1", "28 85 Annot_1", "28 85"]));
+    leader.mine().unwrap();
+    drain(&leader, annotate(&[(2, "Annot_1")]));
+    copy_log_dir(&leader_dir, &dir);
+    let follower = Dataset::follow("db", config(), &dir, MANUAL).unwrap();
+    follower.catchup_now().unwrap();
+
+    // The leader checkpoints (sealing its segment and compacting it
+    // away) and writes on; only the new segment is shipped.
+    let (ckpt_at, _) = leader.checkpoint().unwrap();
+    drain(&leader, rows(&["17 99 Annot_2", "17 99 Annot_2"]));
+    drain(&leader, annotate(&[(0, "Annot_2")]));
+    let shipped = anno_wal::segment::segment_file_name(ckpt_at.segment);
+    std::fs::copy(leader_dir.join(&shipped), dir.join(&shipped)).unwrap();
+    let st = follower.catchup_now().unwrap();
+    assert_eq!((st.failed, st.restarts, st.bytes_behind), (None, 0, 0));
+    assert_eq!(fingerprint(&follower), fingerprint(&leader));
+
+    // The leader dies; its checkpoint arrives last, behind the cursor.
+    drop(leader);
+    let ckpt = anno_wal::checkpoint::CHECKPOINT_FILE;
+    std::fs::copy(leader_dir.join(ckpt), dir.join(ckpt)).unwrap();
+    let st = follower.catchup_now().unwrap();
+    assert_eq!(st.restarts, 0, "an ordinary poll has no use for it");
+    let served = fingerprint(&follower);
+
+    let ref_dir = test_dir("ckpt-behind-ref");
+    copy_log_dir(&dir, &ref_dir);
+    let reference = Dataset::open("db", config(), &ref_dir).unwrap();
+
+    follower.promote().unwrap();
+    let event = promote_event(&follower);
+    assert!(
+        event.contains("checkpoint=true") && event.contains("replayed_records=2"),
+        "the take-over must restart from the unadopted checkpoint: {event}"
+    );
+    assert_eq!(fingerprint(&follower), served);
+    assert_eq!(fingerprint(&follower), fingerprint(&reference));
+    assert!(follower.verify().unwrap());
+    assert_eq!(
+        follower.wal_stats().unwrap().since_checkpoint_records,
+        reference.wal_stats().unwrap().since_checkpoint_records,
+        "the checkpoint policy counts from the checkpoint on disk"
+    );
+    drain(&follower, rows(&["7 8 Annot_1"]));
+    assert!(follower.verify().unwrap());
+
+    drop(follower);
+    drop(reference);
+    for d in [&leader_dir, &dir, &ref_dir] {
+        std::fs::remove_dir_all(d).unwrap();
+    }
+}
+
+/// A follower that stopped on a shipped record it cannot apply has a
+/// cursor past that record and a state short of it. Promoting it would
+/// append on top of a log its state does not reflect, so the promotion
+/// is refused — as a cold open of the same directory is — and the
+/// follower keeps serving its last good prefix.
+#[test]
+fn a_follower_stopped_on_a_bad_record_refuses_promotion() {
+    let dir = test_dir("promote-after-failure");
+    let leader = Dataset::open("db", config(), &dir).unwrap();
+    drain(&leader, rows(&["28 85 Annot_1", "28 85 Annot_1", "28 85"]));
+    leader.mine().unwrap();
+    let good = fingerprint(&leader);
+    drop(leader);
+    {
+        // A cleanly framed record that is not one of ours.
+        let (mut log, _) = anno_wal::Wal::open(&dir, anno_wal::WalOptions::default()).unwrap();
+        log.append(b"\xffnot a drain").unwrap();
+    }
+    let follower = Dataset::follow("db", config(), &dir, MANUAL).unwrap();
+    let stopped = follower.catchup_now().unwrap_err();
+    assert!(stopped.to_string().contains("follower failed"), "{stopped}");
+    assert_eq!(fingerprint(&follower), good);
+
+    let refused = follower.promote().unwrap_err();
+    assert!(refused.to_string().contains("follower failed"), "{refused}");
+    assert_eq!(follower.role(), anno_service::Role::Follower);
+    assert_eq!(fingerprint(&follower), good);
+    assert!(Dataset::open("db", config(), &dir).is_err());
+
+    drop(follower);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 /// `catchup` and `promote` are both messages to the one owner thread, so
 /// racing them from two threads can interleave any way at all and still
 /// neither hangs: every call comes back `Ok` or with a typed error.

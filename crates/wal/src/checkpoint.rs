@@ -10,7 +10,7 @@
 //! checkpoint or the new one, never a torn hybrid. The payload rides
 //! under its own CRC anyway, as defense against bit rot after the rename.
 
-use std::io::Write;
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use crate::record::crc32;
@@ -42,7 +42,7 @@ pub fn checkpoint_path(dir: &Path) -> PathBuf {
 /// Write a checkpoint durably: staging file, fsync, atomic rename, then a
 /// best-effort directory sync so the rename itself survives power loss.
 pub fn write_checkpoint(dir: &Path, position: LogPosition, payload: &[u8]) -> Result<(), WalError> {
-    let mut bytes = Vec::with_capacity(CHECKPOINT_MAGIC.len() + 24 + payload.len());
+    let mut bytes = Vec::with_capacity(HEADER_BYTES + payload.len());
     bytes.extend_from_slice(CHECKPOINT_MAGIC);
     bytes.extend_from_slice(&position.segment.to_le_bytes());
     bytes.extend_from_slice(&position.offset.to_le_bytes());
@@ -63,41 +63,69 @@ pub fn write_checkpoint(dir: &Path, position: LogPosition, payload: &[u8]) -> Re
     Ok(())
 }
 
-/// Read the live checkpoint, if any. A present-but-invalid checkpoint is
-/// a hard [`WalError::Corrupt`]: it is only ever produced whole (atomic
-/// rename), so damage here means the disk lied, and silently replaying
-/// from a compacted log would fabricate state.
-pub fn read_checkpoint(dir: &Path) -> Result<Option<Checkpoint>, WalError> {
-    let path = checkpoint_path(dir);
-    let bytes = match std::fs::read(&path) {
-        Ok(bytes) => bytes,
+/// Bytes before the payload: magic, position, payload length and CRC.
+const HEADER_BYTES: usize = CHECKPOINT_MAGIC.len() + 24;
+
+/// A present-but-invalid checkpoint is a hard [`WalError::Corrupt`]: it
+/// is only ever produced whole (atomic rename), so damage here means the
+/// disk lied, and silently replaying from a compacted log would
+/// fabricate state.
+fn corrupt(dir: &Path, msg: &str) -> WalError {
+    WalError::Corrupt(format!(
+        "checkpoint {}: {msg}",
+        checkpoint_path(dir).display()
+    ))
+}
+
+/// Open the live checkpoint, if any, and parse its fixed header: the
+/// position it is bound to and the payload's length and CRC. The file is
+/// left at the first payload byte.
+fn open_checkpoint(
+    dir: &Path,
+) -> Result<Option<(std::fs::File, LogPosition, usize, u32)>, WalError> {
+    let mut file = match std::fs::File::open(checkpoint_path(dir)) {
+        Ok(file) => file,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e.into()),
     };
-    let corrupt = |msg: &str| WalError::Corrupt(format!("checkpoint {}: {msg}", path.display()));
-    let header = CHECKPOINT_MAGIC.len() + 24;
-    if bytes.len() < header {
-        return Err(corrupt("file shorter than header"));
+    let mut header = [0u8; HEADER_BYTES];
+    file.read_exact(&mut header).map_err(|e| match e.kind() {
+        std::io::ErrorKind::UnexpectedEof => corrupt(dir, "file shorter than header"),
+        _ => e.into(),
+    })?;
+    let (magic, fields) = header.split_at(CHECKPOINT_MAGIC.len());
+    if magic != CHECKPOINT_MAGIC {
+        return Err(corrupt(dir, "bad magic"));
     }
-    if &bytes[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC {
-        return Err(corrupt("bad magic"));
+    let segment = u64::from_le_bytes(fields[..8].try_into().expect("8 bytes"));
+    let offset = u64::from_le_bytes(fields[8..16].try_into().expect("8 bytes"));
+    let len = u32::from_le_bytes(fields[16..20].try_into().expect("4 bytes")) as usize;
+    let crc = u32::from_le_bytes(fields[20..24].try_into().expect("4 bytes"));
+    Ok(Some((file, LogPosition { segment, offset }, len, crc)))
+}
+
+/// The log position the live checkpoint is bound to, from its header
+/// alone: what a tail poll compares its cursor against without paying
+/// for the payload.
+pub(crate) fn read_position(dir: &Path) -> Result<Option<LogPosition>, WalError> {
+    Ok(open_checkpoint(dir)?.map(|(_, position, _, _)| position))
+}
+
+/// Read the live checkpoint, if any, verifying the payload against the
+/// length and CRC its header records.
+pub fn read_checkpoint(dir: &Path) -> Result<Option<Checkpoint>, WalError> {
+    let Some((mut file, position, len, crc)) = open_checkpoint(dir)? else {
+        return Ok(None);
+    };
+    let mut payload = Vec::new();
+    file.read_to_end(&mut payload)?;
+    if payload.len() != len {
+        return Err(corrupt(dir, "payload length mismatch"));
     }
-    let at = CHECKPOINT_MAGIC.len();
-    let segment = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-    let offset = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().expect("8 bytes"));
-    let len = u32::from_le_bytes(bytes[at + 16..at + 20].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_le_bytes(bytes[at + 20..at + 24].try_into().expect("4 bytes"));
-    if bytes.len() - header != len {
-        return Err(corrupt("payload length mismatch"));
+    if crc32(&payload) != crc {
+        return Err(corrupt(dir, "payload CRC mismatch"));
     }
-    let payload = &bytes[header..];
-    if crc32(payload) != crc {
-        return Err(corrupt("payload CRC mismatch"));
-    }
-    Ok(Some(Checkpoint {
-        position: LogPosition { segment, offset },
-        payload: payload.to_vec(),
-    }))
+    Ok(Some(Checkpoint { position, payload }))
 }
 
 /// Remove a stale staging file left by a crash mid-checkpoint (the live

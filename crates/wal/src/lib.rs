@@ -10,7 +10,9 @@
 //! deletes the sealed segments behind it) and **crash recovery** (replay
 //! the tail after the checkpoint, tolerating a torn or bit-rotted tail by
 //! truncating to the last intact record and reporting the damage instead
-//! of failing).
+//! of failing). Recovery reads the directory with the same walk a
+//! replication follower tails it with ([`tail`]): [`Wal::open`] is a
+//! fresh [`TailCursor`] that takes the log over at once.
 //!
 //! The crate is deliberately payload-agnostic — records are `&[u8]` — so
 //! the log layer can be tested by crash injection independently of the
@@ -189,11 +191,10 @@ pub struct WalStats {
     pub syncs: u64,
     /// Checkpoints taken.
     pub checkpoints: u64,
-    /// Records replayed at open.
+    /// Records between the checkpoint and the end of the log when this
+    /// `Wal` took it over: what [`Wal::open`] replayed.
     pub replayed_records: u64,
-    /// Damaged tails encountered at open (0 or 1 per open; cumulative
-    /// across reopens of the same `Wal` value is impossible, so this is
-    /// effectively a flag with room for future partial-scan APIs).
+    /// Damaged tails repaired at open (0 or 1).
     pub damaged_tails: u64,
     /// Live segment files (sealed survivors + the active one).
     pub segments: u64,
@@ -237,6 +238,9 @@ pub const LOCK_FILE: &str = "wal.lock";
 /// file, so a same-pid second open is still refused.
 static LOCK_TOKEN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
+/// Name of the guard file that serialises reclaimers of a stale lock.
+const RECLAIM_GUARD: &str = "wal.lock.reclaim";
+
 /// Exclusive ownership of a log directory, released on drop. The lock
 /// file records `pid:token`; a lock whose pid provably no longer runs
 /// (checked via `/proc`) is reclaimed, so a crashed process never wedges
@@ -258,60 +262,71 @@ impl DirLock {
             std::process::id(),
             LOCK_TOKEN.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
         );
-        for attempt in 0..5u32 {
-            match OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(mut file) => {
-                    file.write_all(token.as_bytes())?;
-                    file.sync_data()?;
-                    return Ok(DirLock { path, token });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => {
-                    let held = std::fs::read_to_string(&path).unwrap_or_default();
-                    let holder_alive = match held
-                        .split(':')
-                        .next()
-                        .and_then(|pid| pid.parse::<u32>().ok())
-                    {
-                        // No /proc → liveness unknowable → assume held.
-                        Some(pid) if Path::new("/proc").exists() => {
-                            Path::new(&format!("/proc/{pid}")).exists()
-                        }
-                        Some(_) => true,
-                        // Unparseable lock content: someone else's
-                        // mid-write moment, or junk; don't steal it.
-                        None => true,
-                    };
-                    if holder_alive {
-                        return Err(WalError::Locked(format!(
-                            "{} is held by a live owner ({held:?}); two logs must not \
-                             share a directory",
-                            path.display()
-                        )));
-                    }
-                    // Stale lock from a dead process. Reclaim must have a
-                    // single winner: rename it aside first — rename is
-                    // atomic, so of N racing reclaimers exactly one
-                    // succeeds, and nobody can delete a *fresh* lock that
-                    // a faster racer has already created (the
-                    // check-then-remove TOCTOU).
-                    let aside = dir.join(format!("{LOCK_FILE}.stale-{token}-{attempt}"));
-                    match std::fs::rename(&path, &aside) {
-                        Ok(()) => {
-                            let _ = std::fs::remove_file(&aside);
-                        }
-                        // Lost the reclaim race; loop and re-evaluate.
-                        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                Err(e) => return Err(e.into()),
+        if !create_new(&path, &token)? {
+            refuse_if_held(&path)?;
+            // Stale lock from a dead process. `remove_file` acts on
+            // whatever holds the *name* by then — maybe a faster
+            // reclaimer's live lock — so reclaimers take turns on a guard
+            // file and judge again under it: while it is held the name can
+            // only go from the stale lock to none. Finding the guard taken
+            // is losing. (A process killed holding it leaves it behind,
+            // refusing reclaims until it is deleted by hand — the
+            // conservative failure again.)
+            let guard = dir.join(RECLAIM_GUARD);
+            let lost = |how: &str| WalError::Locked(format!("{} {how}", path.display()));
+            if !create_new(&guard, "")? {
+                return Err(lost("is being reclaimed by another opener"));
             }
+            let reclaimed = refuse_if_held(&path).and_then(|()| {
+                std::fs::remove_file(&path)?;
+                if !create_new(&path, &token)? {
+                    return Err(lost("went to a first-time opener during the reclaim"));
+                }
+                Ok(())
+            });
+            let _ = std::fs::remove_file(&guard);
+            reclaimed?;
         }
-        Err(WalError::Locked(format!(
-            "{} could not be acquired (reclaim raced repeatedly)",
-            path.display()
-        )))
+        Ok(DirLock { path, token })
     }
+}
+
+/// Create `path` holding `content`, durably; `false` if the name is taken.
+fn create_new(path: &Path, content: &str) -> Result<bool, WalError> {
+    match OpenOptions::new().write(true).create_new(true).open(path) {
+        Ok(mut file) => {
+            file.write_all(content.as_bytes())?;
+            file.sync_data()?;
+            Ok(true)
+        }
+        Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Ok(false),
+        Err(e) => Err(e.into()),
+    }
+}
+
+/// `Err(Locked)` unless the lock file at `path` names an owner that
+/// provably no longer runs.
+fn refuse_if_held(path: &Path) -> Result<(), WalError> {
+    let held = std::fs::read_to_string(path).unwrap_or_default();
+    let holder_alive = match held
+        .split(':')
+        .next()
+        .and_then(|pid| pid.parse::<u32>().ok())
+    {
+        // No /proc → liveness unknowable → assume held.
+        Some(pid) if Path::new("/proc").exists() => Path::new(&format!("/proc/{pid}")).exists(),
+        Some(_) => true,
+        // Unparseable lock content: someone else's mid-write moment, or
+        // junk; don't steal it.
+        None => true,
+    };
+    if !holder_alive {
+        return Ok(());
+    }
+    Err(WalError::Locked(format!(
+        "{} is held by a live owner ({held:?}); two logs must not share a directory",
+        path.display()
+    )))
 }
 
 impl Drop for DirLock {
@@ -364,173 +379,108 @@ impl Wal {
     /// damage report if the tail was torn or corrupted. Damaged bytes are
     /// truncated (and any segments after the damage deleted) so that the
     /// returned `Wal` appends strictly after the recovered prefix.
+    ///
+    /// This is [`Wal::take_over`] by a cursor that has read nothing yet.
     pub fn open(dir: impl AsRef<Path>, opts: WalOptions) -> Result<(Wal, Recovery), WalError> {
-        let dir = dir.as_ref().to_path_buf();
+        let (wal, poll, damaged) = Wal::take_over(&mut TailCursor::new(dir), opts)?;
+        let recovery = Recovery {
+            checkpoint: poll.restart,
+            tail: poll.records,
+            damaged,
+        };
+        Ok((wal, recovery))
+    }
+
+    /// Turn a reader of the log into its writer: take the directory lock
+    /// (the fence — nothing can append after the poll that follows), poll
+    /// `cursor` to the end of the intact prefix, repair whatever lies
+    /// past it, and open the log for append where the cursor stands.
+    ///
+    /// The returned [`TailPoll`] is what the caller has not seen yet: the
+    /// suffix past the cursor, preceded by the on-disk checkpoint unless
+    /// it is the one the cursor last restarted from. Bytes and segments
+    /// past the cursor — under the lock they cannot be a write still in
+    /// flight — are removed and reported as the [`DamagedTail`].
+    ///
+    /// On `Err` the lock is released again. A caller that may yet reject
+    /// what the take-over returns — and then wants its cursor where it
+    /// was — passes a clone.
+    pub fn take_over(
+        cursor: &mut TailCursor,
+        opts: WalOptions,
+    ) -> Result<(Wal, TailPoll, Option<DamagedTail>), WalError> {
+        let dir = cursor.dir.clone();
         std::fs::create_dir_all(&dir)?;
         let lock = DirLock::acquire(&dir)?;
         checkpoint::remove_stale_tmp(&dir);
-        let ckpt = checkpoint::read_checkpoint(&dir)?;
-
-        let mut seqs = segment::list_segments(&dir)?;
-        // Compacted leftovers strictly behind the checkpoint: a crash
-        // between the checkpoint rename and the segment deletions leaves
-        // them around; finish the job now.
-        if let Some(ck) = &ckpt {
-            for &seq in seqs.iter().filter(|&&s| s < ck.position.segment) {
-                std::fs::remove_file(segment_path(&dir, seq))?;
-            }
-            seqs.retain(|&s| s >= ck.position.segment);
+        // `keep`: the cursor's own segment stays the active one.
+        let (poll, keep, mut damaged) = cursor.walk(true)?;
+        let pos = cursor.position();
+        let (replayed_records, replayed_bytes) = cursor.since_restart;
+        if !keep && replayed_records > 0 {
+            // Retiring the file would drop records the caller already
+            // holds from the log it is about to append to.
+            return Err(WalError::Corrupt(format!(
+                "segment {} no longer holds the {} bytes replayed from it",
+                pos.segment, pos.offset
+            )));
         }
-
+        let seqs = segment::list_segments(&dir)?;
         // Highest sequence number ever observed — fresh segments created
         // after damage must not reuse a deleted segment's number, or a
         // stale checkpoint position could outrank live records.
-        let mut max_seen = ckpt.as_ref().map(|c| c.position.segment).unwrap_or(0);
-        if let Some(&last) = seqs.last() {
-            max_seen = max_seen.max(last);
-        }
-
-        let start = match &ckpt {
-            Some(ck) => ck.position,
-            None => LogPosition {
-                segment: seqs.first().copied().unwrap_or(0),
-                offset: SEGMENT_HEADER_BYTES,
-            },
-        };
-
-        let mut tail: Vec<Vec<u8>> = Vec::new();
-        // Framed bytes of the replayed tail, seeding the since-checkpoint
-        // footprint the checkpoint policy measures.
-        let mut replayed_bytes = 0u64;
-        let mut damaged: Option<DamagedTail> = None;
-        // (seq, end offset) of the segment appends should resume in;
-        // `None` means a fresh segment must be created.
-        let mut active: Option<(u64, u64)> = None;
-        let mut expected_seq = start.segment;
-        // Actual byte length of the previous cleanly scanned segment, for
-        // the header chain check (None at chain start, where the
-        // predecessor was checkpoint-compacted or never existed).
-        let mut prev_scanned_len: Option<u64> = None;
-
+        let max_seen = pos.segment.max(seqs.last().copied().unwrap_or(0));
+        let chain_start = cursor.adopted.map_or(0, |ck| ck.segment);
         for &seq in &seqs {
-            if damaged.is_some() {
-                // Everything after the damage point would break prefix
-                // semantics if replayed; delete it.
+            // Compacted leftovers strictly behind the checkpoint: a crash
+            // between the checkpoint rename and the segment deletions
+            // leaves them around; finish the job now.
+            let behind = seq < chain_start;
+            // Everything past the intact prefix would break prefix
+            // semantics if a later open replayed it.
+            let past = seq > pos.segment || (seq == pos.segment && !keep);
+            if behind || past {
                 std::fs::remove_file(segment_path(&dir, seq))?;
-                continue;
             }
-            if seq != expected_seq {
+            if past && damaged.is_none() {
+                let missing = pos.segment + u64::from(keep);
                 damaged = Some(DamagedTail {
-                    segment: expected_seq,
+                    segment: missing,
                     offset: SEGMENT_HEADER_BYTES,
-                    reason: format!("segment {expected_seq} missing (next on disk is {seq})"),
+                    reason: format!("segment {missing} missing (next on disk is {seq})"),
                 });
-                std::fs::remove_file(segment_path(&dir, seq))?;
-                continue;
-            }
-            let path = segment_path(&dir, seq);
-            let bytes = std::fs::read(&path)?;
-            let prev_len = match segment::parse_header(&bytes, seq) {
-                Ok(prev_len) => prev_len,
-                Err(reason) => {
-                    damaged = Some(DamagedTail {
-                        segment: seq,
-                        offset: 0,
-                        reason,
-                    });
-                    std::fs::remove_file(&path)?;
-                    continue;
-                }
-            };
-            if let Some(prev_actual) = prev_scanned_len {
-                if prev_len != prev_actual {
-                    // The predecessor frames cleanly but is not the length
-                    // it was sealed at — it lost (or grew) a whole-record
-                    // tail. Its scanned records are still a true prefix;
-                    // everything from this segment on is past the gap.
-                    damaged = Some(DamagedTail {
-                        segment: seq - 1,
-                        offset: prev_actual.min(prev_len),
-                        reason: format!(
-                            "sealed segment is {prev_actual} bytes but successor records {prev_len}"
-                        ),
-                    });
-                    std::fs::remove_file(&path)?;
-                    continue;
-                }
-            }
-            let begin = if seq == start.segment {
-                start.offset
-            } else {
-                SEGMENT_HEADER_BYTES
-            };
-            if begin > bytes.len() as u64 {
-                // The checkpoint covers bytes this file no longer has.
-                // Nothing after the checkpoint survives here, and reusing
-                // offsets below the checkpoint position is forbidden, so
-                // retire the file and roll fresh.
-                damaged = Some(DamagedTail {
-                    segment: seq,
-                    offset: bytes.len() as u64,
-                    reason: format!(
-                        "segment shorter ({} bytes) than checkpoint position {begin}",
-                        bytes.len()
-                    ),
-                });
-                std::fs::remove_file(&path)?;
-                continue;
-            }
-            let scan = record::scan(&bytes, begin as usize);
-            tail.extend(scan.payloads);
-            replayed_bytes += scan.good_end as u64 - begin;
-            match scan.damage {
-                Some(kind) => {
-                    damaged = Some(DamagedTail {
-                        segment: seq,
-                        offset: scan.good_end as u64,
-                        reason: kind.to_string(),
-                    });
-                    // Truncate the damage away; this segment stays active.
-                    let file = OpenOptions::new().write(true).open(&path)?;
-                    file.set_len(scan.good_end as u64)?;
-                    file.sync_data()?;
-                    active = Some((seq, scan.good_end as u64));
-                }
-                None => {
-                    active = Some((seq, bytes.len() as u64));
-                    expected_seq = seq + 1;
-                    prev_scanned_len = Some(bytes.len() as u64);
-                }
             }
         }
 
-        let (seq, offset, file) = match active {
-            Some((seq, offset)) => {
-                let mut file = OpenOptions::new()
-                    .read(true)
-                    .write(true)
-                    .open(segment_path(&dir, seq))?;
-                file.seek(SeekFrom::Start(offset))?;
-                (seq, offset, file)
+        let (seq, offset, file) = if keep {
+            let mut file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(segment_path(&dir, pos.segment))?;
+            if file.metadata()?.len() > pos.offset {
+                // Truncate the damage away; this segment stays active.
+                file.set_len(pos.offset)?;
+                file.sync_data()?;
             }
-            None => {
-                // Fresh log, or every candidate segment was retired. With
-                // a checkpoint, recreate its own segment number: checkpoint
-                // positions always point at a fresh segment's header
-                // (checkpoint seals-and-rolls first), so an empty recreated
-                // segment lines up exactly with the replay start — a higher
-                // number would read as a gap (lost records) on the next
-                // open. Without one, the next open derives its start from
-                // the first file present, so any unused number works; take
-                // one past the highest ever seen.
-                let seq = match &ckpt {
-                    Some(ck) => ck.position.segment,
-                    None if seqs.is_empty() && damaged.is_none() => 0,
-                    None => max_seen + 1,
-                };
-                let file = create_segment(&dir, seq, 0)?;
-                (seq, SEGMENT_HEADER_BYTES, file)
-            }
+            file.seek(SeekFrom::Start(pos.offset))?;
+            (pos.segment, pos.offset, file)
+        } else {
+            // Fresh log, or the cursor's segment was retired unread. With
+            // a checkpoint, recreate its own segment number: checkpoint
+            // positions always point at a fresh segment's header
+            // (checkpoint seals-and-rolls first), so an empty recreated
+            // segment lines up exactly with the replay start — a higher
+            // number would read as a gap (lost records) on the next open.
+            // Without one, the next open derives its start from the first
+            // file present, so any unused number works; take one past the
+            // highest ever seen.
+            let seq = if damaged.is_some() && cursor.adopted.is_none() {
+                max_seen + 1
+            } else {
+                pos.segment
+            };
+            let file = create_segment(&dir, seq, 0)?;
+            (seq, SEGMENT_HEADER_BYTES, file)
         };
         checkpoint::sync_dir(&dir);
 
@@ -546,9 +496,9 @@ impl Wal {
             appended_bytes: 0,
             syncs: 0,
             checkpoints: 0,
-            replayed_records: tail.len() as u64,
+            replayed_records,
             damaged_tails: u64::from(damaged.is_some()),
-            since_ckpt_records: tail.len() as u64,
+            since_ckpt_records: replayed_records,
             since_ckpt_bytes: replayed_bytes,
             last_checkpoint: Instant::now(),
             log_id: sync::next_log_id(),
@@ -561,14 +511,7 @@ impl Wal {
         if let Some(committer) = wal.opts.sync.committer() {
             committer.register_tenant(wal.log_id);
         }
-        Ok((
-            wal,
-            Recovery {
-                checkpoint: ckpt,
-                tail,
-                damaged,
-            },
-        ))
+        Ok((wal, poll, damaged))
     }
 
     /// The position the next append will land at.
@@ -1032,6 +975,92 @@ mod tests {
         std::fs::write(dir.join(LOCK_FILE), format!("{}:0", u32::MAX)).unwrap();
         let (_wal, rec) = Wal::open(&dir, opts(1 << 20)).expect("stale lock reclaimed");
         assert_eq!(rec.tail, vec![b"pre-crash".to_vec()]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn take_over_by_a_parked_cursor_returns_only_the_suffix_and_repairs_past_it() {
+        let dir = test_dir("takeover-suffix");
+        let committed = payloads(12);
+        let mut cursor = TailCursor::new(&dir);
+        {
+            let (mut wal, _) = Wal::open(&dir, opts(64)).unwrap();
+            for p in &committed[..7] {
+                wal.append(p).unwrap();
+            }
+            assert_eq!(cursor.poll().unwrap().records, committed[..7].to_vec());
+            for p in &committed[7..] {
+                wal.append(p).unwrap();
+            }
+        }
+        // The leader died mid-append: the last record is torn.
+        let seqs = segment::list_segments(&dir).unwrap();
+        let path = segment_path(&dir, *seqs.last().unwrap());
+        let len = std::fs::metadata(&path).unwrap().len();
+        let file = OpenOptions::new().write(true).open(&path).unwrap();
+        file.set_len(len - 3).unwrap();
+
+        let (mut wal, poll, damaged) = Wal::take_over(&mut cursor, opts(64)).unwrap();
+        assert!(poll.restart.is_none());
+        assert_eq!(poll.records, committed[7..11].to_vec(), "only the suffix");
+        let damage = damaged.expect("the tear past the cursor must be reported");
+        assert!(damage.reason.contains("torn"), "{damage}");
+        assert_eq!(wal.position(), cursor.position());
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            cursor.position().offset
+        );
+        // What a restart would replay counts from the start of the log,
+        // not from where this cursor happened to be parked.
+        assert_eq!(wal.stats().replayed_records, 11);
+        assert_eq!(wal.stats().since_checkpoint_records, 11);
+
+        wal.append(b"resume").unwrap();
+        drop(wal);
+        let (_, rec) = Wal::open(&dir, opts(64)).unwrap();
+        let mut expect = committed[..11].to_vec();
+        expect.push(b"resume".to_vec());
+        assert_eq!(rec.tail, expect);
+        assert!(rec.damaged.is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_refused_or_discarded_take_over_leaves_the_callers_cursor_alone() {
+        let dir = test_dir("takeover-backout");
+        let (mut leader, _) = Wal::open(&dir, opts(1 << 20)).unwrap();
+        for p in payloads(5) {
+            leader.append(&p).unwrap();
+        }
+        let mut cursor = TailCursor::new(&dir);
+        assert_eq!(cursor.poll().unwrap().records.len(), 5);
+        leader.append(b"not polled yet").unwrap();
+        let seen = |c: &TailCursor| (c.position(), c.records_read(), c.restarts());
+        let before = seen(&cursor);
+
+        // Refused by a live lock: the fence comes before the walk.
+        let refused = Wal::take_over(&mut cursor, opts(1 << 20));
+        assert!(matches!(refused, Err(WalError::Locked(_))), "{refused:?}");
+        assert_eq!(seen(&cursor), before);
+
+        // The leader dies leaving a checkpoint the caller will turn out
+        // unable to restore. The take-over itself succeeds — on a clone,
+        // which the caller drops together with the `Wal`.
+        leader
+            .checkpoint(b"a payload the caller cannot decode")
+            .unwrap();
+        drop(leader);
+        let mut attempt = cursor.clone();
+        let (wal, poll, _) = Wal::take_over(&mut attempt, opts(1 << 20)).unwrap();
+        assert!(poll.restart.is_some() && attempt.restarts() == 1);
+        drop(wal);
+        assert_eq!(seen(&cursor), before);
+
+        // The lock went with the `Wal`, and the cursor that was left
+        // alone finds the same thing a second time.
+        let (_wal, again, _) = Wal::take_over(&mut cursor.clone(), opts(1 << 20)).unwrap();
+        assert_eq!(again.restart, poll.restart);
+        assert_eq!(again.records, poll.records);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -1,10 +1,15 @@
-//! Read-only log tailing for replication by log shipping.
+//! The log walk: the one piece of code that reads a log directory.
 //!
-//! A [`TailCursor`] walks another process's log directory — a live
-//! leader's, or a streamed copy of one — **without taking the directory
+//! A [`TailCursor`] walks a log directory **without taking the directory
 //! lock** and without ever writing. Each [`TailCursor::poll`] returns the
 //! cleanly framed records that appeared past the cursor since the last
 //! poll, in log order, plus the watermarks a replication-lag gauge needs.
+//! A follower polls a live leader's directory (or a streamed copy of one)
+//! this way; recovery is the same walk run once under the lock
+//! ([`Wal::take_over`](crate::Wal::take_over), which
+//! [`Wal::open`](crate::Wal::open) runs on a fresh cursor). So a follower
+//! and a recovery of the same bytes cannot disagree about the prefix:
+//! there is no second reader to disagree with.
 //!
 //! The cursor tolerates everything a concurrently appending leader can
 //! legitimately do to the directory:
@@ -15,9 +20,8 @@
 //!   same offset.
 //! * **Segment rolls.** The cursor advances into segment `N+1` only once
 //!   `N+1`'s header exists *and* records exactly the sealed length of `N`
-//!   the cursor has consumed — the same chain check recovery runs, so a
-//!   sealed segment that lost a whole-record tail stops the cursor
-//!   instead of replaying past a gap.
+//!   the cursor has consumed, so a sealed segment that lost a
+//!   whole-record tail stops the cursor instead of replaying past a gap.
 //! * **Checkpoint compaction.** When the leader checkpoints past the
 //!   cursor, the sealed segments behind the checkpoint are deleted and
 //!   the bytes the cursor still needed are gone. The poll reports the new
@@ -28,17 +32,22 @@
 //! Real damage (a CRC mismatch mid-log, a chain break) is
 //! indistinguishable *from this side* from a leader that has simply not
 //! finished writing — so the cursor never fails on it; it stops at the
-//! last intact prefix and stays there. Promotion resolves the ambiguity:
-//! [`Wal::open`](crate::Wal::open) on the same directory truncates the
-//! damage and reports it, and the recovered prefix is exactly what the
-//! cursor delivered.
+//! last intact prefix and stays there. A take-over resolves the
+//! ambiguity: under the lock nothing is still being written, so whatever
+//! the walk refused is damage, and is truncated and reported.
+//!
+//! A poll costs what is new, not what is there: the checkpoint's header
+//! (its payload only on a restart), the cursor's segment from its header
+//! to the bytes past the cursor, and a successor's header.
 
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use crate::checkpoint::{self, Checkpoint};
 use crate::record;
 use crate::segment::{self, segment_path, SEGMENT_HEADER_BYTES};
-use crate::{LogPosition, WalError};
+use crate::{DamagedTail, LogPosition, WalError};
 
 /// What one [`TailCursor::poll`] found.
 #[derive(Debug, Clone)]
@@ -63,13 +72,19 @@ pub struct TailPoll {
 
 /// A read-only cursor over a log directory owned by someone else. See the
 /// module docs for the tolerance contract.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TailCursor {
-    dir: PathBuf,
+    pub(crate) dir: PathBuf,
     /// Next byte to consume; `None` until the first poll picks a start.
     pos: Option<LogPosition>,
     records_read: u64,
     restarts: u64,
+    /// Position of the checkpoint the cursor last restarted from.
+    pub(crate) adopted: Option<LogPosition>,
+    /// Records and framed bytes delivered since that restart (since the
+    /// start of the log when there was none): what a restart of the
+    /// process would have to replay.
+    pub(crate) since_restart: (u64, u64),
 }
 
 impl TailCursor {
@@ -82,6 +97,8 @@ impl TailCursor {
             pos: None,
             records_read: 0,
             restarts: 0,
+            adopted: None,
+            since_restart: (0, 0),
         }
     }
 
@@ -106,100 +123,121 @@ impl TailCursor {
     /// Read everything new past the cursor. Errors are real I/O failures
     /// or a corrupt checkpoint file; a mid-write leader never causes one.
     pub fn poll(&mut self) -> Result<TailPoll, WalError> {
-        let ckpt = checkpoint::read_checkpoint(&self.dir)?;
+        self.walk(false).map(|(poll, ..)| poll)
+    }
+
+    /// The walk behind [`TailCursor::poll`], also reporting where it
+    /// stopped, for a take-over's repair to act on: whether the cursor's
+    /// own segment is there and intact up to the cursor (`false`: missing,
+    /// unreadable header, or shorter than the cursor), and what the walk
+    /// refused to go past, if it did not simply run out of log. `fenced`
+    /// says the caller holds the directory lock, which changes one
+    /// decision — see the restart rule below.
+    pub(crate) fn walk(
+        &mut self,
+        fenced: bool,
+    ) -> Result<(TailPoll, bool, Option<DamagedTail>), WalError> {
+        // On a working copy, so an I/O error half-way leaves the cursor
+        // where it was and the next poll finds the same things again.
+        let mut cur = self.clone();
+        let on_disk = checkpoint::read_position(&cur.dir)?;
+        // Restart when the leader checkpointed past us: the records
+        // between the cursor and the checkpoint are compacted (or about
+        // to be), and the payload covers them. The first poll of a
+        // checkpointed log adopts it the same way. Under the lock the
+        // rule is stricter — any checkpoint but the one last adopted —
+        // because whoever takes over will depend on that file at its own
+        // next restart, so this process must have decoded it, and the
+        // since-checkpoint accounting must count from it.
+        let due = on_disk.is_some_and(|ck| match cur.pos {
+            None => true,
+            Some(pos) => ck > pos || (fenced && cur.adopted != Some(ck)),
+        });
         let mut restart = None;
-        match (self.pos, &ckpt) {
-            // First poll of a checkpointed log: adopt the checkpoint.
-            (None, Some(ck)) => {
-                restart = Some(ck.clone());
-                self.pos = Some(ck.position);
-                self.restarts += 1;
+        if due {
+            restart = checkpoint::read_checkpoint(&cur.dir)?;
+            if let Some(ck) = &restart {
+                cur.pos = Some(ck.position);
+                cur.adopted = Some(ck.position);
+                cur.since_restart = (0, 0);
+                cur.restarts += 1;
             }
-            // The leader checkpointed past us: the records between the
-            // cursor and the checkpoint are compacted (or about to be) —
-            // restart from the payload, which covers them.
-            (Some(pos), Some(ck)) if ck.position > pos => {
-                restart = Some(ck.clone());
-                self.pos = Some(ck.position);
-                self.restarts += 1;
-            }
+        } else if on_disk.is_none() && cur.records_read == 0 {
             // No checkpoint yet and nothing consumed: (re-)derive the
             // start from the first segment on disk each poll, so a log
             // whose first segment number is not 0 (a leader that
             // recovered from total loss) still gets tailed.
-            (None, None) | (Some(_), None) if self.records_read == 0 => {
-                let first = segment::list_segments(&self.dir)
-                    .unwrap_or_default()
-                    .first()
-                    .copied()
-                    .unwrap_or(0);
-                self.pos = Some(LogPosition {
-                    segment: first,
-                    offset: SEGMENT_HEADER_BYTES,
-                });
-            }
-            _ => {}
+            let segments = segment::list_segments(&cur.dir).unwrap_or_default();
+            cur.pos = Some(first_record(segments.first().copied().unwrap_or(0)));
         }
-        let mut pos = self.pos.unwrap_or(LogPosition {
-            segment: 0,
-            offset: SEGMENT_HEADER_BYTES,
-        });
+        let mut pos = cur.pos.unwrap_or(first_record(0));
 
         let mut records = Vec::new();
-        loop {
-            let path = segment_path(&self.dir, pos.segment);
-            let bytes = match std::fs::read(&path) {
-                Ok(bytes) => bytes,
+        let damage = |segment, offset, reason| {
+            Some(DamagedTail {
+                segment,
+                offset,
+                reason,
+            })
+        };
+        // At the start of the chain the predecessor was compacted or
+        // never existed, so the length this header records is not checked.
+        let mut opened = open_segment(&cur.dir, pos.segment)?;
+        let (in_segment, refused) = loop {
+            let mut file = match opened {
+                Ok((file, _)) => file,
                 // Not there (yet, or anymore): a leader that has not
                 // created it, or a compaction that raced this poll — the
-                // next poll's checkpoint check restarts past it.
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
-                Err(e) => return Err(e.into()),
+                // next poll's checkpoint check restarts past it. An
+                // unparseable header is a segment mid-creation.
+                Err(reason) => break (false, reason.and_then(|r| damage(pos.segment, 0, r))),
             };
-            // An unparseable header is a segment mid-creation (or damage
-            // promotion will truncate); wait, don't consume.
-            if segment::parse_header(&bytes, pos.segment).is_err() {
-                break;
-            }
-            if pos.offset > bytes.len() as u64 {
+            let len = file.metadata()?.len();
+            if pos.offset > len {
                 // Shorter than bytes we already consumed: the file shrank
                 // under us (a leader recovery truncated its tail). Stay —
                 // the intact prefix we delivered is still a true prefix.
-                break;
+                let reason = format!("segment is {len} bytes, {} were replayed", pos.offset);
+                break (false, damage(pos.segment, len, reason));
             }
-            let scan = record::scan(&bytes, pos.offset as usize);
-            if !scan.payloads.is_empty() {
-                self.records_read += scan.payloads.len() as u64;
-                records.extend(scan.payloads);
-            }
-            pos.offset = scan.good_end as u64;
-            if scan.damage.is_some() {
+            file.seek(SeekFrom::Start(pos.offset))?;
+            let mut bytes = Vec::new();
+            file.read_to_end(&mut bytes)?;
+            let scan = record::scan(&bytes, 0);
+            let delivered = scan.payloads.len() as u64;
+            cur.records_read += delivered;
+            cur.since_restart.0 += delivered;
+            cur.since_restart.1 += scan.good_end as u64;
+            records.extend(scan.payloads);
+            pos.offset += scan.good_end as u64;
+            if let Some(kind) = scan.damage {
                 // Torn tip of a live append, or real damage — from this
                 // side they look identical; stop at the intact prefix.
-                break;
+                break (true, damage(pos.segment, pos.offset, kind.to_string()));
             }
             // Clean to end of file. Advance only if the successor proves
             // this segment was sealed at exactly the length we consumed.
-            let next_path = segment_path(&self.dir, pos.segment + 1);
-            let next_header = match std::fs::read(&next_path) {
-                Ok(bytes) => bytes,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => break,
-                Err(e) => return Err(e.into()),
-            };
-            match segment::parse_header(&next_header, pos.segment + 1) {
-                Ok(prev_len) if prev_len == pos.offset => {
-                    pos = LogPosition {
-                        segment: pos.segment + 1,
-                        offset: SEGMENT_HEADER_BYTES,
-                    };
-                }
+            let next = pos.segment + 1;
+            opened = match open_segment(&cur.dir, next)? {
+                Err(None) => break (true, None),
+                Err(Some(reason)) => break (true, damage(next, 0, reason)),
                 // Sealed longer than our view: the read above was stale;
-                // re-read next poll. Sealed shorter, or a bad header:
-                // chain break — stop at the prefix.
-                _ => break,
-            }
-        }
-        self.pos = Some(pos);
+                // re-read next poll. Sealed shorter: the segment lost a
+                // whole-record tail — what we scanned is still a true
+                // prefix, everything from the successor on is past the gap.
+                Ok((_, sealed)) if sealed != pos.offset => {
+                    let reason = format!(
+                        "sealed segment is {} bytes but successor records {sealed}",
+                        pos.offset
+                    );
+                    break (true, damage(pos.segment, pos.offset.min(sealed), reason));
+                }
+                ok => ok,
+            };
+            pos = first_record(next);
+        };
+        cur.pos = Some(pos);
+        *self = cur;
 
         // Lag watermarks: everything on disk past the cursor.
         let mut bytes_behind = 0u64;
@@ -218,21 +256,45 @@ impl TailCursor {
                 SEGMENT_HEADER_BYTES
             };
             bytes_behind += len.saturating_sub(consumed);
-            let end = LogPosition {
+            leader_position = leader_position.max(LogPosition {
                 segment: seq,
                 offset: len.max(SEGMENT_HEADER_BYTES),
-            };
-            if end > leader_position {
-                leader_position = end;
-            }
+            });
         }
-        Ok(TailPoll {
+        let poll = TailPoll {
             restart,
             records,
             leader_position,
             bytes_behind,
-        })
+        };
+        Ok((poll, in_segment, refused))
     }
+}
+
+/// Where segment `segment`'s first record starts.
+fn first_record(segment: u64) -> LogPosition {
+    LogPosition {
+        segment,
+        offset: SEGMENT_HEADER_BYTES,
+    }
+}
+
+/// Open segment `seq` and check its header: the file, left just past the
+/// header, with the sealed length of the predecessor it records — or why
+/// there is nothing to read (`None`: no such file).
+fn open_segment(dir: &Path, seq: u64) -> Result<Result<(File, u64), Option<String>>, WalError> {
+    let mut file = match File::open(segment_path(dir, seq)) {
+        Ok(file) => file,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Err(None)),
+        Err(e) => return Err(e.into()),
+    };
+    let mut header = Vec::with_capacity(SEGMENT_HEADER_BYTES as usize);
+    (&mut file)
+        .take(SEGMENT_HEADER_BYTES)
+        .read_to_end(&mut header)?;
+    Ok(segment::parse_header(&header, seq)
+        .map(|sealed| (file, sealed))
+        .map_err(Some))
 }
 
 #[cfg(test)]
