@@ -16,9 +16,9 @@ use std::time::Instant;
 
 use anno_bench::{paper_thresholds, paper_workload, sized_workload, time_ms};
 use anno_mine::{
-    apriori, eclat, fpgrowth, mine_generalized, mine_rules, recommend_missing, rules_to_string,
-    score_recommendations, transactions_of, AprioriConfig, CountingStrategy, IncrementalConfig,
-    IncrementalMiner, ItemSet, MiningMode, RuleKind, Thresholds,
+    apriori, eclat, mine_generalized, mine_rules, recommend_missing, rules_to_string,
+    score_recommendations, transactions_of, IncrementalConfig, IncrementalMiner, ItemSet,
+    MiningMode, RuleKind, Thresholds,
 };
 use anno_store::{
     generate, hide_annotations, keyword_rule, random_annotated_tuples, random_annotation_batch,
@@ -178,7 +178,7 @@ fn e2_support_sweep() {
     for &alpha in &[0.5, 0.4, 0.3, 0.25, 0.2, 0.15] {
         let mut itemsets = 0usize;
         let ms = median_ms(3, || {
-            itemsets = apriori(&transactions, alpha, &AprioriConfig::default()).len();
+            itemsets = apriori(&transactions, alpha, MiningMode::Annotated).len();
         });
         println!("    {alpha:>8} {ms:>9.1} ms {itemsets:>12}");
         last = ms;
@@ -219,7 +219,6 @@ fn e3_fig11_semantics() {
             IncrementalConfig {
                 thresholds,
                 retention: 0.4,
-                ..Default::default()
             },
         );
         let before = miner.rules().clone();
@@ -486,62 +485,25 @@ fn e7_exploitation() {
 }
 
 // ---------------------------------------------------------------------
-// E8 — design ablations (hash tree, miners, annotation index).
+// E8 — design ablations (Apriori vs its cross-check, annotation index).
 // ---------------------------------------------------------------------
 fn e8_ablations() {
     banner(
         "E8",
-        "ablations — counting structure, miner choice, annotation index",
+        "ablations — Apriori vs its Eclat cross-check, annotation index",
         "Fig. 3 hash tree; §4.3 annotation index (\"efficiently find all data tuples\")",
     );
     let ds = paper_workload();
     let transactions = transactions_of(&ds.relation, MiningMode::Annotated);
     let alpha = 0.25;
 
-    let tree = median_ms(3, || {
-        apriori(
-            &transactions,
-            alpha,
-            &AprioriConfig {
-                mode: MiningMode::Annotated,
-                counting: CountingStrategy::HashTree,
-                max_len: None,
-            },
-        );
-    });
-    let scan = median_ms(3, || {
-        apriori(
-            &transactions,
-            alpha,
-            &AprioriConfig {
-                mode: MiningMode::Annotated,
-                counting: CountingStrategy::DirectScan,
-                max_len: None,
-            },
-        );
-    });
-    let par = median_ms(3, || {
-        apriori(
-            &transactions,
-            alpha,
-            &AprioriConfig {
-                mode: MiningMode::Annotated,
-                counting: CountingStrategy::ParallelScan,
-                max_len: None,
-            },
-        );
-    });
-    println!(
-        "    counting:  hash tree {tree:>8.1} ms | direct scan {scan:>8.1} ms | parallel scan {par:>8.1} ms"
-    );
-
-    let fp = median_ms(3, || {
-        fpgrowth(&transactions, alpha, MiningMode::Annotated);
+    let ap = median_ms(3, || {
+        apriori(&transactions, alpha, MiningMode::Annotated);
     });
     let ec = median_ms(3, || {
         eclat(&transactions, alpha, MiningMode::Annotated);
     });
-    println!("    miners:    apriori {tree:>8.1} ms | fp-growth {fp:>8.1} ms | eclat {ec:>8.1} ms");
+    println!("    miners:    apriori {ap:>8.1} ms | eclat {ec:>8.1} ms");
 
     // Annotation index vs full scan for the Fig. 13 access pattern.
     let rel = &ds.relation;
@@ -630,7 +592,6 @@ fn e10_retention() {
         let config = IncrementalConfig {
             thresholds: paper_thresholds(),
             retention,
-            ..Default::default()
         };
         let (miner, init_ms) = time_ms(|| IncrementalMiner::mine_initial(&rel, config));
         let mut rel2 = rel.clone();

@@ -1,8 +1,8 @@
 //! Shared workloads and measurement helpers for the benchmark harness.
 //!
-//! Every bench target and the `experiments` binary build their inputs here
-//! so that criterion benches and printed experiment tables measure the
-//! same thing. All workloads are seeded and deterministic.
+//! The `experiments` binary, `profile_case3` and the `service` bench build
+//! their inputs here so that they measure the same thing. All workloads
+//! are seeded and deterministic.
 
 #![forbid(unsafe_code)]
 

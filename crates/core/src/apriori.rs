@@ -2,16 +2,16 @@
 //!
 //! Classic levelwise mining: frequent `k`-itemsets are joined into `(k+1)`-
 //! candidates, candidates whose sub-itemsets are not all frequent are
-//! pruned, and survivors are counted against the transaction list — with a
-//! hash tree (as Fig. 3 prescribes) or by first-item-bucketed direct
-//! scanning (the ablation baseline; see the `counting` bench).
+//! pruned, and survivors are counted against the transaction list with a
+//! hash tree, as Fig. 3 prescribes.
 //!
 //! The paper's modification — "early elimination of any candidate patterns
 //! that didn't include at least one annotation" — is applied through
 //! [`MiningMode`]: candidates that cannot participate in any Definition
 //! 4.2/4.3 rule are dropped *before counting*, while pure-data itemsets are
-//! retained because rule confidence needs them as denominators (see
-//! DESIGN.md decision 3 for why the literal reading is unsound).
+//! retained because rule confidence needs them as denominators: read
+//! literally, the paper's pruning would drop `{x1 … xk}` and leave
+//! `x1 … xk ⇒ a` with no antecedent count to divide by.
 
 use anno_store::fxhash::FxHashSet;
 
@@ -19,47 +19,12 @@ use crate::frequent::{support_count_threshold, FrequentItemsets};
 use crate::hashtree::HashTree;
 use crate::itemset::{ItemSet, MiningMode, Transaction};
 
-/// How candidate supports are counted each level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CountingStrategy {
-    /// Agrawal–Srikant hash tree (the paper's Fig. 3 structure).
-    #[default]
-    HashTree,
-    /// Per-candidate subset scanning, bucketed by first item.
-    DirectScan,
-    /// [`CountingStrategy::DirectScan`] parallelised across transaction
-    /// chunks with scoped threads (support counting is embarrassingly
-    /// parallel: per-chunk counts sum).
-    ParallelScan,
-}
-
-/// Apriori configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct AprioriConfig {
-    /// Admissibility pruning (see [`MiningMode`]).
-    pub mode: MiningMode,
-    /// Candidate counting structure.
-    pub counting: CountingStrategy,
-    /// Optional cap on itemset length (None = unbounded).
-    pub max_len: Option<usize>,
-}
-
-impl Default for AprioriConfig {
-    fn default() -> Self {
-        AprioriConfig {
-            mode: MiningMode::Annotated,
-            counting: CountingStrategy::HashTree,
-            max_len: None,
-        }
-    }
-}
-
 /// Mine all admissible itemsets with support ≥ `min_support` from
 /// `transactions` (each transaction sorted + deduplicated).
 pub fn apriori(
     transactions: &[Transaction],
     min_support: f64,
-    config: &AprioriConfig,
+    mode: MiningMode,
 ) -> FrequentItemsets {
     let db_size = transactions.len() as u64;
     let mut result = FrequentItemsets::new(db_size);
@@ -80,7 +45,7 @@ pub fn apriori(
         .iter()
         .filter(|&(&item, &c)| {
             let (dc, ac) = if item.is_data() { (1, 0) } else { (0, 1) };
-            c >= min_count && config.mode.admits(dc, ac)
+            c >= min_count && mode.admits(dc, ac)
         })
         .map(|(&item, _)| ItemSet::single(item))
         .collect();
@@ -92,18 +57,11 @@ pub fn apriori(
     let mut k = 1usize;
     while !level.is_empty() {
         k += 1;
-        if config.max_len.is_some_and(|m| k > m) {
-            break;
-        }
-        let candidates = generate_candidates(&level, config.mode, &result);
+        let candidates = generate_candidates(&level, mode, &result);
         if candidates.is_empty() {
             break;
         }
-        let counted = match config.counting {
-            CountingStrategy::HashTree => count_hash_tree(candidates, k, transactions),
-            CountingStrategy::DirectScan => count_direct(candidates, transactions),
-            CountingStrategy::ParallelScan => count_parallel(candidates, transactions),
-        };
+        let counted = count_hash_tree(candidates, k, transactions);
         level = counted
             .into_iter()
             .filter(|&(_, c)| c >= min_count)
@@ -171,92 +129,6 @@ fn count_hash_tree(
     tree.into_counts()
 }
 
-/// Count candidates by direct subset checks, bucketed by first item so each
-/// transaction only probes candidates that can possibly match.
-pub fn count_direct(candidates: Vec<ItemSet>, transactions: &[Transaction]) -> Vec<(ItemSet, u64)> {
-    let mut by_first: anno_store::fxhash::FxHashMap<anno_store::Item, Vec<usize>> =
-        Default::default();
-    for (i, c) in candidates.iter().enumerate() {
-        if let Some(&first) = c.items().first() {
-            by_first.entry(first).or_default().push(i);
-        }
-    }
-    let mut counts = vec![0u64; candidates.len()];
-    for t in transactions {
-        for (pos, item) in t.iter().enumerate() {
-            let Some(bucket) = by_first.get(item) else {
-                continue;
-            };
-            for &ci in bucket {
-                if candidates[ci].is_subset_of(&t[pos..]) {
-                    counts[ci] += 1;
-                }
-            }
-        }
-    }
-    candidates.into_iter().zip(counts).collect()
-}
-
-/// Parallel variant of [`count_direct`]: transactions are split into one
-/// chunk per available core and counted with scoped threads; per-chunk
-/// count vectors sum into the result. Falls back to the serial path for
-/// small inputs where spawning would dominate.
-pub fn count_parallel(
-    candidates: Vec<ItemSet>,
-    transactions: &[Transaction],
-) -> Vec<(ItemSet, u64)> {
-    const MIN_PARALLEL_WORK: usize = 4096;
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if threads <= 1 || transactions.len() < MIN_PARALLEL_WORK || candidates.is_empty() {
-        return count_direct(candidates, transactions);
-    }
-    let mut by_first: anno_store::fxhash::FxHashMap<anno_store::Item, Vec<usize>> =
-        Default::default();
-    for (i, c) in candidates.iter().enumerate() {
-        if let Some(&first) = c.items().first() {
-            by_first.entry(first).or_default().push(i);
-        }
-    }
-    let chunk_len = transactions.len().div_ceil(threads);
-    let chunk_counts: Vec<Vec<u64>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = transactions
-            .chunks(chunk_len)
-            .map(|chunk| {
-                let candidates = &candidates;
-                let by_first = &by_first;
-                scope.spawn(move || {
-                    let mut counts = vec![0u64; candidates.len()];
-                    for t in chunk {
-                        for (pos, item) in t.iter().enumerate() {
-                            let Some(bucket) = by_first.get(item) else {
-                                continue;
-                            };
-                            for &ci in bucket {
-                                if candidates[ci].is_subset_of(&t[pos..]) {
-                                    counts[ci] += 1;
-                                }
-                            }
-                        }
-                    }
-                    counts
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // anno-lint: allow(panic-path) -- propagates a counter-thread panic; the closure only counts over immutable slices
-            .map(|h| h.join().expect("counter thread"))
-            .collect()
-    });
-    let mut totals = vec![0u64; candidates.len()];
-    for counts in chunk_counts {
-        for (t, c) in totals.iter_mut().zip(counts) {
-            *t += c;
-        }
-    }
-    candidates.into_iter().zip(totals).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,11 +160,7 @@ mod tests {
 
     #[test]
     fn textbook_example_unrestricted() {
-        let cfg = AprioriConfig {
-            mode: MiningMode::Unrestricted,
-            ..Default::default()
-        };
-        let f = apriori(&classic_db(), 0.5, &cfg);
+        let f = apriori(&classic_db(), 0.5, MiningMode::Unrestricted);
         // Known frequent itemsets at minsup 50% (count ≥ 2):
         // {1}:2 {2}:3 {3}:3 {5}:3 {1,3}:2 {2,3}:2 {2,5}:3 {3,5}:2 {2,3,5}:2
         assert_eq!(f.len(), 9);
@@ -305,116 +173,32 @@ mod tests {
     }
 
     #[test]
-    fn all_counting_strategies_agree() {
-        let db = classic_db();
-        for mode in [MiningMode::Unrestricted, MiningMode::Annotated] {
-            let tree = apriori(
-                &db,
-                0.25,
-                &AprioriConfig {
-                    mode,
-                    counting: CountingStrategy::HashTree,
-                    max_len: None,
-                },
-            );
-            for counting in [CountingStrategy::DirectScan, CountingStrategy::ParallelScan] {
-                let other = apriori(
-                    &db,
-                    0.25,
-                    &AprioriConfig {
-                        mode,
-                        counting,
-                        max_len: None,
-                    },
-                );
-                assert_eq!(tree.sorted(), other.sorted(), "{counting:?} diverges");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_counting_crosses_the_spawn_threshold() {
-        // Large enough to actually run multithreaded.
-        let db: Vec<Transaction> = (0..6000)
-            .map(|i| tx(&[d(i % 7), d(7 + i % 5), d(12 + i % 3)]))
-            .collect();
-        let serial = apriori(
-            &db,
-            0.05,
-            &AprioriConfig {
-                mode: MiningMode::Unrestricted,
-                counting: CountingStrategy::DirectScan,
-                max_len: None,
-            },
-        );
-        let parallel = apriori(
-            &db,
-            0.05,
-            &AprioriConfig {
-                mode: MiningMode::Unrestricted,
-                counting: CountingStrategy::ParallelScan,
-                max_len: None,
-            },
-        );
-        assert_eq!(serial.sorted(), parallel.sorted());
-    }
-
-    #[test]
     fn annotated_mode_prunes_mixed_multi_annotation_itemsets() {
         // Every transaction has data 1,2 and annotations A,B.
         let db: Vec<Transaction> = (0..4).map(|_| tx(&[d(1), d(2), a(1), a(2)])).collect();
-        let f = apriori(&db, 0.5, &AprioriConfig::default());
+        let f = apriori(&db, 0.5, MiningMode::Annotated);
         // Pure data: kept. Data + 1 annotation: kept. Pure annotations: kept.
         assert!(f.contains(&ItemSet::from_unsorted(vec![d(1), d(2)])));
         assert!(f.contains(&ItemSet::from_unsorted(vec![d(1), a(1)])));
         assert!(f.contains(&ItemSet::from_unsorted(vec![a(1), a(2)])));
         // Mixed with ≥2 annotations: pruned.
         assert!(!f.contains(&ItemSet::from_unsorted(vec![d(1), a(1), a(2)])));
-        let unrestricted = apriori(
-            &db,
-            0.5,
-            &AprioriConfig {
-                mode: MiningMode::Unrestricted,
-                ..Default::default()
-            },
-        );
+        let unrestricted = apriori(&db, 0.5, MiningMode::Unrestricted);
         assert!(unrestricted.contains(&ItemSet::from_unsorted(vec![d(1), a(1), a(2)])));
     }
 
     #[test]
     fn data_to_annotation_mode_keeps_pure_data_denominators() {
         let db: Vec<Transaction> = (0..4).map(|_| tx(&[d(1), d(2), a(1), a(2)])).collect();
-        let f = apriori(
-            &db,
-            0.5,
-            &AprioriConfig {
-                mode: MiningMode::DataToAnnotation,
-                ..Default::default()
-            },
-        );
+        let f = apriori(&db, 0.5, MiningMode::DataToAnnotation);
         assert!(f.contains(&ItemSet::from_unsorted(vec![d(1), d(2)])));
         assert!(f.contains(&ItemSet::from_unsorted(vec![d(1), d(2), a(1)])));
         assert!(!f.contains(&ItemSet::from_unsorted(vec![a(1), a(2)])));
     }
 
     #[test]
-    fn max_len_caps_levels() {
-        let f = apriori(
-            &classic_db(),
-            0.5,
-            &AprioriConfig {
-                mode: MiningMode::Unrestricted,
-                counting: CountingStrategy::HashTree,
-                max_len: Some(2),
-            },
-        );
-        assert!(f.iter().all(|(s, _)| s.len() <= 2));
-        assert!(f.contains(&ItemSet::from_unsorted(vec![d(2), d(5)])));
-    }
-
-    #[test]
     fn empty_database_yields_empty_result() {
-        let f = apriori(&[], 0.5, &AprioriConfig::default());
+        let f = apriori(&[], 0.5, MiningMode::Annotated);
         assert!(f.is_empty());
         assert_eq!(f.db_size(), 0);
     }
@@ -422,14 +206,7 @@ mod tests {
     #[test]
     fn min_support_one_requires_every_transaction() {
         let db = classic_db();
-        let f = apriori(
-            &db,
-            1.0,
-            &AprioriConfig {
-                mode: MiningMode::Unrestricted,
-                ..Default::default()
-            },
-        );
+        let f = apriori(&db, 1.0, MiningMode::Unrestricted);
         assert!(f.is_empty(), "no item occurs in all four transactions");
     }
 }

@@ -13,7 +13,7 @@
 //! annomine-checkpoint v1
 //! thresholds <min_support> <min_confidence>
 //! retention <factor>
-//! counting hash_tree|direct_scan|parallel_scan
+//! [counting hash_tree|direct_scan|parallel_scan]
 //! base_size <tuples-at-last-full-mine>
 //! added_since <tuples-added-since>
 //! db_size <current-denominator>
@@ -21,12 +21,15 @@
 //! itemset <count> <raw-item>,...
 //! end
 //! ```
+//!
+//! The `counting` line was written by builds before PR 19, when a full
+//! mine could count candidates three ways; all three produced the same
+//! table, so it is read and ignored, and no longer written.
 
 use std::io::{self, BufRead, Write};
 
 use anno_store::Item;
 
-use crate::apriori::CountingStrategy;
 use crate::frequent::FrequentItemsets;
 use crate::incremental::{IncrementalConfig, IncrementalMiner, MaintenanceStats};
 use crate::itemset::ItemSet;
@@ -42,12 +45,6 @@ impl IncrementalMiner {
             self.config.thresholds.min_support, self.config.thresholds.min_confidence
         )?;
         writeln!(writer, "retention {:?}", self.config.retention)?;
-        let counting = match self.config.counting {
-            CountingStrategy::HashTree => "hash_tree",
-            CountingStrategy::DirectScan => "direct_scan",
-            CountingStrategy::ParallelScan => "parallel_scan",
-        };
-        writeln!(writer, "counting {counting}")?;
         writeln!(writer, "base_size {}", self.base_size)?;
         writeln!(writer, "added_since {}", self.added_since)?;
         writeln!(writer, "db_size {}", self.table.db_size())?;
@@ -98,7 +95,6 @@ impl IncrementalMiner {
         }
         let mut thresholds: Option<Thresholds> = None;
         let mut retention: Option<f64> = None;
-        let mut counting = CountingStrategy::HashTree;
         let mut base_size = 0u64;
         let mut added_since = 0u64;
         let mut db_size = 0u64;
@@ -121,14 +117,10 @@ impl IncrementalMiner {
                     thresholds = Some(Thresholds::new(sup, conf));
                 }
                 Some("retention") => retention = Some(parse_next(&mut parts).map_err(&err)?),
-                Some("counting") => {
-                    counting = match parts.next() {
-                        Some("hash_tree") => CountingStrategy::HashTree,
-                        Some("direct_scan") => CountingStrategy::DirectScan,
-                        Some("parallel_scan") => CountingStrategy::ParallelScan,
-                        other => return Err(err(format!("unknown counting {other:?}"))),
-                    };
-                }
+                Some("counting") => match parts.next() {
+                    Some("hash_tree" | "direct_scan" | "parallel_scan") => {}
+                    other => return Err(err(format!("unknown counting {other:?}"))),
+                },
                 Some("base_size") => base_size = parse_next(&mut parts).map_err(&err)?,
                 Some("added_since") => added_since = parse_next(&mut parts).map_err(&err)?,
                 Some("db_size") => db_size = parse_next(&mut parts).map_err(&err)?,
@@ -172,12 +164,13 @@ impl IncrementalMiner {
         for (itemset, count) in entries {
             table.insert(itemset, count);
         }
+        let config = IncrementalConfig {
+            thresholds,
+            retention,
+        };
+        config.validate()?;
         let mut miner = IncrementalMiner {
-            config: IncrementalConfig {
-                thresholds,
-                retention,
-                counting,
-            },
+            config,
             table,
             valid: RuleSet::new(),
             near: RuleSet::new(),
@@ -255,7 +248,6 @@ mod tests {
             IncrementalConfig {
                 thresholds: Thresholds::new(0.2, 0.6),
                 retention: 0.5,
-                counting: CountingStrategy::HashTree,
             },
         );
         (rel, miner)
@@ -344,6 +336,30 @@ mod tests {
     }
 
     #[test]
+    fn counting_line_of_older_checkpoints_is_read_and_not_rewritten() {
+        let (_, miner) = setup();
+        let text = miner.checkpoint_to_string();
+        assert!(!text.contains("counting"), "{text}");
+        // What builds before PR 19 wrote: the same text with a `counting`
+        // line after `retention`.
+        let with =
+            |value: &str| text.replacen("base_size", &format!("counting {value}\nbase_size"), 1);
+        for value in ["hash_tree", "direct_scan", "parallel_scan"] {
+            let restored = IncrementalMiner::checkpoint_from_string(&with(value)).unwrap();
+            assert_eq!(restored.checkpoint_to_string(), text, "counting {value}");
+        }
+        let err = IncrementalMiner::checkpoint_from_string(&with("bogus")).unwrap_err();
+        assert!(err.contains("unknown counting"), "{err}");
+    }
+
+    #[test]
+    fn zero_retention_in_a_checkpoint_is_an_error_not_a_later_panic() {
+        let zero = "annomine-checkpoint v1\nthresholds 0.4 0.8\nretention 0.0\nend\n";
+        let err = IncrementalMiner::checkpoint_from_string(zero).unwrap_err();
+        assert!(err.contains("(0, 1]"), "{err}");
+    }
+
+    #[test]
     fn float_thresholds_roundtrip_bit_exactly() {
         let ds = generate(&GeneratorConfig::tiny(3));
         let miner = IncrementalMiner::mine_initial(
@@ -351,7 +367,6 @@ mod tests {
             IncrementalConfig {
                 thresholds: Thresholds::new(1.0 / 3.0, 0.755),
                 retention: 0.61803,
-                counting: CountingStrategy::DirectScan,
             },
         );
         let restored =

@@ -1,11 +1,12 @@
 //! Eclat: depth-first vertical mining over tid-bitsets.
 //!
-//! The third independent miner (after Apriori and FP-Growth), used for
-//! cross-checking and as a bench baseline. Each item maps to the bitset of
-//! transaction ids containing it; a pattern's support is the cardinality of
-//! the intersection of its items' bitsets, and the search extends patterns
-//! depth-first with lexicographically larger items. [`MiningMode`]
-//! admissibility prunes branches exactly as in FP-Growth.
+//! The independent cross-check for [`apriori`](crate::apriori::apriori):
+//! nothing serves from it; the differential tests and `experiments` E8
+//! call it. It shares no counting code with the levelwise path — each item
+//! maps to the bitset of transaction ids containing it, a pattern's
+//! support is the cardinality of the intersection of its items' bitsets,
+//! and the search extends patterns depth-first with lexicographically
+//! larger items, pruning branches [`MiningMode`] can no longer admit.
 
 use anno_store::fxhash::FxHashMap;
 use anno_store::{BitSet, Item};
@@ -98,8 +99,7 @@ fn branch_viable(pattern: &ItemSet, mode: MiningMode) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apriori::{apriori, AprioriConfig};
-    use crate::fpgrowth::fpgrowth;
+    use crate::apriori::apriori;
 
     fn d(i: u32) -> Item {
         Item::data(i)
@@ -130,21 +130,8 @@ mod tests {
             MiningMode::AnnotationToAnnotation,
         ] {
             let e = eclat(&db, 0.4, mode);
-            let f = fpgrowth(&db, 0.4, mode);
-            let ap = apriori(
-                &db,
-                0.4,
-                &AprioriConfig {
-                    mode,
-                    ..Default::default()
-                },
-            );
+            let ap = apriori(&db, 0.4, mode);
             assert_eq!(e.sorted(), ap.sorted(), "eclat vs apriori, mode {mode:?}");
-            assert_eq!(
-                f.sorted(),
-                ap.sorted(),
-                "fpgrowth vs apriori, mode {mode:?}"
-            );
         }
     }
 

@@ -5,8 +5,7 @@
 //! transaction item at the current depth into a fixed fan-out; leaves hold
 //! small candidate vectors that are checked by merge-walk. Counting a
 //! transaction visits only the subtrees its own items hash into, which is
-//! the structure's entire point — the `counting` bench compares it against
-//! flat per-candidate scanning.
+//! the structure's entire point.
 
 use anno_store::Item;
 

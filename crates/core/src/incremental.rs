@@ -32,11 +32,16 @@
 //! Deletion — the paper's future work (§6) — is implemented by
 //! [`IncrementalMiner::remove_annotations`] and
 //! [`IncrementalMiner::delete_tuples`] with the same exactness contract.
+//!
+//! All five entry points move the table's counts through one fold
+//! (`fold_delta`): a stored itemset gains or loses one occurrence on a
+//! touched tuple iff it is contained in the tuple's items on the side of
+//! the change that holds the changed items, and contains one of them.
 
 use anno_store::fxhash::{FxHashMap, FxHashSet};
 use anno_store::{AnnotatedRelation, AnnotationDelta, AnnotationUpdate, Item, Tuple, TupleId};
 
-use crate::apriori::{apriori, AprioriConfig, CountingStrategy};
+use crate::apriori::apriori;
 use crate::frequent::{support_count_threshold, FrequentItemsets};
 use crate::itemset::{transactions_of, ItemSet, MiningMode, Transaction};
 use crate::mine::mine_rules;
@@ -52,8 +57,6 @@ pub struct IncrementalConfig {
     /// confidence for candidate rules). Lower retention = bigger table =
     /// larger evolution budget before a fallback re-mine.
     pub retention: f64,
-    /// Counting structure for full mines.
-    pub counting: CountingStrategy,
 }
 
 impl Default for IncrementalConfig {
@@ -61,7 +64,23 @@ impl Default for IncrementalConfig {
         IncrementalConfig {
             thresholds: Thresholds::paper(),
             retention: 0.5,
-            counting: CountingStrategy::HashTree,
+        }
+    }
+}
+
+impl IncrementalConfig {
+    /// Check `retention` is in `(0, 1]`. Every place a configuration
+    /// enters from outside — a client's `open`, a logged `mine` record, a
+    /// checkpoint — calls this, so a bad value is a typed error there and
+    /// never reaches [`IncrementalMiner::mine_initial`]'s assertion.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.retention > 0.0 && self.retention <= 1.0 {
+            Ok(())
+        } else {
+            Err(format!(
+                "retention must be in (0, 1], got {}",
+                self.retention
+            ))
         }
     }
 }
@@ -91,8 +110,8 @@ impl DiscoveryTouch {
         !self.all && self.items.is_empty() && self.new_pairs.is_empty()
     }
 
-    /// Record the annotation-like items of one transaction.
-    fn note_transaction(&mut self, items: &[Item]) {
+    /// Record the annotation-like items among `items`.
+    fn note_items(&mut self, items: &[Item]) {
         self.items
             .extend(items.iter().copied().filter(|i| i.is_annotation_like()));
     }
@@ -154,12 +173,12 @@ pub struct IncrementalMiner {
 }
 
 impl IncrementalMiner {
-    /// Mine `relation` from scratch and set up incremental state.
+    /// Mine `relation` from scratch and set up incremental state. Panics
+    /// if `config` fails [`IncrementalConfig::validate`].
     pub fn mine_initial(relation: &AnnotatedRelation, config: IncrementalConfig) -> Self {
-        assert!(
-            config.retention > 0.0 && config.retention <= 1.0,
-            "retention must be in (0, 1]"
-        );
+        if let Err(msg) = config.validate() {
+            panic!("{msg}");
+        }
         let mut miner = IncrementalMiner {
             config,
             table: FrequentItemsets::new(0),
@@ -208,9 +227,9 @@ impl IncrementalMiner {
         self.config.thresholds
     }
 
-    /// The full incremental configuration (thresholds, retention,
-    /// counting strategy) — used by serving layers that re-publish the
-    /// miner's state alongside its parameters.
+    /// The full incremental configuration (thresholds, retention) — used
+    /// by serving layers that re-publish the miner's state alongside its
+    /// parameters.
     pub fn config(&self) -> IncrementalConfig {
         self.config
     }
@@ -271,9 +290,6 @@ impl IncrementalMiner {
         tuples: Vec<Tuple>,
     ) -> Vec<TupleId> {
         let transactions: Vec<Transaction> = tuples.iter().map(|t| Box::from(t.items())).collect();
-        for t in &transactions {
-            self.touches.note_transaction(t);
-        }
         let tids = relation.extend(tuples);
         self.added_since += tids.len() as u64;
         let new_size = relation.len() as u64;
@@ -281,12 +297,9 @@ impl IncrementalMiner {
             self.full_remine(relation);
             return tids;
         }
-        // Delta-only count update: each retained itemset gains exactly its
-        // occurrences among the new tuples.
-        let increments = count_itemsets_in(&self.table, &transactions);
-        for (s, inc) in increments {
-            self.table.add_count(&s, inc);
-        }
+        // Each retained itemset gains exactly its occurrences among the
+        // new tuples.
+        self.fold_delta(Sign::Gain, transactions.iter().map(|t| (&t[..], &t[..])));
         self.table.set_db_size(new_size);
         self.rederive();
         tids
@@ -321,27 +334,22 @@ impl IncrementalMiner {
         added_per_tuple.sort_unstable_by_key(|&(tid, _)| tid);
 
         // Fig. 12 — update retained itemsets by scanning only the newly
-        // annotated tuples. An itemset's count changed iff it contains one
-        // of the tuple's fresh annotations and matches the tuple now. One
-        // bucketed matching pass over the touched tuples finds, per tuple,
-        // every table itemset it contains.
-        let keys: Vec<ItemSet> = self.table.iter().map(|(s, _)| s.clone()).collect();
-        let by_first = bucket_by_first_item(&keys);
-        for (tid, fresh) in &added_per_tuple {
-            let tuple = relation.tuple(*tid).expect("delta tuple is live");
-            for idx in matching_indices(&keys, &by_first, tuple.items()) {
-                if fresh.iter().any(|a| keys[idx].contains(*a)) {
-                    self.table.add_count(&keys[idx], 1);
-                }
-            }
-        }
+        // annotated tuples: an itemset's count grew iff it matches the
+        // tuple now and contains one of the tuple's fresh annotations.
+        let touched: Vec<(&[Item], &[Item])> = added_per_tuple
+            .iter()
+            .map(|(tid, fresh)| {
+                let tuple = relation.tuple(*tid).expect("delta tuple is live");
+                (tuple.items(), &fresh[..])
+            })
+            .collect();
+        self.fold_delta(Sign::Gain, touched.iter().copied());
 
         // Fig. 13 Step 1 precondition — the per-annotation frequency table:
         // singleton counts come exactly from the inverted index.
         let retention_min = self.retention_min_count();
         let mut anns_sorted: Vec<Item> = delta.distinct_annotations();
         anns_sorted.sort_unstable();
-        self.touches.items.extend(anns_sorted.iter().copied());
         for &a in &anns_sorted {
             let freq = relation.index().frequency(a) as u64;
             let single = ItemSet::single(a);
@@ -377,9 +385,8 @@ impl IncrementalMiner {
                 .collect();
             let by_first = bucket_by_first_item(&keys);
             let mut seeds_per_ann: FxHashMap<Item, FxHashSet<usize>> = FxHashMap::default();
-            for (tid, fresh) in &added_per_tuple {
-                let tuple = relation.tuple(*tid).expect("delta tuple is live");
-                for idx in matching_indices(&keys, &by_first, tuple.items()) {
+            for &(items, fresh) in &touched {
+                for idx in matching_indices(&keys, &by_first, items) {
                     for &a in fresh {
                         if !keys[idx].contains(a) {
                             seeds_per_ann.entry(a).or_default().insert(idx);
@@ -469,7 +476,6 @@ impl IncrementalMiner {
         updates: &[AnnotationUpdate],
     ) -> usize {
         let mut removed_per_tuple: FxHashMap<TupleId, Vec<Item>> = FxHashMap::default();
-        let mut removed_anns: FxHashSet<Item> = FxHashSet::default();
         let mut effective = 0usize;
         for u in updates {
             if relation.remove_annotation(u.tuple, u.annotation) {
@@ -477,7 +483,6 @@ impl IncrementalMiner {
                     .entry(u.tuple)
                     .or_default()
                     .push(u.annotation);
-                removed_anns.insert(u.annotation);
                 effective += 1;
             }
         }
@@ -485,37 +490,20 @@ impl IncrementalMiner {
             return 0;
         }
         self.stats.deletion_batches += 1;
-        self.touches.items.extend(removed_anns.iter().copied());
 
         // Mirror image of the Fig. 12 update: an itemset lost a match on a
-        // touched tuple iff it contains a removed annotation and matched
-        // the tuple's pre-removal state (current items ∪ removed items).
-        let candidates: Vec<ItemSet> = self
-            .table
+        // touched tuple iff it matched the tuple's pre-removal state
+        // (current items ∪ removed items) and contains a removed annotation.
+        let touched: Vec<(Vec<Item>, &[Item])> = removed_per_tuple
             .iter()
-            .filter(|(s, _)| s.annotation_part().iter().any(|x| removed_anns.contains(x)))
-            .map(|(s, _)| s.clone())
-            .collect();
-        for s in &candidates {
-            let mut dec = 0u64;
-            for (&tid, removed) in &removed_per_tuple {
-                let lost = removed.iter().any(|x| s.contains(*x));
-                if !lost {
-                    continue;
-                }
+            .map(|(&tid, removed)| {
                 let tuple = relation.tuple(tid).expect("touched tuple is live");
-                let matched_before = s
-                    .items()
-                    .iter()
-                    .all(|i| tuple.contains(*i) || removed.contains(i));
-                if matched_before {
-                    dec += 1;
-                }
-            }
-            if dec > 0 {
-                self.table.sub_count(s, dec);
-            }
-        }
+                let mut before = [tuple.items(), removed].concat();
+                before.sort_unstable();
+                (before, &removed[..])
+            })
+            .collect();
+        self.fold_delta(Sign::Loss, touched.iter().map(|(b, r)| (&b[..], *r)));
         self.rederive();
         effective
     }
@@ -539,19 +527,16 @@ impl IncrementalMiner {
             return 0;
         }
         self.stats.deletion_batches += 1;
-        for t in &deleted_transactions {
-            self.touches.note_transaction(t);
-        }
         let new_size = relation.len() as u64;
         if !self.budget_ok_with(self.added_since, new_size) {
             let n = deleted_transactions.len();
             self.full_remine(relation);
             return n;
         }
-        let decrements = count_itemsets_in(&self.table, &deleted_transactions);
-        for (s, dec) in decrements {
-            self.table.sub_count(&s, dec);
-        }
+        self.fold_delta(
+            Sign::Loss,
+            deleted_transactions.iter().map(|t| (&t[..], &t[..])),
+        );
         self.table.set_db_size(new_size);
         self.rederive();
         deleted_transactions.len()
@@ -589,18 +574,41 @@ impl IncrementalMiner {
         retained_min_then - 1 + added < current_min
     }
 
+    /// §4.3's count update, written once for all five entry points. Each
+    /// touched tuple arrives as `(side, changed)`: `changed` are the items
+    /// the batch gave to or took from it, `side` its sorted items on the
+    /// side of the change that holds them (after a gain, before a loss; a
+    /// whole inserted or deleted tuple is both). A stored itemset moves by
+    /// one occurrence on that tuple iff it is contained in `side` and
+    /// contains one of `changed`. The whole batch has one `sign`.
+    fn fold_delta<'a>(
+        &mut self,
+        sign: Sign,
+        touched: impl Iterator<Item = (&'a [Item], &'a [Item])>,
+    ) {
+        let keys: Vec<ItemSet> = self.table.iter().map(|(s, _)| s.clone()).collect();
+        let by_first = bucket_by_first_item(&keys);
+        let mut moved = vec![0u64; keys.len()];
+        for (side, changed) in touched {
+            self.touches.note_items(changed);
+            for idx in matching_indices(&keys, &by_first, side) {
+                if keys[idx].items().iter().any(|i| changed.contains(i)) {
+                    moved[idx] += 1;
+                }
+            }
+        }
+        for (s, n) in keys.iter().zip(moved).filter(|&(_, n)| n > 0) {
+            match sign {
+                Sign::Gain => self.table.add_count(s, n),
+                Sign::Loss => self.table.sub_count(s, n),
+            }
+        }
+    }
+
     fn full_remine(&mut self, relation: &AnnotatedRelation) {
         let transactions = transactions_of(relation, MiningMode::Annotated);
         let retained_support = self.config.thresholds.min_support * self.config.retention;
-        self.table = apriori(
-            &transactions,
-            retained_support,
-            &AprioriConfig {
-                mode: MiningMode::Annotated,
-                counting: self.config.counting,
-                max_len: None,
-            },
-        );
+        self.table = apriori(&transactions, retained_support, MiningMode::Annotated);
         self.base_size = relation.len() as u64;
         self.added_since = 0;
         self.stats.full_remines += 1;
@@ -617,9 +625,12 @@ impl IncrementalMiner {
     }
 }
 
-/// Count how many of `transactions` each stored itemset matches, bucketed
-/// by first item so each transaction probes only plausible itemsets.
-/// Returns only itemsets with non-zero matches.
+/// Which way a maintenance batch moves the counts it touches.
+enum Sign {
+    Gain,
+    Loss,
+}
+
 /// Group itemset indices by their first item, for prefix-probed matching.
 fn bucket_by_first_item(keys: &[ItemSet]) -> FxHashMap<Item, Vec<usize>> {
     let mut by_first: FxHashMap<Item, Vec<usize>> = FxHashMap::default();
@@ -652,26 +663,6 @@ fn matching_indices(
     out
 }
 
-/// Count how many of `transactions` each stored itemset matches. Returns
-/// only itemsets with non-zero matches.
-fn count_itemsets_in(
-    table: &FrequentItemsets,
-    transactions: &[Transaction],
-) -> Vec<(ItemSet, u64)> {
-    let keys: Vec<ItemSet> = table.iter().map(|(s, _)| s.clone()).collect();
-    let by_first = bucket_by_first_item(&keys);
-    let mut counts = vec![0u64; keys.len()];
-    for t in transactions {
-        for idx in matching_indices(&keys, &by_first, t) {
-            counts[idx] += 1;
-        }
-    }
-    keys.into_iter()
-        .zip(counts)
-        .filter(|&(_, c)| c > 0)
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -683,7 +674,6 @@ mod tests {
         IncrementalConfig {
             thresholds: Thresholds::new(alpha, beta),
             retention,
-            counting: CountingStrategy::HashTree,
         }
     }
 

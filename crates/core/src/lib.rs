@@ -6,10 +6,11 @@
 //! substrate:
 //!
 //! * **Discovery** (paper §3–4): the Apriori algorithm with annotation-
-//!   aware pruning ([`apriori`]), two independent cross-check miners
-//!   ([`fpgrowth`], [`eclat`]), and rule derivation for the paper's two
-//!   shapes — data-to-annotation (`x1 … xk ⇒ a`) and
-//!   annotation-to-annotation (`a1 … ak ⇒ a`) — in [`rules`] and [`mine`].
+//!   aware pruning ([`apriori`]) is the one full-mine path; [`eclat`] is
+//!   the independent vertical miner the tests cross-check it against. Rule
+//!   derivation for the paper's two shapes — data-to-annotation
+//!   (`x1 … xk ⇒ a`) and annotation-to-annotation (`a1 … ak ⇒ a`) — is in
+//!   [`rules`] and [`mine`].
 //!   Generalization-based correlations (§4.1) mine the taxonomy-extended
 //!   database via [`mine::mine_generalized`].
 //! * **Incremental maintenance** (§4.3, the paper's main focus): the
@@ -55,7 +56,6 @@
 pub mod apriori;
 pub mod checkpoint;
 pub mod eclat;
-pub mod fpgrowth;
 pub mod frequent;
 pub mod hashtree;
 pub mod incremental;
@@ -67,16 +67,15 @@ pub mod rules;
 pub mod summary;
 pub mod triggers;
 
-pub use apriori::{apriori, count_direct, generate_candidates, AprioriConfig, CountingStrategy};
+pub use apriori::{apriori, generate_candidates};
 pub use eclat::eclat;
-pub use fpgrowth::fpgrowth;
 pub use frequent::{support_count_threshold, FrequentItemsets};
 pub use hashtree::HashTree;
 pub use incremental::{DiscoveryTouch, IncrementalConfig, IncrementalMiner, MaintenanceStats};
 pub use itemset::{transactions_of, ItemSet, MiningMode, Transaction};
 pub use mine::{
     mine_annotation_to_annotation, mine_data_to_annotation, mine_generalized, mine_rules,
-    mine_with, MineResult, Miner,
+    mine_with, MineResult,
 };
 pub use recommend::{
     recommend_for_tuples, recommend_missing, score_recommendations, PredictionQuality,
@@ -93,7 +92,7 @@ pub use triggers::CurationSession;
 pub mod prelude {
     pub use crate::incremental::{IncrementalConfig, IncrementalMiner};
     pub use crate::itemset::{ItemSet, MiningMode};
-    pub use crate::mine::{mine_generalized, mine_rules, mine_with, Miner};
+    pub use crate::mine::{mine_generalized, mine_rules, mine_with};
     pub use crate::recommend::{recommend_missing, score_recommendations};
     pub use crate::rules::{AssociationRule, RuleKind, RuleSet, Thresholds};
     pub use crate::triggers::CurationSession;

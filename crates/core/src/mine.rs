@@ -1,33 +1,17 @@
 //! Top-level batch mining entry points (the paper's menu options 1 and 2).
 //!
-//! These wrap transaction projection, a frequent-itemset miner, and rule
-//! derivation into the operations the paper's application exposes:
-//! discovering data-to-annotation rules, annotation-to-annotation rules, or
-//! both, optionally through a generalization taxonomy (§4.1) with
-//! multi-level hierarchies.
+//! These wrap transaction projection, Apriori, and rule derivation into
+//! the operations the paper's application exposes: discovering
+//! data-to-annotation rules, annotation-to-annotation rules, or both,
+//! optionally through a generalization taxonomy (§4.1) with multi-level
+//! hierarchies.
 
 use anno_store::{AnnotatedRelation, Taxonomy};
 
-use crate::apriori::{apriori, AprioriConfig, CountingStrategy};
+use crate::apriori::apriori;
 use crate::frequent::FrequentItemsets;
 use crate::itemset::{transactions_of, MiningMode};
 use crate::rules::{derive_rules, RuleKind, RuleSet, Thresholds};
-
-/// Which frequent-itemset algorithm to run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Miner {
-    /// Apriori with a hash tree (the paper's algorithm).
-    #[default]
-    Apriori,
-    /// Apriori counting by bucketed direct scans.
-    AprioriDirectScan,
-    /// Apriori with multi-threaded scan counting.
-    AprioriParallel,
-    /// FP-Growth.
-    FpGrowth,
-    /// Eclat.
-    Eclat,
-}
 
 /// The result of a batch mine: the itemset table and the derived rules.
 #[derive(Debug, Clone)]
@@ -38,62 +22,26 @@ pub struct MineResult {
     pub rules: RuleSet,
 }
 
-/// Mine `relation` under `mode` with the chosen `miner`.
+/// Mine `relation` under `mode` with the paper's Apriori.
 pub fn mine_with(
     relation: &AnnotatedRelation,
     thresholds: &Thresholds,
     mode: MiningMode,
-    miner: Miner,
 ) -> MineResult {
     let transactions = transactions_of(relation, mode);
-    let itemsets = match miner {
-        Miner::Apriori => apriori(
-            &transactions,
-            thresholds.min_support,
-            &AprioriConfig {
-                mode,
-                counting: CountingStrategy::HashTree,
-                max_len: None,
-            },
-        ),
-        Miner::AprioriDirectScan => apriori(
-            &transactions,
-            thresholds.min_support,
-            &AprioriConfig {
-                mode,
-                counting: CountingStrategy::DirectScan,
-                max_len: None,
-            },
-        ),
-        Miner::AprioriParallel => apriori(
-            &transactions,
-            thresholds.min_support,
-            &AprioriConfig {
-                mode,
-                counting: CountingStrategy::ParallelScan,
-                max_len: None,
-            },
-        ),
-        Miner::FpGrowth => crate::fpgrowth::fpgrowth(&transactions, thresholds.min_support, mode),
-        Miner::Eclat => crate::eclat::eclat(&transactions, thresholds.min_support, mode),
-    };
+    let itemsets = apriori(&transactions, thresholds.min_support, mode);
     let rules = derive_rules(&itemsets, thresholds);
     MineResult { itemsets, rules }
 }
 
 /// Discover both rule shapes with the paper's Apriori (menu options 1+2).
 pub fn mine_rules(relation: &AnnotatedRelation, thresholds: &Thresholds) -> RuleSet {
-    mine_with(relation, thresholds, MiningMode::Annotated, Miner::Apriori).rules
+    mine_with(relation, thresholds, MiningMode::Annotated).rules
 }
 
 /// Discover only data-to-annotation rules (Definition 4.2; menu option 1).
 pub fn mine_data_to_annotation(relation: &AnnotatedRelation, thresholds: &Thresholds) -> RuleSet {
-    let r = mine_with(
-        relation,
-        thresholds,
-        MiningMode::DataToAnnotation,
-        Miner::Apriori,
-    );
+    let r = mine_with(relation, thresholds, MiningMode::DataToAnnotation);
     RuleSet::from_rules(
         r.rules
             .of_kind(RuleKind::DataToAnnotation)
@@ -108,13 +56,7 @@ pub fn mine_annotation_to_annotation(
     relation: &AnnotatedRelation,
     thresholds: &Thresholds,
 ) -> RuleSet {
-    mine_with(
-        relation,
-        thresholds,
-        MiningMode::AnnotationToAnnotation,
-        Miner::Apriori,
-    )
-    .rules
+    mine_with(relation, thresholds, MiningMode::AnnotationToAnnotation).rules
 }
 
 /// Generalization-based correlation discovery (§4.1): extend the relation
@@ -209,25 +151,6 @@ mod tests {
             .collect();
         assert!(RuleSet::from_rules(joint_d2a).identical_to(&d2a));
         assert!(RuleSet::from_rules(joint_a2a).identical_to(&a2a));
-    }
-
-    #[test]
-    fn all_miners_produce_identical_rules() {
-        let rel = demo_relation();
-        let thresholds = Thresholds::new(0.25, 0.7);
-        let reference = mine_with(&rel, &thresholds, MiningMode::Annotated, Miner::Apriori);
-        for miner in [
-            Miner::AprioriDirectScan,
-            Miner::AprioriParallel,
-            Miner::FpGrowth,
-            Miner::Eclat,
-        ] {
-            let other = mine_with(&rel, &thresholds, MiningMode::Annotated, miner);
-            assert!(
-                reference.rules.identical_to(&other.rules),
-                "{miner:?} diverges from Apriori"
-            );
-        }
     }
 
     #[test]

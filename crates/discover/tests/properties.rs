@@ -67,7 +67,6 @@ proptest! {
             IncrementalConfig {
                 thresholds: Thresholds::new(alpha, 0.6),
                 retention,
-                ..Default::default()
             },
         );
         let mut index = DiscoveryIndex::new();

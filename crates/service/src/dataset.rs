@@ -291,7 +291,8 @@ impl Dataset {
     }
 
     /// Shared constructor: publish recovered state (if mined) and start
-    /// the owner thread.
+    /// the owner thread. A configuration the miner would refuse is refused
+    /// here, before there is an owner thread for a later `mine` to panic.
     fn boot(
         name: &str,
         config: IncrementalConfig,
@@ -300,6 +301,7 @@ impl Dataset {
         publish_seed: u64,
         options: &DurabilityOptions,
     ) -> Result<Dataset, ServiceError> {
+        config.validate().map_err(ServiceError::BadCommand)?;
         let inner = Arc::new(Inner {
             name: name.to_string(),
             queue: Mutex::new(QueueState::default()),
@@ -842,6 +844,18 @@ mod tests {
         ))
         .unwrap();
         ds
+    }
+
+    #[test]
+    fn spawn_refuses_a_retention_the_miner_would_assert_on() {
+        let zero = IncrementalConfig {
+            retention: 0.0,
+            ..config()
+        };
+        match Dataset::spawn("db", zero) {
+            Err(ServiceError::BadCommand(msg)) => assert!(msg.contains("(0, 1]"), "{msg}"),
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
     }
 
     #[test]

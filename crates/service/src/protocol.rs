@@ -240,7 +240,7 @@ impl Engine {
     }
 
     fn open(&self, args: &[&str]) -> Result<Reply, ServiceError> {
-        let usage = "open <dataset> [<alpha> <beta> [<retention>]] [dir <path>] \
+        let usage = "open <dataset> [<alpha> <beta> [<retention in (0, 1]>]] [dir <path>] \
                      [auto_checkpoint <bytes=N|records=N|secs=N>...] [sync grouped|per_append]";
         let (name, rest) = args.split_first().ok_or_else(|| bad(usage))?;
         let is_open_keyword = |t: &str| {
@@ -932,7 +932,8 @@ fn help() -> Reply {
         "datasets".into(),
         "open <ds> [<alpha> <beta> [<retention>]] [dir <path>]".into(),
         "     [auto_checkpoint <bytes=N|records=N|secs=N>...] [sync grouped|per_append]".into(),
-        "  (dir makes the dataset durable: drains are write-ahead logged and".into(),
+        "  (alpha and beta in [0, 1], retention in (0, 1];".into(),
+        "   dir makes the dataset durable: drains are write-ahead logged and".into(),
         "   existing state under <path> is recovered before serving;".into(),
         "   auto_checkpoint makes the writer checkpoint itself once the log".into(),
         "   grows past a threshold; sync grouped — the default — batches".into(),
@@ -1253,6 +1254,31 @@ mod tests {
     }
 
     #[test]
+    fn open_refuses_zero_retention_and_leaves_the_directory_openable() {
+        // Were `retention 0` admitted, `mine` would log it and then panic
+        // the owner thread, now and on every later open of the directory.
+        let dir = std::env::temp_dir().join(format!("anno-protocol-ret0-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_tok = dir.to_str().unwrap().to_string();
+        let e = engine();
+        for line in [
+            "open db 0.4 0.7 0".to_string(),
+            format!("open db 0.4 0.7 0 dir {dir_tok}"),
+        ] {
+            let reply = e.execute(&line).lines;
+            assert!(
+                reply[0].starts_with("ERR") && reply[0].contains("(0, 1]"),
+                "{reply:?}"
+            );
+        }
+        ok(&e, &format!("open db 0.4 0.7 1 dir {dir_tok}"));
+        ok(&e, "row db 28 85 Annot_1");
+        ok(&e, "mine db");
+        ok(&e, "drop db");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn digit_named_annotations_stay_queryable() {
         // `annotate` accepts any name, including digit-only ones that the
         // Fig. 4 convention would read as data values. Queries must fall
@@ -1450,7 +1476,9 @@ mod tests {
         ok(&e, "rules db");
 
         // `events db`: recovery is journaled at open; the auto-checkpoint
-        // policy (records=2) fired during the flushed row stream.
+        // policy (records=2) fired during the flushed row stream, and is
+        // journaled when its encoder thread finishes.
+        e.service().get("db").unwrap().quiesce_maintenance();
         let events = ok(&e, "events db");
         assert!(events.iter().any(|l| l.contains("recovery")), "{events:?}");
         assert!(

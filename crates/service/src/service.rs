@@ -11,7 +11,6 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use anno_metrics::{windowed_rate, Event, EventJournal, Histogram, HistogramSnapshot, Ring};
-use anno_mine::{CountingStrategy, IncrementalConfig, Thresholds};
 use anno_wal::{GroupCommitStats, GroupCommitter, SyncPolicy, WalObserver, WalOptions};
 
 use crate::dataset::{Dataset, DurabilityOptions};
@@ -30,33 +29,10 @@ const WINDOW_MS: u64 = 60_000;
 /// Service maintenance events retained (group-commit windows, lifecycle).
 const SERVICE_JOURNAL_CAPACITY: usize = 512;
 
-/// Per-dataset mining configuration, with serving-friendly defaults.
-#[derive(Debug, Clone, Copy)]
-pub struct ServiceConfig {
-    /// Minimum support / confidence (α, β). Default: the paper's 0.4/0.8.
-    pub thresholds: Thresholds,
-    /// Retention factor for the near-threshold candidate store.
-    pub retention: f64,
-}
-
-impl Default for ServiceConfig {
-    fn default() -> Self {
-        ServiceConfig {
-            thresholds: Thresholds::paper(),
-            retention: 0.5,
-        }
-    }
-}
-
-impl From<ServiceConfig> for IncrementalConfig {
-    fn from(cfg: ServiceConfig) -> IncrementalConfig {
-        IncrementalConfig {
-            thresholds: cfg.thresholds,
-            retention: cfg.retention,
-            counting: CountingStrategy::HashTree,
-        }
-    }
-}
+/// Per-dataset mining configuration: the miner's own, under the name the
+/// serving API has always used (defaults: the paper's α = 0.4, β = 0.8,
+/// retention 0.5).
+pub type ServiceConfig = anno_mine::IncrementalConfig;
 
 /// One row of the `datasets` listing.
 #[derive(Debug, Clone, PartialEq)]
@@ -245,7 +221,7 @@ impl Service {
         if map.contains_key(name) {
             return Err(ServiceError::DatasetExists(name.to_string()));
         }
-        let ds = Arc::new(Dataset::spawn(name, config.into())?);
+        let ds = Arc::new(Dataset::spawn(name, config)?);
         map.insert(name.to_string(), Arc::clone(&ds));
         drop(map);
         drop(opening);
@@ -326,7 +302,7 @@ impl Service {
             }
             opening.insert(name.to_string());
         }
-        let opened = Dataset::open_with(name, config.into(), dir, options);
+        let opened = Dataset::open_with(name, config, dir, options);
         // Release the reservation and (on success) publish, atomically
         // with respect to other create/open calls on this name.
         let mut opening = self.opening.lock().expect("opening lock");
@@ -365,7 +341,7 @@ impl Service {
             }
             opening.insert(name.to_string());
         }
-        let attached = Dataset::follow(name, config.into(), dir, poll);
+        let attached = Dataset::follow(name, config, dir, poll);
         let mut opening = self.opening.lock().expect("opening lock");
         opening.remove(name);
         let ds = Arc::new(attached?);

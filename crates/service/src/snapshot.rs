@@ -110,8 +110,8 @@ impl RuleSnapshot {
     }
 
     /// The full mining configuration the publishing miner ran with
-    /// (thresholds, retention, counting strategy) — the parameters a
-    /// client needs to interpret [`RuleSnapshot::candidates`].
+    /// (thresholds, retention) — the parameters a client needs to
+    /// interpret [`RuleSnapshot::candidates`].
     pub fn config(&self) -> IncrementalConfig {
         self.config
     }

@@ -23,7 +23,7 @@
 //! Decoding is defensive — a hostile or bit-rotted payload yields an
 //! `Err`, never a panic or an unbounded allocation.
 
-use anno_mine::{CountingStrategy, IncrementalConfig, Thresholds};
+use anno_mine::{IncrementalConfig, Thresholds};
 use anno_store::{AnnotationUpdate, Item, Tuple, TupleId};
 
 use crate::queue::UpdateOp;
@@ -59,18 +59,16 @@ pub(crate) fn encode_drain(ops: &[UpdateOp]) -> Vec<u8> {
     out
 }
 
-/// Serialize one mine record.
+/// Serialize one mine record. The trailing byte is reserved: builds
+/// before PR 19 wrote a counting-strategy tag there (0, 1 or 2) and refuse
+/// a record without it, so it stays, as `0`.
 pub(crate) fn encode_mine(config: &IncrementalConfig) -> Vec<u8> {
     let mut out = Vec::new();
     out.push(KIND_MINE);
     put_u64(&mut out, config.thresholds.min_support.to_bits());
     put_u64(&mut out, config.thresholds.min_confidence.to_bits());
     put_u64(&mut out, config.retention.to_bits());
-    out.push(match config.counting {
-        CountingStrategy::HashTree => 0,
-        CountingStrategy::DirectScan => 1,
-        CountingStrategy::ParallelScan => 2,
-    });
+    out.push(0);
     out
 }
 
@@ -88,9 +86,9 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<WalRecord, String> {
         }
         KIND_MINE => {
             // Range-check before constructing: `Thresholds::new` asserts
-            // its fractions, so an out-of-range (or NaN) value from a
-            // CRC-coincident corruption or crafted file must surface as
-            // `Err`, never a panic.
+            // its fractions and the miner its retention, so an
+            // out-of-range (or NaN) value from a CRC-coincident corruption
+            // or crafted file must surface as `Err`, never a panic.
             let fraction = |x: f64, what: &str| {
                 if x.is_finite() && (0.0..=1.0).contains(&x) {
                     Ok(x)
@@ -100,18 +98,19 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<WalRecord, String> {
             };
             let min_support = fraction(f64::from_bits(cur.u64()?), "min_support")?;
             let min_confidence = fraction(f64::from_bits(cur.u64()?), "min_confidence")?;
-            let retention = fraction(f64::from_bits(cur.u64()?), "retention")?;
-            let counting = match cur.u8()? {
-                0 => CountingStrategy::HashTree,
-                1 => CountingStrategy::DirectScan,
-                2 => CountingStrategy::ParallelScan,
+            let retention = f64::from_bits(cur.u64()?);
+            // The reserved byte: the three strategies old builds tagged
+            // here produced identical tables, so the value is not kept.
+            match cur.u8()? {
+                0..=2 => {}
                 other => return Err(format!("unknown counting strategy tag {other}")),
-            };
-            WalRecord::Mine(IncrementalConfig {
+            }
+            let config = IncrementalConfig {
                 thresholds: Thresholds::new(min_support, min_confidence),
                 retention,
-                counting,
-            })
+            };
+            config.validate()?;
+            WalRecord::Mine(config)
         }
         other => return Err(format!("unknown wal record kind {other}")),
     };
@@ -440,7 +439,6 @@ mod tests {
         let config = IncrementalConfig {
             thresholds: Thresholds::new(1.0 / 3.0, 0.755),
             retention: 0.61803,
-            counting: CountingStrategy::DirectScan,
         };
         let bytes = encode_mine(&config);
         match decode(&bytes).unwrap() {
@@ -448,10 +446,36 @@ mod tests {
                 assert_eq!(back.thresholds.min_support, 1.0 / 3.0);
                 assert_eq!(back.thresholds.min_confidence, 0.755);
                 assert_eq!(back.retention, 0.61803);
-                assert!(matches!(back.counting, CountingStrategy::DirectScan));
             }
             other => panic!("wrong kind: {other:?}"),
         }
+    }
+
+    #[test]
+    fn mine_record_bytes_are_the_ones_every_build_wrote() {
+        // Copied from the encoder before the counting knob left the
+        // config (kind, α, β, retention bits, strategy tag 0 = hash tree,
+        // the only value serving ever wrote).
+        let parent: &[u8] = b"\x01\x9a\x99\x99\x99\x99\x99\xd9\x3f\x9a\x99\x99\x99\x99\x99\xe9\x3f\
+                              \x00\x00\x00\x00\x00\x00\xe0\x3f\x00";
+        assert_eq!(encode_mine(&IncrementalConfig::default()), parent);
+    }
+
+    #[test]
+    fn mine_records_decode_whatever_an_old_build_tagged() {
+        let written = encode_mine(&IncrementalConfig::default());
+        let tag = written.len() - 1;
+        for old in [0u8, 1, 2] {
+            let mut bytes = written.clone();
+            bytes[tag] = old;
+            match decode(&bytes).unwrap() {
+                WalRecord::Mine(back) => assert_eq!(encode_mine(&back), written),
+                other => panic!("wrong kind: {other:?}"),
+            }
+        }
+        let mut bytes = written;
+        bytes[tag] = 3;
+        assert!(decode(&bytes).unwrap_err().contains("counting strategy"));
     }
 
     #[test]
@@ -525,5 +549,14 @@ mod tests {
         let mut mine = encode_mine(&IncrementalConfig::default());
         mine[17..25].copy_from_slice(&2.5f64.to_bits().to_le_bytes());
         assert!(decode(&mine).is_err());
+    }
+
+    #[test]
+    fn mine_record_with_zero_retention_is_an_error() {
+        // 0.0 is a fraction but not a retention: the miner would assert
+        // on it when the record is re-applied.
+        let mut mine = encode_mine(&IncrementalConfig::default());
+        mine[17..25].copy_from_slice(&0.0f64.to_bits().to_le_bytes());
+        assert!(decode(&mine).unwrap_err().contains("(0, 1]"));
     }
 }

@@ -15,8 +15,9 @@
 //!   the annotation inverted index, generalization taxonomies, the paper's
 //!   text formats, reproducible synthetic workloads, and a provenance-
 //!   propagating relational algebra.
-//! * [`mine`] — the paper's contribution: Apriori/FP-Growth/Eclat mining of
-//!   data-to-annotation and annotation-to-annotation rules, the
+//! * [`mine`] — the paper's contribution: Apriori mining of
+//!   data-to-annotation and annotation-to-annotation rules (with Eclat as
+//!   the tests' independent cross-check), the
 //!   [`IncrementalMiner`](mine::IncrementalMiner) covering all three
 //!   evolution cases of §4.3 (plus deletion, the paper's future work), and
 //!   the §5 recommendation/trigger layer.

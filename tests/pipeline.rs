@@ -4,8 +4,8 @@
 //! incremental state never diverges.
 
 use annomine::mine::{
-    mine_rules, recommend_missing, score_recommendations, IncrementalConfig, IncrementalMiner,
-    ItemSet, Miner, MiningMode, Thresholds,
+    derive_rules, eclat, mine_rules, mine_with, recommend_missing, score_recommendations,
+    transactions_of, IncrementalConfig, IncrementalMiner, ItemSet, MiningMode, Thresholds,
 };
 use annomine::store::{
     generate, hide_annotations, random_annotation_batch, GeneratorConfig, TupleId,
@@ -38,20 +38,16 @@ fn planted_rules_are_recovered_by_mining() {
 
 #[test]
 fn all_four_miners_agree_on_generated_data() {
+    // Apriori, the one full-mine path, against Eclat, its cross-check.
     let ds = generate(&GeneratorConfig::tiny(77));
     let thresholds = Thresholds::new(0.2, 0.6);
-    let reference = annomine::mine::mine_with(
-        &ds.relation,
-        &thresholds,
-        MiningMode::Annotated,
-        Miner::Apriori,
-    );
-    for miner in [Miner::AprioriDirectScan, Miner::FpGrowth, Miner::Eclat] {
-        let other =
-            annomine::mine::mine_with(&ds.relation, &thresholds, MiningMode::Annotated, miner);
-        assert_eq!(reference.itemsets.sorted(), other.itemsets.sorted());
-        assert!(reference.rules.identical_to(&other.rules));
-    }
+    let reference = mine_with(&ds.relation, &thresholds, MiningMode::Annotated);
+    let transactions = transactions_of(&ds.relation, MiningMode::Annotated);
+    let other = eclat(&transactions, thresholds.min_support, MiningMode::Annotated);
+    assert_eq!(reference.itemsets.sorted(), other.sorted());
+    assert!(reference
+        .rules
+        .identical_to(&derive_rules(&other, &thresholds)));
 }
 
 #[test]
@@ -63,7 +59,6 @@ fn long_mixed_workload_never_diverges() {
         IncrementalConfig {
             thresholds: Thresholds::new(0.2, 0.6),
             retention: 0.5,
-            ..Default::default()
         },
     );
     let mut rng = StdRng::seed_from_u64(404);
@@ -132,7 +127,6 @@ fn candidate_rules_sit_strictly_between_thresholds() {
         IncrementalConfig {
             thresholds,
             retention: 0.5,
-            ..Default::default()
         },
     );
     for rule in miner.candidate_rules().rules() {

@@ -3,7 +3,7 @@
 //! bag-semantics annotation computed by the K-relation algebra, and
 //! polynomial provenance factors through every concrete semiring.
 
-use annomine::mine::{mine_with, ItemSet, Miner, MiningMode, Thresholds};
+use annomine::mine::{mine_with, ItemSet, MiningMode, Thresholds};
 use annomine::semiring::prelude::*;
 use annomine::store::{generate, GeneratorConfig, Item, KRelation};
 
@@ -11,12 +11,7 @@ use annomine::store::{generate, GeneratorConfig, Item, KRelation};
 fn miner_counts_match_bag_semantics_queries() {
     let ds = generate(&GeneratorConfig::tiny(9));
     let rel = &ds.relation;
-    let result = mine_with(
-        rel,
-        &Thresholds::new(0.1, 0.0),
-        MiningMode::Annotated,
-        Miner::Apriori,
-    );
+    let result = mine_with(rel, &Thresholds::new(0.1, 0.0), MiningMode::Annotated);
 
     // For each frequent singleton data value, the miner's count must equal
     // the multiplicity computed by a bag-semantics selection query.
@@ -80,19 +75,9 @@ fn mining_the_same_relation_is_stable_across_algebra_views() {
     // Building K-relations from an annotated relation must not disturb it.
     let ds = generate(&GeneratorConfig::tiny(12));
     let rel = ds.relation;
-    let before = mine_with(
-        &rel,
-        &Thresholds::new(0.2, 0.6),
-        MiningMode::Annotated,
-        Miner::Apriori,
-    );
+    let before = mine_with(&rel, &Thresholds::new(0.2, 0.6), MiningMode::Annotated);
     let _k: KRelation<Lineage> = KRelation::from_annotated(&rel, 2, &|v| Lineage::var(v));
-    let after = mine_with(
-        &rel,
-        &Thresholds::new(0.2, 0.6),
-        MiningMode::Annotated,
-        Miner::Apriori,
-    );
+    let after = mine_with(&rel, &Thresholds::new(0.2, 0.6), MiningMode::Annotated);
     assert!(before.rules.identical_to(&after.rules));
     let _ = ItemSet::empty();
 }
