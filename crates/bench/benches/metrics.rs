@@ -5,24 +5,26 @@
 //! root):
 //!
 //! * **Recording overhead** — one `Histogram::record` (two relaxed
-//!   `fetch_add`s after a log-linear bucket index) and one `Gauge::set`
-//!   in a tight loop (batches of 64 per timed iteration, so the clock
-//!   read does not drown the operation), single-threaded and with 4
-//!   contending threads. The acceptance bar is <30 ns per record: cheap
+//!   `fetch_add`s after a log-linear bucket index) in a tight loop
+//!   (batches of 64 per timed iteration, so the clock read does not
+//!   drown the operation), single-threaded and with 4 contending
+//!   threads. The acceptance bar is <30 ns per record: cheap
 //!   enough to leave on in every writer drain and query.
 //! * **Snapshot cost** — freezing one 496-bucket histogram into a
 //!   [`HistogramSnapshot`], the unit of work a scrape pays per series.
-//! * **Scrape cost** — `render_prometheus` against a service holding 8
-//!   mined datasets with recorded traffic: the full text exposition a
-//!   `GET /metrics` poll renders, per-dataset histograms, quantiles and
-//!   windowed rates included.
+//! * **Scrape cost** — `render_prometheus` against a service holding 8,
+//!   then 50, mined datasets with recorded traffic and a **full** sample
+//!   ring (the state a daemon is in a minute after boot): the full text
+//!   exposition a `GET /metrics` poll renders, per-dataset histograms,
+//!   quantiles and windowed rates included. The two sizes together show
+//!   whether a scrape is linear in datasets.
 //!
 //! Set `ANNO_BENCH_QUICK=1` (the CI bench smoke gate does) to shrink
 //! sizes so every group still runs end to end in seconds.
 
 use std::sync::Arc;
 
-use anno_metrics::{Gauge, Histogram};
+use anno_metrics::Histogram;
 use anno_mine::Thresholds;
 use anno_service::{render_prometheus, Engine, Service, ServiceConfig, UpdateOp};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
@@ -48,17 +50,6 @@ fn record_overhead(c: &mut Criterion) {
                 // branch-predicted into a single bucket.
                 value = value.wrapping_mul(6364136223846793005).wrapping_add(1);
                 hist.record(black_box(value >> 40));
-            }
-        })
-    });
-
-    let gauge = Gauge::new();
-    let mut depth = 0u64;
-    group.bench_function("gauge_set_x64", |b| {
-        b.iter(|| {
-            for _ in 0..64 {
-                depth = (depth + 7) % 1024;
-                gauge.set(black_box(depth));
             }
         })
     });
@@ -110,13 +101,16 @@ fn row(i: usize) -> String {
     }
 }
 
-fn scrape_cost(c: &mut Criterion) {
-    const DATASETS: usize = 8;
-    let tuples = if quick() { 200 } else { 2000 };
+/// The sample ring's capacity: a scrape walks the whole window, so the
+/// bench fills it before timing.
+const RING_SAMPLES: usize = 600;
 
+/// A service holding `datasets` mined datasets with recorded query
+/// traffic and a full sample ring.
+fn loaded_service(datasets: usize, tuples: usize) -> Arc<Service> {
     let service = Arc::new(Service::new());
     let engine = Engine::new(Arc::clone(&service));
-    for d in 0..DATASETS {
+    for d in 0..datasets {
         let ds = service
             .create(
                 &format!("ds{d}"),
@@ -130,29 +124,35 @@ fn scrape_cost(c: &mut Criterion) {
             .unwrap();
         ds.flush().unwrap();
         ds.mine().unwrap();
-        // Populate the query/drain histograms and the ring so the scrape
-        // renders realistic series, windowed rates included.
+        // Populate the query/drain histograms so the scrape renders
+        // realistic series.
         for _ in 0..32 {
             let reply = engine.execute(&format!("rules ds{d} top 5"));
             assert!(reply.lines[0].starts_with("OK"), "{:?}", reply.lines);
         }
     }
-    service.sample_now();
-    std::thread::sleep(std::time::Duration::from_millis(5));
-    service.sample_now();
+    for _ in 0..RING_SAMPLES {
+        service.sample_now();
+    }
+    service
+}
 
+fn scrape_cost(c: &mut Criterion) {
+    let tuples = if quick() { 200 } else { 2000 };
     let mut group = c.benchmark_group("metrics_scrape");
     group.sample_size(if quick() { 10 } else { 30 });
-    group.bench_function("render_prometheus_8ds", |b| {
-        b.iter(|| black_box(render_prometheus(&service).len()))
-    });
-
-    let text = render_prometheus(&service);
-    eprintln!(
-        "metrics_scrape: exposition is {} bytes, {} lines at {DATASETS} datasets",
-        text.len(),
-        text.lines().count()
-    );
+    for datasets in [8, 50] {
+        let service = loaded_service(datasets, tuples);
+        group.bench_function(format!("render_prometheus_{datasets}ds"), |b| {
+            b.iter(|| black_box(render_prometheus(&service).len()))
+        });
+        let text = render_prometheus(&service);
+        eprintln!(
+            "metrics_scrape: exposition is {} bytes, {} lines at {datasets} datasets",
+            text.len(),
+            text.lines().count()
+        );
+    }
     group.finish();
 }
 

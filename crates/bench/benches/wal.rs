@@ -154,8 +154,9 @@ fn durable_drain_latency(c: &mut Criterion) {
 /// 8 concurrent durable tenants, each streaming paced effective
 /// single-annotation drains, then one flush barrier per tenant — once
 /// with per-dataset fsync (every drain pays its own), once through one
-/// shared `GroupCommitter` with a 4 ms sync window (drains pipeline
-/// behind the window and every dirty file is synced once per window).
+/// shared `GroupCommitter`, the committer `Service::group_committer`
+/// runs (drains pipeline behind the fsync in progress and every dirty
+/// file is synced once per window).
 /// Alongside the criterion wall time per round, each mode prints its
 /// measured `fsyncs_per_drain` — the number `BENCH_wal.json` records.
 fn group_commit_throughput(c: &mut Criterion) {
@@ -168,7 +169,7 @@ fn group_commit_throughput(c: &mut Criterion) {
     group.sample_size(10);
     for mode in ["per_dataset", "grouped"] {
         // Declared before the datasets so it outlives their WALs.
-        let committer = Arc::new(GroupCommitter::with_window(Duration::from_millis(4)));
+        let committer = Arc::new(GroupCommitter::new());
         let dirs: Vec<PathBuf> = (0..tenants)
             .map(|i| bench_dir(&format!("group-{mode}-{i}")))
             .collect();

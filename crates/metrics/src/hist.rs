@@ -103,7 +103,8 @@ impl Histogram {
 }
 
 /// A frozen copy of a [`Histogram`]; all statistics read from here.
-#[derive(Debug, Clone)]
+/// The default is the snapshot of a histogram nothing was recorded in.
+#[derive(Debug, Clone, Default)]
 pub struct HistogramSnapshot {
     counts: Vec<u64>,
     count: u64,

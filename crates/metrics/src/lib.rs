@@ -5,34 +5,37 @@
 //! handful of relaxed atomic adds, no locks, no allocation), while the
 //! *reading* side — snapshots, quantiles, windowed rates, exposition
 //! text — pays its costs on the rare scrape, never on the recording
-//! thread. Four primitives cover the serving layer's needs:
+//! thread. Three primitives cover the serving layer's needs:
 //!
 //! * [`Histogram`] — a fixed array of relaxed `AtomicU64` buckets with
 //!   log-linear widths: exact below 16, then 8 sub-buckets per power of
 //!   two (≤ 12.5 % relative error) up to `u64::MAX`. Recording is two
 //!   relaxed `fetch_add`s; p50/p90/p99/max come from a frozen
 //!   [`HistogramSnapshot`].
-//! * [`Gauge`] — a point-in-time level (queue depth, segment count).
 //! * [`Ring`] — a fixed-capacity time-series ring a sampler thread
 //!   pushes counter snapshots into every N ms, turning lifetime sums
-//!   into windowed rates ("drains/s over the last minute").
+//!   into windowed rates ("drains/s over the last minute"); a reader
+//!   walks the window once under the ring's lock ([`Ring::scan`]) and
+//!   keeps only what it needs — the endpoints, for a rate.
 //! * [`EventJournal`] — a bounded journal of rare maintenance events
 //!   (auto-checkpoint fired, recovery truncated a tail, …), each with a
 //!   monotonic sequence number and coarse wall-clock timestamp.
 //!
+//! Levels (queue depth, segment count, replication lag) are not a
+//! primitive here: the serving layer reads them where they already live
+//! — the queue, the published status — instead of mirroring them.
+//!
 //! The crate is dependency-free and knows nothing about datasets, WALs,
 //! or wire formats; the serving layer composes these into its metric
-//! registry and renders them for exposition.
+//! table and renders them for exposition.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod gauge;
 pub mod hist;
 pub mod journal;
 pub mod ring;
 
-pub use gauge::Gauge;
 pub use hist::{Histogram, HistogramSnapshot, BUCKETS};
 pub use journal::{Event, EventJournal};
 pub use ring::{windowed_rate, Ring};

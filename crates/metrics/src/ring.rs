@@ -3,9 +3,9 @@
 //! A sampler thread calls [`Ring::push`] every N ms with a snapshot of
 //! whatever counters it watches; the ring keeps the most recent
 //! `capacity` samples, each stamped with milliseconds since the ring
-//! was created. Readers pull a recent window and turn two lifetime
-//! counter readings into a rate — the only way to answer "drains per
-//! second *right now*" from monotone sums.
+//! was created. Readers walk a recent window ([`Ring::scan`]) and turn
+//! two lifetime counter readings into a rate — the only way to answer
+//! "drains per second *right now*" from monotone sums.
 //!
 //! The ring is mutex-guarded rather than lock-free: it is touched a few
 //! times per second by one sampler and rarely by scrapes, never by the
@@ -52,15 +52,23 @@ impl<T: Clone> Ring<T> {
         at
     }
 
-    /// Samples from the trailing `window_ms`, oldest first.
-    pub fn window(&self, window_ms: u64) -> Vec<(u64, T)> {
+    /// Visit the samples of the trailing `window_ms`, oldest first, in
+    /// one pass under the ring's lock and without cloning any: a reader
+    /// that rates a window needs its endpoints, not a copy of it. `visit`
+    /// must not call back into this ring.
+    pub fn scan(&self, window_ms: u64, mut visit: impl FnMut(u64, &T)) {
         let cutoff = self.now_ms().saturating_sub(window_ms);
         let samples = self.samples.lock().expect("ring lock");
-        samples
-            .iter()
-            .filter(|(at, _)| *at >= cutoff)
-            .cloned()
-            .collect()
+        for (at, sample) in samples.iter().filter(|(at, _)| *at >= cutoff) {
+            visit(*at, sample);
+        }
+    }
+
+    /// Samples from the trailing `window_ms`, oldest first, cloned out.
+    pub fn window(&self, window_ms: u64) -> Vec<(u64, T)> {
+        let mut out = Vec::new();
+        self.scan(window_ms, |at, sample| out.push((at, sample.clone())));
+        out
     }
 
     /// The most recent sample, if any.

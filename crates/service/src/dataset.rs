@@ -48,10 +48,7 @@ use anno_discover::DiscoverySnapshot;
 use anno_metrics::{Event, EventJournal};
 use anno_mine::IncrementalConfig;
 use anno_store::ItemKind;
-use anno_wal::{
-    CheckpointPolicy, GroupCommitStats, LogPosition, SyncPolicy, TailCursor, Wal, WalOptions,
-    WalStats,
-};
+use anno_wal::{CheckpointPolicy, LogPosition, SyncPolicy, TailCursor, Wal, WalOptions, WalStats};
 
 use crate::apply::{WriteState, MAX_PIPELINED_ACKS};
 use crate::error::ServiceError;
@@ -150,6 +147,13 @@ pub(crate) struct Status {
     pub config: IncrementalConfig,
     /// Live tuple count.
     pub tuples: usize,
+    /// Relation segments.
+    pub segments: usize,
+    /// Vocabulary chunks.
+    pub vocab_chunks: usize,
+    /// Cost of the most recent incremental discovery refresh (ns; 0
+    /// until the first one).
+    pub discover_last_update_ns: u64,
     /// The write-ahead log, when this dataset owns one. `None` for
     /// memory-only datasets *and* for followers — a follower replays
     /// somebody else's log.
@@ -426,7 +430,6 @@ impl Dataset {
     fn admit(&self, q: &mut QueueState, op: UpdateOp) -> u64 {
         self.inner.metrics.record_enqueue(op.len() as u64);
         q.pending_updates += op.len();
-        self.inner.metrics.set_queue_depth(q.pending_updates as u64);
         q.pending.push(op);
         q.enqueued += 1;
         self.inner.queue_cv.notify_all();
@@ -472,12 +475,10 @@ impl Dataset {
     }
 
     /// Reclassify the tenant (protocol verb `class <ds>
-    /// interactive|bulk`); mirrored to the `anno_admission_bulk_class`
-    /// gauge so dashboards can slice queue depth by class.
+    /// interactive|bulk`); `anno_admission_bulk_class` reports it, so
+    /// dashboards can slice queue depth by class.
     pub fn set_qos_class(&self, class: QosClass) {
-        let mut q = self.inner.queue.lock().expect("queue lock");
-        q.class = class;
-        self.inner.metrics.set_qos_bulk(class == QosClass::Bulk);
+        self.inner.queue.lock().expect("queue lock").class = class;
     }
 
     /// Test hook: while paused the owner leaves its mailbox untouched, so
@@ -609,26 +610,11 @@ impl Dataset {
         self.published().status.wal.as_ref().map(|wal| wal.stats)
     }
 
-    /// The automatic checkpoint policy this dataset runs under (disabled
-    /// for memory-only datasets and durable opens without one).
-    pub fn auto_checkpoint_policy(&self) -> CheckpointPolicy {
-        self.published().status.auto_checkpoint
-    }
-
     /// Short label of the WAL's sync policy (`per_append`, `none`,
     /// `grouped`), if the dataset is durable.
     pub fn sync_policy_label(&self) -> Option<&'static str> {
         let published = self.published();
         published.status.wal.as_ref().map(|wal| wal.sync.label())
-    }
-
-    /// Counters of the shared group committer, when this dataset's log
-    /// syncs through one. Process-wide numbers: every tenant sharing the
-    /// committer contributes to them — that sharing is the point.
-    pub fn group_commit_stats(&self) -> Option<GroupCommitStats> {
-        let published = self.published();
-        let wal = published.status.wal.as_ref()?;
-        wal.sync.committer().map(|c| c.stats())
     }
 
     /// Take a durability checkpoint: drain the queue, persist the
@@ -669,10 +655,54 @@ impl Dataset {
         self.inner.metrics.report()
     }
 
-    /// Everything the exposition endpoint needs, frozen at one instant:
-    /// counters, histogram snapshots, and gauge levels.
+    /// Everything this dataset reports, frozen once: the queue's levels
+    /// (one lock, released before anything else is touched), what the
+    /// owner last published (one pointer clone), then the counters and
+    /// histogram snapshots. `stats`, `metrics` and `GET /metrics` are
+    /// renderings of this value.
     pub fn observability(&self) -> DatasetObs {
-        self.inner.metrics.observe()
+        self.freeze().0
+    }
+
+    /// [`Dataset::observability`], plus the publication its levels were
+    /// read from — for `stats <ds>`, which also prints facts that are
+    /// not metrics (thresholds, miner cases, the log position) and must
+    /// print them from the same instant.
+    pub(crate) fn freeze(&self) -> (DatasetObs, Arc<Published>) {
+        let (queue_depth, unacked_drains, queue_cap, class) = {
+            let q = self.inner.queue.lock().expect("queue lock");
+            (q.pending_updates, q.unacked, q.cap_updates, q.class)
+        };
+        let published = self.published();
+        let status = &published.status;
+        let wal_backlog_bytes = (status.wal.as_ref()).map_or(0, |w| w.stats.since_checkpoint_bytes);
+        // A leader has no tailing progress, whatever it was before.
+        let lag = status.replication.as_ref();
+        let discovery = published.discovery.as_deref();
+        let obs = DatasetObs {
+            events_total: self.events_total(),
+            queue_depth: queue_depth as u64,
+            unacked_drains: unacked_drains as u64,
+            queue_cap: queue_cap as u64,
+            qos_bulk: class == QosClass::Bulk,
+            mined: published.rules.is_some(),
+            live_tuples: status.tuples as u64,
+            segments: status.segments as u64,
+            vocab_chunks: status.vocab_chunks as u64,
+            wal_backlog_bytes,
+            discover_pairs_tracked: discovery.map_or(0, |d| d.pairs_tracked),
+            discover_topk_cross: discovery.map_or(0, |d| d.cross.len() as u64),
+            discover_topk_within: discovery.map_or(0, |d| d.within.len() as u64),
+            discover_last_update_ns: status.discover_last_update_ns,
+            follower: lag.is_some(),
+            repl_applied_seq: lag.map_or(0, |r| r.applied_seq),
+            repl_leader_seq: lag.map_or(0, |r| r.leader_seq),
+            repl_bytes_behind: lag.map_or(0, |r| r.bytes_behind),
+            repl_records_applied: lag.map_or(0, |r| r.records_applied),
+            repl_restarts: lag.map_or(0, |r| r.restarts),
+            ..self.inner.metrics.observe()
+        };
+        (obs, published)
     }
 
     /// The most recent `n` maintenance events, oldest first.

@@ -1,436 +1,138 @@
-//! Prometheus text exposition: every dataset's counters, gauges, and
-//! histograms plus the service-level committer stats, rendered in the
-//! `text/plain; version=0.0.4` format any Prometheus-compatible scraper
-//! ingests.
+//! Prometheus text exposition: the frozen [`ServiceView`] written out in
+//! the `text/plain; version=0.0.4` format any Prometheus-compatible
+//! scraper ingests. This is one of the two writers over the metric table
+//! in `metrics.rs` (the other is `stats`' `key=value` line): it knows the
+//! format, the table knows the metrics.
 //!
 //! Rendering is **metric-major**: one `# HELP`/`# TYPE` header per
 //! family, then one series line per dataset (`{dataset="…"}`), which is
 //! the shape the format requires (a family's series must be contiguous).
 //! Histograms render their nonzero cumulative buckets plus the `+Inf`
 //! bound, `_sum`, and `_count`; the derived quantiles (p50/p90/p99/max)
-//! are exposed as separate gauge families with a `quantile` label rather
-//! than mixed into the histogram family, which would be invalid
-//! exposition. Everything is computed from frozen
-//! [`DatasetObs`](crate::metrics::DatasetObs) snapshots, so one scrape
-//! line never mixes two instants of the same dataset.
+//! are exposed as a separate `_quantile` gauge family with a `quantile`
+//! label rather than mixed into the histogram family, which would be
+//! invalid exposition. Everything is computed from one frozen view, so a
+//! scrape never mixes two instants of the same dataset.
 
-use std::fmt::Write as _;
-use std::sync::Arc;
+use std::fmt::{Display, Write as _};
 
 use anno_metrics::HistogramSnapshot;
 
-use crate::dataset::Dataset;
-use crate::metrics::DatasetObs;
-use crate::service::Service;
-
-/// One dataset's frozen contribution to a scrape.
-struct Row {
-    label: String,
-    obs: DatasetObs,
-    live_tuples: u64,
-    events_total: u64,
-    windowed: Option<crate::service::WindowedRates>,
-}
+use crate::metrics::{COUNTERS, HISTOGRAMS, LEVELS, RATES};
+use crate::service::{Service, ServiceView};
 
 /// Render the whole service in Prometheus text exposition format.
 pub fn render_prometheus(service: &Service) -> String {
-    let datasets: Vec<Arc<Dataset>> = service.all();
-    let rows: Vec<Row> = datasets
-        .iter()
-        .map(|ds| Row {
-            label: escape_label(ds.name()),
-            obs: ds.observability(),
-            live_tuples: ds.live_tuples() as u64,
-            events_total: ds.events_total(),
-            windowed: service.windowed(ds.name()),
-        })
-        .collect();
+    write_exposition(&service.observe())
+}
 
+fn write_exposition(service: &ServiceView) -> String {
     let mut out = String::with_capacity(16 * 1024);
+    let labels: Vec<String> = (service.datasets.iter())
+        .map(|ds| format!("dataset=\"{}\"", escape_label(&ds.name)))
+        .collect();
+    let datasets = || service.datasets.iter().zip(&labels);
 
-    type Get = fn(&Row) -> u64;
-    let counters: &[(&str, &str, Get)] = &[
-        (
-            "anno_rule_queries_total",
-            "Rule-listing/filtering queries served.",
-            |r| r.obs.report.rule_queries,
-        ),
-        (
-            "anno_recommend_queries_total",
-            "Recommendation queries served.",
-            |r| r.obs.report.recommend_queries,
-        ),
-        (
-            "anno_snapshot_reads_total",
-            "Snapshot pointer clones handed to readers.",
-            |r| r.obs.report.snapshot_reads,
-        ),
-        (
-            "anno_ops_enqueued_total",
-            "Ops accepted by the write queue.",
-            |r| r.obs.report.ops_enqueued,
-        ),
-        (
-            "anno_updates_enqueued_total",
-            "Individual updates accepted by the write queue.",
-            |r| r.obs.report.updates_enqueued,
-        ),
-        (
-            "anno_drains_total",
-            "Coalesced write passes the writer completed.",
-            |r| r.obs.report.drains,
-        ),
-        (
-            "anno_batches_applied_total",
-            "Maintenance batches actually applied.",
-            |r| r.obs.report.batches_applied,
-        ),
-        (
-            "anno_ops_coalesced_total",
-            "Ops folded into a neighbouring batch.",
-            |r| r.obs.report.ops_coalesced,
-        ),
-        (
-            "anno_snapshots_published_total",
-            "Snapshots atomically published.",
-            |r| r.obs.report.snapshots_published,
-        ),
-        ("anno_flushes_total", "Flush barriers awaited.", |r| {
-            r.obs.report.flushes
-        }),
-        (
-            "anno_checkpoints_total",
-            "Durability checkpoints taken.",
-            |r| r.obs.report.checkpoints,
-        ),
-        (
-            "anno_auto_checkpoints_total",
-            "Checkpoints the maintenance policy fired by itself.",
-            |r| r.obs.report.auto_checkpoints,
-        ),
-        (
-            "anno_wal_fsyncs_total",
-            "fsyncs issued by the dataset's own log.",
-            |r| r.obs.report.wal_fsyncs,
-        ),
-        (
-            "anno_discover_queries_total",
-            "Discovery (correlation top-k) queries served.",
-            |r| r.obs.report.discover_queries,
-        ),
-        (
-            "anno_name_cache_hits_total",
-            "Protocol name resolutions answered by the lookaside cache.",
-            |r| r.obs.report.name_cache_hits,
-        ),
-        (
-            "anno_name_cache_misses_total",
-            "Protocol name resolutions that fell through to the vocabulary.",
-            |r| r.obs.report.name_cache_misses,
-        ),
-        (
-            "anno_admission_shed_ops_total",
-            "Writes refused with the Overloaded soft error by admission control.",
-            |r| r.obs.report.admission_shed,
-        ),
-        (
-            "anno_admission_backpressure_stalls_total",
-            "Connection read suspensions the sharded front end applied.",
-            |r| r.obs.report.backpressure_stalls,
-        ),
-        (
-            "anno_events_total",
-            "Maintenance journal events recorded.",
-            |r| r.events_total,
-        ),
-    ];
-    for (name, help, get) in counters {
-        family(&mut out, name, help, "counter");
-        for row in &rows {
-            let _ = writeln!(out, "{name}{{dataset=\"{}\"}} {}", row.label, get(row));
+    for row in COUNTERS {
+        let Some(name) = row.family else { continue };
+        family(&mut out, name, row.help, "counter");
+        for (ds, labels) in datasets() {
+            series(&mut out, name, labels, (row.get)(&ds.obs.report));
         }
     }
-
-    let gauges: &[(&str, &str, Get)] = &[
-        (
-            "anno_write_queue_depth",
-            "Pending individual updates in the write queue.",
-            |r| r.obs.queue_depth,
-        ),
-        (
-            "anno_unacked_drains",
-            "Applied-but-unacked pipelined drains.",
-            |r| r.obs.unacked_drains,
-        ),
-        (
-            "anno_store_segments",
-            "Relation segments as of the last drain.",
-            |r| r.obs.segments,
-        ),
-        (
-            "anno_vocab_chunks",
-            "Vocabulary chunks as of the last drain.",
-            |r| r.obs.vocab_chunks,
-        ),
-        (
-            "anno_wal_since_checkpoint_bytes",
-            "Log bytes accumulated since the last checkpoint.",
-            |r| r.obs.wal_backlog_bytes,
-        ),
-        (
-            "anno_live_tuples",
-            "Live tuples as of the last drain.",
-            |r| r.live_tuples,
-        ),
-        (
-            "anno_replication_follower",
-            "1 while the dataset is a read-only follower replica.",
-            |r| u64::from(r.obs.follower),
-        ),
-        (
-            "anno_replication_applied_seq",
-            "Leader log segment the follower has applied up to.",
-            |r| r.obs.repl_applied_seq,
-        ),
-        (
-            "anno_replication_leader_seq",
-            "Highest segment seen in the leader's log directory.",
-            |r| r.obs.repl_leader_seq,
-        ),
-        (
-            "anno_replication_bytes_behind",
-            "On-disk leader log bytes not yet applied by the follower.",
-            |r| r.obs.repl_bytes_behind,
-        ),
-        (
-            "anno_replication_records_applied",
-            "Shipped log records the follower has applied since attach.",
-            |r| r.obs.repl_records_applied,
-        ),
-        (
-            "anno_replication_restarts",
-            "Checkpoint restarts the follower's tail cursor performed.",
-            |r| r.obs.repl_restarts,
-        ),
-        (
-            "anno_discover_pairs_tracked",
-            "Annotation pairs the discovery index tracks.",
-            |r| r.obs.discover_pairs_tracked,
-        ),
-        (
-            "anno_discover_topk_cross",
-            "Entries in the published cross-namespace discovery top-k.",
-            |r| r.obs.discover_topk_cross,
-        ),
-        (
-            "anno_discover_topk_within",
-            "Entries in the published within-namespace discovery top-k.",
-            |r| r.obs.discover_topk_within,
-        ),
-        (
-            "anno_discover_last_update_ns",
-            "Cost of the most recent incremental discovery refresh.",
-            |r| r.obs.discover_last_update_ns,
-        ),
-    ];
-    for (name, help, get) in gauges {
-        family(&mut out, name, help, "gauge");
-        for row in &rows {
-            let _ = writeln!(out, "{name}{{dataset=\"{}\"}} {}", row.label, get(row));
+    for row in LEVELS {
+        family(&mut out, row.family, row.help, row.typ);
+        for (ds, labels) in datasets() {
+            let value = (row.get)(&ds.obs);
+            if row.by_class {
+                let class = ds.obs.qos_class().label();
+                let labels = format!("{labels},class=\"{class}\"");
+                series(&mut out, row.family, &labels, value);
+            } else {
+                series(&mut out, row.family, labels, value);
+            }
         }
     }
-
-    // Queue depth again, labelled by the tenant's QoS class, so
-    // dashboards can tell interactive saturation from bulk saturation
-    // without joining against the class gauge.
-    family(
-        &mut out,
-        "anno_admission_queue_depth",
-        "Pending individual updates, labelled by the tenant's QoS class.",
-        "gauge",
-    );
-    for row in &rows {
-        let class = if row.obs.qos_bulk {
-            "bulk"
-        } else {
-            "interactive"
-        };
-        let _ = writeln!(
-            out,
-            "anno_admission_queue_depth{{dataset=\"{}\",class=\"{class}\"}} {}",
-            row.label, row.obs.queue_depth
-        );
+    for row in HISTOGRAMS {
+        let snapshots: Vec<_> = datasets()
+            .map(|(ds, labels)| (labels.as_str(), (row.get)(&ds.obs)))
+            .collect();
+        histogram(&mut out, row.family, row.help, &snapshots);
     }
-    family(
-        &mut out,
-        "anno_admission_bulk_class",
-        "1 while the tenant's QoS class is bulk.",
-        "gauge",
-    );
-    for row in &rows {
-        let _ = writeln!(
-            out,
-            "anno_admission_bulk_class{{dataset=\"{}\"}} {}",
-            row.label,
-            u64::from(row.obs.qos_bulk)
-        );
-    }
-
-    type GetHist = fn(&Row) -> &HistogramSnapshot;
-    let hists: &[(&str, &str, GetHist)] = &[
-        (
-            "anno_query_latency_ns",
-            "Rule + recommend query latency.",
-            |r| &r.obs.query_latency,
-        ),
-        (
-            "anno_drain_latency_ns",
-            "Drain apply+publish latency.",
-            |r| &r.obs.drain_latency,
-        ),
-        (
-            "anno_drain_batch_updates",
-            "Individual updates per drained batch.",
-            |r| &r.obs.drain_batch,
-        ),
-        (
-            "anno_fsync_latency_ns",
-            "The dataset's own log fsync latency.",
-            |r| &r.obs.fsync_latency,
-        ),
-        (
-            "anno_checkpoint_encode_ns",
-            "Checkpoint state-encode latency.",
-            |r| &r.obs.checkpoint_encode,
-        ),
-        (
-            "anno_discover_update_ns",
-            "Incremental discovery-index refresh cost per drain.",
-            |r| &r.obs.discover_update,
-        ),
-    ];
-    for (name, help, get) in hists {
-        family(&mut out, name, help, "histogram");
-        for row in &rows {
-            histogram_series(&mut out, name, &row.label, get(row));
-        }
-        let qname = format!("{name}_quantile");
-        family(
-            &mut out,
-            &qname,
-            "Derived quantiles of the histogram above.",
-            "gauge",
-        );
-        for row in &rows {
-            quantile_series(&mut out, &qname, &row.label, get(row));
-        }
-    }
-
     // Windowed rates from the time-series ring (0 until two samples of
     // the dataset land in the window).
-    type GetRate = fn(&crate::service::WindowedRates) -> f64;
-    let rates: &[(&str, &str, GetRate)] = &[
-        (
-            "anno_drains_per_sec",
-            "Drains per second over the ring's window.",
-            |w| w.drains_per_sec,
-        ),
-        (
-            "anno_queries_per_sec",
-            "Queries per second over the ring's window.",
-            |w| w.queries_per_sec,
-        ),
-        (
-            "anno_fsyncs_per_drain",
-            "Own-log fsyncs per drain over the ring's window.",
-            |w| w.fsyncs_per_drain,
-        ),
-    ];
-    for (name, help, get) in rates {
-        family(&mut out, name, help, "gauge");
-        for row in &rows {
-            let v = row.windowed.as_ref().map_or(0.0, get);
-            let _ = writeln!(out, "{name}{{dataset=\"{}\"}} {v}", row.label);
+    for row in RATES {
+        family(&mut out, row.family, row.help, "gauge");
+        for (ds, labels) in datasets() {
+            let rate = ds.windowed.as_ref().map_or(0.0, row.get);
+            series(&mut out, row.family, labels, rate);
         }
     }
 
-    // Service-level: registry size, shared committer, its fsync latency,
-    // the service journal, and service-wide windowed rates.
-    family(&mut out, "anno_datasets", "Registered datasets.", "gauge");
-    let _ = writeln!(out, "anno_datasets {}", rows.len());
-    family(
-        &mut out,
+    // Service-level: registry size, the service journal, the shared
+    // committer and its fsync latency, and service-wide windowed rates.
+    let mut scalar = |name: &str, help: &str, typ: &str, value: &dyn Display| {
+        family(&mut out, name, help, typ);
+        series(&mut out, name, "", value);
+    };
+    scalar(
+        "anno_datasets",
+        "Registered datasets.",
+        "gauge",
+        &service.datasets.len(),
+    );
+    scalar(
         "anno_service_events_total",
         "Service-level journal events recorded (group-commit windows).",
         "counter",
+        &service.events_total,
     );
-    let _ = writeln!(out, "anno_service_events_total {}", service.events_total());
-    if let Some(gc) = service.committer_stats() {
-        let committer: &[(&str, &str, u64)] = &[
-            (
-                "anno_grouped_submitted_total",
-                "Appends submitted to the shared group committer.",
-                gc.submitted,
-            ),
-            (
-                "anno_grouped_syncs_total",
-                "fsyncs the shared committer issued.",
-                gc.syncs,
-            ),
-            (
-                "anno_grouped_windows_total",
-                "Sync windows the shared committer closed.",
-                gc.windows,
-            ),
-        ];
-        for (name, help, value) in committer {
-            family(&mut out, name, help, "counter");
-            let _ = writeln!(out, "{name} {value}");
-        }
+    if let Some(gc) = &service.committer {
+        scalar(
+            "anno_grouped_submitted_total",
+            "Appends submitted to the shared group committer.",
+            "counter",
+            &gc.submitted,
+        );
+        scalar(
+            "anno_grouped_syncs_total",
+            "fsyncs the shared committer issued.",
+            "counter",
+            &gc.syncs,
+        );
+        scalar(
+            "anno_grouped_windows_total",
+            "Sync windows the shared committer closed.",
+            "counter",
+            &gc.windows,
+        );
     }
-    let fsync = service.fsync_latency();
-    family(
+    if let Some(w) = &service.windowed {
+        scalar(
+            "anno_service_drains_per_sec",
+            "Drains per second across all datasets.",
+            "gauge",
+            &w.drains_per_sec,
+        );
+        scalar(
+            "anno_service_queries_per_sec",
+            "Queries per second across all datasets.",
+            "gauge",
+            &w.queries_per_sec,
+        );
+        scalar(
+            "anno_service_fsyncs_per_drain",
+            "All fsyncs (committer + per-dataset) per drain.",
+            "gauge",
+            &w.fsyncs_per_drain,
+        );
+    }
+    histogram(
         &mut out,
         "anno_service_fsync_latency_ns",
         "Shared group committer fsync latency.",
-        "histogram",
+        &[("", &service.fsync_latency)],
     );
-    histogram_lines(&mut out, "anno_service_fsync_latency_ns", "", &fsync);
-    family(
-        &mut out,
-        "anno_service_fsync_latency_ns_quantile",
-        "Derived quantiles of the histogram above.",
-        "gauge",
-    );
-    quantile_lines(
-        &mut out,
-        "anno_service_fsync_latency_ns_quantile",
-        "",
-        &fsync,
-    );
-    if let Some(w) = service.service_windowed() {
-        let windowed: &[(&str, &str, f64)] = &[
-            (
-                "anno_service_drains_per_sec",
-                "Drains per second across all datasets.",
-                w.drains_per_sec,
-            ),
-            (
-                "anno_service_queries_per_sec",
-                "Queries per second across all datasets.",
-                w.queries_per_sec,
-            ),
-            (
-                "anno_service_fsyncs_per_drain",
-                "All fsyncs (committer + per-dataset) per drain.",
-                w.fsyncs_per_drain,
-            ),
-        ];
-        for (name, help, value) in windowed {
-            family(&mut out, name, help, "gauge");
-            let _ = writeln!(out, "{name} {value}");
-        }
-    }
     out
 }
 
@@ -440,52 +142,68 @@ fn family(out: &mut String, name: &str, help: &str, typ: &str) {
     let _ = writeln!(out, "# TYPE {name} {typ}");
 }
 
-/// One dataset's bucket/sum/count series of a histogram family.
-fn histogram_series(out: &mut String, name: &str, label: &str, snap: &HistogramSnapshot) {
-    histogram_lines(out, name, &format!("dataset=\"{label}\""), snap);
-}
-
-/// Histogram series lines with an arbitrary (possibly empty) label set.
-/// Buckets are cumulative and only nonzero ones render — 496 mostly-empty
-/// `le` lines per histogram would drown the scrape — with the mandatory
-/// `+Inf` bound always present.
-fn histogram_lines(out: &mut String, name: &str, labels: &str, snap: &HistogramSnapshot) {
-    let sep = if labels.is_empty() { "" } else { "," };
-    for (bound, cumulative) in snap.cumulative() {
-        let _ = writeln!(
-            out,
-            "{name}_bucket{{{labels}{sep}le=\"{bound}\"}} {cumulative}"
-        );
-    }
-    let _ = writeln!(
-        out,
-        "{name}_bucket{{{labels}{sep}le=\"+Inf\"}} {}",
-        snap.count()
-    );
-    if labels.is_empty() {
-        let _ = writeln!(out, "{name}_sum {}", snap.sum());
-        let _ = writeln!(out, "{name}_count {}", snap.count());
+/// One series line; `labels` is a ready `k="v",…` list, possibly empty.
+fn series(out: &mut String, name: &str, labels: &str, value: impl Display) {
+    let _ = if labels.is_empty() {
+        writeln!(out, "{name} {value}")
     } else {
-        let _ = writeln!(out, "{name}_sum{{{labels}}} {}", snap.sum());
-        let _ = writeln!(out, "{name}_count{{{labels}}} {}", snap.count());
+        writeln!(out, "{name}{{{labels}}} {value}")
+    };
+}
+
+/// A histogram family and its `_quantile` companion, one series set per
+/// `(labels, snapshot)`. Buckets are cumulative and only nonzero ones
+/// render — 496 mostly-empty `le` lines per histogram would drown the
+/// scrape — with the mandatory `+Inf` bound always present.
+fn histogram(out: &mut String, name: &str, help: &str, snapshots: &[(&str, &HistogramSnapshot)]) {
+    family(out, name, help, "histogram");
+    let (bucket, sum, count) = (
+        format!("{name}_bucket"),
+        format!("{name}_sum"),
+        format!("{name}_count"),
+    );
+    for (labels, snap) in snapshots {
+        let sep = if labels.is_empty() { "" } else { "," };
+        for (bound, cumulative) in snap.cumulative() {
+            series(
+                out,
+                &bucket,
+                &format!("{labels}{sep}le=\"{bound}\""),
+                cumulative,
+            );
+        }
+        series(
+            out,
+            &bucket,
+            &format!("{labels}{sep}le=\"+Inf\""),
+            snap.count(),
+        );
+        series(out, &sum, labels, snap.sum());
+        series(out, &count, labels, snap.count());
     }
-}
-
-/// One dataset's p50/p90/p99/max gauge series.
-fn quantile_series(out: &mut String, name: &str, label: &str, snap: &HistogramSnapshot) {
-    quantile_lines(out, name, &format!("dataset=\"{label}\""), snap);
-}
-
-fn quantile_lines(out: &mut String, name: &str, labels: &str, snap: &HistogramSnapshot) {
-    let sep = if labels.is_empty() { "" } else { "," };
-    let quantiles = [
-        ("p50", snap.quantile(0.50)),
-        ("p90", snap.quantile(0.90)),
-        ("p99", snap.quantile(0.99)),
-        ("max", snap.max()),
-    ];
-    for (q, value) in quantiles {
-        let _ = writeln!(out, "{name}{{{labels}{sep}quantile=\"{q}\"}} {value}");
+    let quantile = format!("{name}_quantile");
+    family(
+        out,
+        &quantile,
+        "Derived quantiles of the histogram above.",
+        "gauge",
+    );
+    for (labels, snap) in snapshots {
+        let sep = if labels.is_empty() { "" } else { "," };
+        let quantiles = [
+            ("p50", snap.quantile(0.50)),
+            ("p90", snap.quantile(0.90)),
+            ("p99", snap.quantile(0.99)),
+            ("max", snap.max()),
+        ];
+        for (q, value) in quantiles {
+            series(
+                out,
+                &quantile,
+                &format!("{labels}{sep}quantile=\"{q}\""),
+                value,
+            );
+        }
     }
 }
 
@@ -559,6 +277,52 @@ mod tests {
             .unwrap();
         let qps: f64 = qps_line.split_whitespace().last().unwrap().parse().unwrap();
         assert!(qps > 0.0, "{qps_line}");
+    }
+
+    /// The table is the whole surface: a fresh dataset already reports
+    /// every family in it, `stats <ds>` every key in it, and the
+    /// `metrics` verb the very text `GET /metrics` serves.
+    #[test]
+    fn every_table_row_reaches_both_writers() {
+        let service = std::sync::Arc::new(Service::new());
+        service.create("db", ServiceConfig::default()).unwrap();
+        // Two samples, so the scrapes below agree on the service-wide
+        // rate families whatever the background sampler does meanwhile.
+        service.sample_now();
+        service.sample_now();
+        let engine = crate::protocol::Engine::new(std::sync::Arc::clone(&service));
+
+        let text = render_prometheus(&service);
+        let families = (COUNTERS.iter().filter_map(|row| row.family))
+            .chain(LEVELS.iter().map(|row| row.family))
+            .chain(RATES.iter().map(|row| row.family));
+        for family in families {
+            let series = format!("\n{family}{{dataset=\"db\"");
+            assert!(text.contains(&series), "{family} has no series:\n{text}");
+        }
+        for row in HISTOGRAMS {
+            for suffix in ["_bucket", "_sum", "_count", "_quantile"] {
+                let series = format!("\n{}{suffix}{{dataset=\"db\"", row.family);
+                assert!(text.contains(&series), "{series} missing:\n{text}");
+            }
+        }
+
+        let stats = engine.execute("stats db").lines.join("\n");
+        let keys =
+            (COUNTERS.iter().map(|row| row.key)).chain(LEVELS.iter().filter_map(|row| row.stats));
+        for key in keys {
+            assert!(
+                stats.contains(&format!(" {key}=")) || stats.contains(&format!("\n{key}=")),
+                "{key}= missing:\n{stats}"
+            );
+        }
+
+        let verb = engine.execute("metrics").lines;
+        let scrape = render_prometheus(&service);
+        assert_eq!(verb[0], "OK metrics");
+        assert_eq!(verb[verb.len() - 1], ".");
+        let body: Vec<&str> = verb[1..verb.len() - 1].iter().map(String::as_str).collect();
+        assert_eq!(body, scrape.lines().collect::<Vec<_>>());
     }
 
     #[test]

@@ -46,7 +46,7 @@ use crate::dataset::{
 };
 use crate::error::ServiceError;
 use crate::metrics::{timed, Metrics};
-use crate::queue::{coalesce, QueueState, UpdateOp};
+use crate::queue::{coalesce, UpdateOp};
 use crate::snapshot::RuleSnapshot;
 use crate::walcodec::{self, WalRecord};
 
@@ -206,9 +206,6 @@ impl Owner {
         if let Mode::Leader(Some(wal)) = &mut mode {
             adopt_log(&inner.metrics, wal);
         }
-        inner
-            .metrics
-            .set_role_follower(matches!(mode, Mode::Follower(_)));
         let mut owner = Owner {
             current: Arc::default(),
             inner,
@@ -267,12 +264,11 @@ impl Owner {
         }
         let inner = &self.inner;
         let mut q = inner.queue.lock().expect("queue lock");
-        self.mirror_unacked(&mut q);
+        q.unacked = self.unacked.len();
         let has_mail = !(q.pending.is_empty() && q.requests.is_empty());
         if q.shutdown || (has_mail && !q.paused) {
             if !q.pending.is_empty() {
                 q.pending_updates = 0;
-                inner.metrics.set_queue_depth(0);
                 q.drains += 1;
                 // Wake enqueuers blocked on backpressure now that the
                 // queue is empty again; they need not wait for the apply.
@@ -398,7 +394,8 @@ impl Owner {
     /// keeps ineffective drains cheap. Both snapshots carry the same
     /// epoch by construction.
     fn publish(&mut self, force: bool) {
-        if let Some(nanos) = self.state.sync_discovery() {
+        let refreshed = self.state.sync_discovery();
+        if let Some(nanos) = refreshed {
             self.inner.metrics.record_discover_update(nanos);
         }
         let inner = &self.inner;
@@ -424,23 +421,10 @@ impl Owner {
                 DISCOVERY_TOPK_CAP,
                 relation.vocab(),
             );
-            inner.metrics.set_discovery_shape(
-                self.state.discovery.pairs_tracked() as u64,
-                disco.cross.len() as u64,
-                disco.within.len() as u64,
-            );
             inner.metrics.record_publish();
             (rules, discovery) = (Some(Arc::new(snap)), Some(Arc::new(disco)));
         }
-        inner.metrics.set_store_shape(
-            relation.segments().len() as u64,
-            relation.vocab_chunk_count() as u64,
-        );
-        let status = self.status();
-        if let Some(wal) = &status.wal {
-            let backlog = wal.stats.since_checkpoint_bytes;
-            inner.metrics.set_wal_backlog_bytes(backlog);
-        }
+        let status = self.status(refreshed);
         self.current = Arc::new(Published {
             rules,
             discovery,
@@ -449,7 +433,9 @@ impl Owner {
         *inner.published.write().expect("published lock") = Arc::clone(&self.current);
     }
 
-    fn status(&self) -> Status {
+    /// The status block as of now; `refreshed` is what this publish's
+    /// discovery refresh cost, if it ran one.
+    fn status(&self, refreshed: Option<u64>) -> Status {
         let (wal, replication) = match &self.mode {
             Mode::Leader(wal) => (
                 wal.as_ref().map(|wal| WalStatus {
@@ -463,6 +449,10 @@ impl Owner {
         Status {
             config: self.config,
             tuples: self.state.relation.len(),
+            segments: self.state.relation.segments().len(),
+            vocab_chunks: self.state.relation.vocab_chunk_count(),
+            discover_last_update_ns: refreshed
+                .unwrap_or(self.current.status.discover_last_update_ns),
             wal,
             auto_checkpoint: self.auto_checkpoint,
             replication,
@@ -474,15 +464,8 @@ impl Owner {
     fn ack(&self, drained_to: u64) {
         let mut q = self.inner.queue.lock().expect("queue lock");
         q.applied = q.applied.max(drained_to);
-        self.mirror_unacked(&mut q);
-        self.inner.queue_cv.notify_all();
-    }
-
-    /// Admission control decides on the unacked-drain count under the
-    /// queue lock; `anno_unacked_drains` mirrors it.
-    fn mirror_unacked(&self, q: &mut QueueState) {
         q.unacked = self.unacked.len();
-        self.inner.metrics.set_unacked_drains(q.unacked as u64);
+        self.inner.queue_cv.notify_all();
     }
 
     /// Release flush barriers, oldest first: every ticket whose sync
@@ -823,8 +806,8 @@ impl Owner {
         Ok(())
     }
 
-    /// Bookkeeping after a walk: progress numbers, the lag gauges, the
-    /// journal, and the next deadline. `outcome` is the walk's
+    /// Bookkeeping after a walk: progress numbers, the journal, and the
+    /// next deadline. `outcome` is the walk's
     /// `(leader_seq, bytes_behind)`, `None` for one that will be retried,
     /// or why the tailing stops.
     fn polled(&mut self, outcome: Result<Option<(u64, u64)>, String>) {
@@ -840,13 +823,6 @@ impl Owner {
             Ok(Some((leader_seq, bytes_behind))) => {
                 st.leader_seq = leader_seq;
                 st.bytes_behind = bytes_behind;
-                self.inner.metrics.set_replication_lag(
-                    st.applied_seq,
-                    st.leader_seq,
-                    st.bytes_behind,
-                    st.records_applied,
-                    st.restarts,
-                );
             }
             Ok(None) => {}
             Err(msg) => {
@@ -900,7 +876,6 @@ impl Owner {
         self.auto_checkpoint = options.auto_checkpoint;
         self.encode_stall = options.encode_stall_for_tests;
         self.mode = Mode::Leader(Some(wal));
-        inner.metrics.set_role_follower(false);
         self.publish(true);
         Ok(())
     }

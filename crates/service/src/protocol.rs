@@ -743,40 +743,32 @@ impl Engine {
     }
 
     /// `stats` with no dataset: one summary line per open dataset plus
-    /// the aggregated committer and windowed-rate numbers.
+    /// the aggregated committer and windowed-rate numbers, all from one
+    /// frozen [`ServiceView`](crate::service::ServiceView).
     fn service_stats(&self) -> Reply {
-        let datasets = self.service.all();
-        let mut payload: Vec<String> = datasets
-            .iter()
+        let service = self.service.observe();
+        let mut payload: Vec<String> = (service.datasets.iter())
             .map(|ds| {
-                let obs = ds.observability();
-                let r = obs.report;
                 format!(
-                    "{} tuples={} mined={} queue_depth={} unacked_drains={} {}",
-                    ds.name(),
-                    ds.live_tuples(),
-                    ds.is_mined(),
-                    obs.queue_depth,
-                    obs.unacked_drains,
-                    r.render(),
+                    "{} tuples={} mined={} queue_depth={} {}",
+                    ds.name,
+                    ds.obs.live_tuples,
+                    ds.obs.mined,
+                    ds.obs.queue_depth,
+                    ds.obs.stats_line(),
                 )
             })
             .collect();
-        if let Some(gc) = self.service.committer_stats() {
-            payload.push(format!(
-                "grouped_submitted={} grouped_syncs={} grouped_windows={}",
-                gc.submitted, gc.syncs, gc.windows,
-            ));
-        }
-        let fsync = self.service.fsync_latency();
+        payload.extend(service.committer.as_ref().map(render_committer));
+        let fsync = &service.fsync_latency;
         payload.push(format!(
             "service_fsyncs={} fsync_p50_ns={} fsync_p99_ns={} service_events={}",
             fsync.count(),
             fsync.quantile(0.50),
             fsync.quantile(0.99),
-            self.service.events_total(),
+            service.events_total,
         ));
-        if let Some(w) = self.service.service_windowed() {
+        if let Some(w) = &service.windowed {
             payload.push(format!(
                 "drains_per_sec={:.2} queries_per_sec={:.2} fsyncs_per_drain={:.2} \
                  window_samples={}",
@@ -784,19 +776,23 @@ impl Engine {
             ));
         }
         Reply::block(
-            format!("service stats {} datasets", datasets.len()),
+            format!("service stats {} datasets", service.datasets.len()),
             payload,
         )
     }
 
+    /// `stats <ds>`, from one `Dataset::freeze`: the metrics through
+    /// [`DatasetObs::stats_line`](crate::metrics::DatasetObs::stats_line),
+    /// and beside them what the same publication says that is not a
+    /// metric — thresholds, miner cases, discovery epochs, the log.
     fn stats(&self, args: &[&str]) -> Result<Reply, ServiceError> {
         if args.is_empty() {
             return Ok(self.service_stats());
         }
         let [name] = expect_args::<1>(args, "stats [<dataset>]")?;
-        let ds = self.service.get(name)?;
+        let (obs, published) = self.service.get(name)?.freeze();
         let mut payload = Vec::new();
-        match ds.try_snapshot() {
+        match &published.rules {
             Some(snap) => {
                 let cfg = snap.config();
                 let t = cfg.thresholds;
@@ -824,17 +820,17 @@ impl Engine {
                     s.discovered_itemsets,
                 ));
             }
-            None => payload.push(format!("tuples={} (not mined)", ds.live_tuples())),
+            None => payload.push(format!("tuples={} (not mined)", obs.live_tuples)),
         }
-        if let Some(d) = ds.try_discovery() {
+        if let Some(d) = &published.discovery {
             payload.push(format!(
                 "discovery_epoch={} discovery_pairs={} discovery_topk_cross={} \
                  discovery_topk_within={} discovery_updates={} discovery_rebuilds={} \
                  discovery_rescored={}",
                 d.epoch,
-                d.pairs_tracked,
-                d.cross.len(),
-                d.within.len(),
+                obs.discover_pairs_tracked,
+                obs.discover_topk_cross,
+                obs.discover_topk_within,
                 d.stats.updates,
                 d.stats.rebuilds,
                 d.stats.rescored,
@@ -842,16 +838,18 @@ impl Engine {
         }
         payload.push(format!(
             "qos_class={} queue_cap={} queue_depth={}",
-            ds.qos_class().label(),
-            ds.queue_cap(),
-            ds.observability().queue_depth,
+            obs.qos_class().label(),
+            obs.queue_cap,
+            obs.queue_depth,
         ));
-        payload.push(ds.metrics().render());
-        match ds.replication_status() {
-            Some(rs) => payload.push(render_replication(ds.role(), &rs)),
-            None => payload.push(format!("role={}", ds.role().label())),
+        payload.push(obs.stats_line());
+        let status = &published.status;
+        match &status.replication {
+            Some(rs) => payload.push(render_replication(obs.role(), rs)),
+            None => payload.push(format!("role={}", obs.role().label())),
         }
-        if let Some(ws) = ds.wal_stats() {
+        if let Some(wal) = &status.wal {
+            let ws = &wal.stats;
             payload.push(format!(
                 "wal_position={} wal_segments={} wal_appends={} wal_appended_bytes={} \
                  wal_syncs={} wal_checkpoints={} wal_replayed={} wal_damaged_tails={} \
@@ -865,22 +863,25 @@ impl Engine {
                 ws.replayed_records,
                 ws.damaged_tails,
                 ws.since_checkpoint_records,
-                ws.since_checkpoint_bytes,
+                obs.wal_backlog_bytes,
             ));
             payload.push(format!(
                 "wal_sync={} auto_checkpoint={}",
-                ds.sync_policy_label().unwrap_or("per_append"),
-                render_policy(&ds.auto_checkpoint_policy()),
+                wal.sync.label(),
+                render_policy(&status.auto_checkpoint),
             ));
-            if let Some(gc) = ds.group_commit_stats() {
-                payload.push(format!(
-                    "grouped_submitted={} grouped_syncs={} grouped_windows={}",
-                    gc.submitted, gc.syncs, gc.windows,
-                ));
-            }
+            payload.extend(wal.sync.committer().map(|c| render_committer(&c.stats())));
         }
         Ok(Reply::block(format!("stats {name}"), payload))
     }
+}
+
+/// The shared group committer's counters, as `stats` prints them.
+fn render_committer(gc: &anno_wal::GroupCommitStats) -> String {
+    format!(
+        "grouped_submitted={} grouped_syncs={} grouped_windows={}",
+        gc.submitted, gc.syncs, gc.windows,
+    )
 }
 
 /// Render a follower's role + lag numbers for `attach`/`catchup`/`stats`

@@ -172,8 +172,8 @@ pub(crate) struct QueueState {
     /// Ops whose effects are visible in the published snapshot.
     pub applied: u64,
     /// Drains applied and published whose grouped sync window is still
-    /// open. Admission control decides on it under this lock; the
-    /// `anno_unacked_drains` gauge is a mirror.
+    /// open. Admission control decides on it under this lock, and
+    /// `anno_unacked_drains` reads it from here.
     pub unacked: usize,
     /// Writer passes that took work off the queue (each is one coalesced
     /// drain — the unit the publish-cost model is amortized over, and the

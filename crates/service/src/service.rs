@@ -4,7 +4,7 @@
 //! rates like drains/s fall out of it), a service event journal, and the
 //! shared group committer's fsync latency histogram.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
 use std::thread::JoinHandle;
@@ -15,6 +15,12 @@ use anno_wal::{GroupCommitStats, GroupCommitter, SyncPolicy, WalObserver, WalOpt
 
 use crate::dataset::{Dataset, DurabilityOptions};
 use crate::error::ServiceError;
+use crate::metrics::DatasetObs;
+
+/// The registry proper: datasets by name, in name order. Names are
+/// shared (`Arc<str>`) so the sampler's ring entries point at them
+/// instead of copying one `String` per dataset per tick.
+type Registry = RwLock<BTreeMap<Arc<str>, Arc<Dataset>>>;
 
 /// How often the background sampler snapshots every dataset's counters.
 const SAMPLE_INTERVAL: Duration = Duration::from_millis(100);
@@ -57,7 +63,7 @@ pub struct DatasetSummary {
 pub struct Service {
     /// `Arc`-shared with the background sampler thread, which walks the
     /// registry on its own schedule without borrowing from `Service`.
-    datasets: Arc<RwLock<BTreeMap<String, Arc<Dataset>>>>,
+    datasets: Arc<Registry>,
     /// Names with a durable open in flight. Recovery (checkpoint restore
     /// plus log replay) can take seconds; reserving the name here lets
     /// [`Service::open_durable`] run it *without* holding the registry
@@ -123,18 +129,58 @@ impl WalObserver for ServiceWalObserver {
 /// One ring entry: every dataset's rate-relevant counters at one instant.
 #[derive(Debug, Clone)]
 struct ServiceSample {
-    total_drains: u64,
-    total_ds_fsyncs: u64,
-    committer_fsyncs: u64,
-    per_dataset: Vec<(String, DatasetCounters)>,
+    /// Sums over `per_dataset`, with the shared committer's fsyncs added
+    /// to `fsyncs` — the number group commit exists to push below one
+    /// per drain.
+    total: SampledCounters,
+    per_dataset: Vec<(Arc<str>, SampledCounters)>,
 }
 
-/// The per-dataset counters the sampler records (cheap relaxed loads).
-#[derive(Debug, Clone, Copy)]
-struct DatasetCounters {
+/// The counters the sampler records (cheap relaxed loads).
+#[derive(Debug, Clone, Copy, Default)]
+struct SampledCounters {
     drains: u64,
+    /// Rule + recommend + discover.
     queries: u64,
     fsyncs: u64,
+}
+
+/// The first and last sample of one series inside the window, and how
+/// many samples it had — all a windowed rate ever looks at.
+#[derive(Debug, Clone, Copy)]
+struct WindowEnds {
+    first: (u64, SampledCounters),
+    last: (u64, SampledCounters),
+    samples: usize,
+}
+
+impl WindowEnds {
+    /// A series' first sample in the window.
+    fn new(at: u64, counters: SampledCounters) -> WindowEnds {
+        WindowEnds {
+            first: (at, counters),
+            last: (at, counters),
+            samples: 1,
+        }
+    }
+
+    /// Its next one.
+    fn extend_to(&mut self, at: u64, counters: SampledCounters) {
+        self.last = (at, counters);
+        self.samples += 1;
+    }
+
+    /// The rates between the endpoints; `None` until two samples exist.
+    fn rates(&self) -> Option<WindowedRates> {
+        let ((t0, first), (t1, last)) = (self.first, self.last);
+        let per_sec = |v0, v1| windowed_rate(&[(t0, v0), (t1, v1)]).unwrap_or(0.0);
+        (self.samples >= 2).then(|| WindowedRates {
+            drains_per_sec: per_sec(first.drains, last.drains),
+            queries_per_sec: per_sec(first.queries, last.queries),
+            fsyncs_per_drain: per_unit((first.fsyncs, last.fsyncs), (first.drains, last.drains)),
+            samples: self.samples,
+        })
+    }
 }
 
 /// Windowed rates derived from the sample ring — `None`-free: a window
@@ -143,7 +189,7 @@ struct DatasetCounters {
 pub struct WindowedRates {
     /// Coalesced drains per second over the window.
     pub drains_per_sec: f64,
-    /// Rule + recommend queries per second over the window.
+    /// Rule + recommend + discover queries per second over the window.
     pub queries_per_sec: f64,
     /// fsyncs per drain over the window (0 when no drain ran). For the
     /// service-wide view this counts shared-committer fsyncs too — the
@@ -162,35 +208,52 @@ struct SamplerHandle {
 }
 
 /// Take one sample of every dataset's counters into the ring.
-fn take_sample(datasets: &RwLock<BTreeMap<String, Arc<Dataset>>>, obs: &ServiceObs) {
-    let per_dataset: Vec<(String, DatasetCounters)> = datasets
+fn take_sample(datasets: &Registry, obs: &ServiceObs) {
+    let mut total = SampledCounters {
+        fsyncs: obs.fsyncs.load(Ordering::Relaxed),
+        ..SampledCounters::default()
+    };
+    let per_dataset = datasets
         .read()
         .expect("registry lock")
         .iter()
         .map(|(name, ds)| {
             let r = ds.metrics();
-            (
-                name.clone(),
-                DatasetCounters {
-                    drains: r.drains,
-                    queries: r.rule_queries + r.recommend_queries,
-                    fsyncs: r.wal_fsyncs,
-                },
-            )
+            let sampled = SampledCounters {
+                drains: r.drains,
+                queries: r.queries(),
+                fsyncs: r.wal_fsyncs,
+            };
+            total.drains += sampled.drains;
+            total.queries += sampled.queries;
+            total.fsyncs += sampled.fsyncs;
+            (Arc::clone(name), sampled)
         })
         .collect();
-    obs.ring.push(ServiceSample {
-        total_drains: per_dataset.iter().map(|(_, c)| c.drains).sum(),
-        total_ds_fsyncs: per_dataset.iter().map(|(_, c)| c.fsyncs).sum(),
-        committer_fsyncs: obs.fsyncs.load(Ordering::Relaxed),
-        per_dataset,
-    });
+    obs.ring.push(ServiceSample { total, per_dataset });
 }
 
-/// Rate a counter series; 0.0 when the window cannot be rated (counter
-/// reset or a degenerate timespan).
-fn rate_or_zero(series: &[(u64, u64)]) -> f64 {
-    windowed_rate(series).unwrap_or(0.0)
+/// Everything the service reports, frozen once per `stats` or scrape:
+/// each dataset's [`DatasetObs`] with its windowed rates, and the
+/// service-level block.
+pub(crate) struct ServiceView {
+    /// Every registered dataset, in name order.
+    pub datasets: Vec<DatasetView>,
+    /// The shared group committer's counters, once it exists.
+    pub committer: Option<GroupCommitStats>,
+    /// The shared group committer's fsync latency.
+    pub fsync_latency: HistogramSnapshot,
+    /// Service-level journal events ever recorded.
+    pub events_total: u64,
+    /// Rates over the totals of every dataset.
+    pub windowed: Option<WindowedRates>,
+}
+
+/// One dataset's part of a [`ServiceView`].
+pub(crate) struct DatasetView {
+    pub name: Arc<str>,
+    pub obs: DatasetObs,
+    pub windowed: Option<WindowedRates>,
 }
 
 /// Δlater − Δearlier of `numer` per Δ of `denom` across the window's
@@ -222,7 +285,7 @@ impl Service {
             return Err(ServiceError::DatasetExists(name.to_string()));
         }
         let ds = Arc::new(Dataset::spawn(name, config)?);
-        map.insert(name.to_string(), Arc::clone(&ds));
+        map.insert(name.into(), Arc::clone(&ds));
         drop(map);
         drop(opening);
         self.ensure_sampler();
@@ -311,7 +374,7 @@ impl Service {
         self.datasets
             .write()
             .expect("registry lock")
-            .insert(name.to_string(), Arc::clone(&ds));
+            .insert(name.into(), Arc::clone(&ds));
         self.ensure_sampler();
         Ok(ds)
     }
@@ -348,7 +411,7 @@ impl Service {
         self.datasets
             .write()
             .expect("registry lock")
-            .insert(name.to_string(), Arc::clone(&ds));
+            .insert(name.into(), Arc::clone(&ds));
         self.ensure_sampler();
         Ok(ds)
     }
@@ -398,17 +461,6 @@ impl Service {
             .collect()
     }
 
-    /// Every registered dataset, in name order. The exposition endpoint
-    /// and the service-wide `stats` block iterate this.
-    pub fn all(&self) -> Vec<Arc<Dataset>> {
-        self.datasets
-            .read()
-            .expect("registry lock")
-            .values()
-            .cloned()
-            .collect()
-    }
-
     /// Take one counter sample into the time-series ring immediately,
     /// without waiting for the background sampler's next tick. Tests and
     /// embedders use this for deterministic windowed rates.
@@ -416,67 +468,65 @@ impl Service {
         take_sample(&self.datasets, &self.obs);
     }
 
+    /// One pass over the ring's window, under its lock: the endpoints of
+    /// the service totals and of the series of each dataset `wanted`. A
+    /// dataset created mid-window rates from its own first appearance.
+    fn window_ends(
+        &self,
+        wanted: impl Fn(&str) -> bool,
+    ) -> (Option<WindowEnds>, HashMap<Arc<str>, WindowEnds>) {
+        let mut total: Option<WindowEnds> = None;
+        let mut per_dataset: HashMap<Arc<str>, WindowEnds> = HashMap::new();
+        self.obs.ring.scan(WINDOW_MS, |at, sample| {
+            match &mut total {
+                Some(ends) => ends.extend_to(at, sample.total),
+                None => total = Some(WindowEnds::new(at, sample.total)),
+            }
+            for (name, counters) in sample.per_dataset.iter().filter(|(n, _)| wanted(n)) {
+                match per_dataset.get_mut(name) {
+                    Some(ends) => ends.extend_to(at, *counters),
+                    None => {
+                        per_dataset.insert(Arc::clone(name), WindowEnds::new(at, *counters));
+                    }
+                }
+            }
+        });
+        (total, per_dataset)
+    }
+
     /// Windowed rates for one dataset over the ring's last minute, or
     /// `None` until two samples covering it exist (the sampler starts
     /// with the first dataset; call [`Service::sample_now`] to force).
     pub fn windowed(&self, name: &str) -> Option<WindowedRates> {
-        let window = self.obs.ring.window(WINDOW_MS);
-        let series: Vec<(u64, DatasetCounters)> = window
-            .iter()
-            .filter_map(|(ts, sample)| {
-                sample
-                    .per_dataset
-                    .iter()
-                    .find(|(n, _)| n == name)
-                    .map(|(_, c)| (*ts, *c))
-            })
-            .collect();
-        let (first, last) = match (series.first(), series.last()) {
-            (Some(f), Some(l)) if series.len() >= 2 => (*f, *l),
-            _ => return None,
-        };
-        let drains: Vec<(u64, u64)> = series.iter().map(|(ts, c)| (*ts, c.drains)).collect();
-        let queries: Vec<(u64, u64)> = series.iter().map(|(ts, c)| (*ts, c.queries)).collect();
-        Some(WindowedRates {
-            drains_per_sec: rate_or_zero(&drains),
-            queries_per_sec: rate_or_zero(&queries),
-            fsyncs_per_drain: per_unit(
-                (first.1.fsyncs, last.1.fsyncs),
-                (first.1.drains, last.1.drains),
-            ),
-            samples: series.len(),
-        })
+        let (_, mut per_dataset) = self.window_ends(|n| n == name);
+        per_dataset.remove(name)?.rates()
     }
 
     /// Service-wide windowed rates: totals across every dataset, with
     /// shared-committer fsyncs included in `fsyncs_per_drain`.
     pub fn service_windowed(&self) -> Option<WindowedRates> {
-        let window = self.obs.ring.window(WINDOW_MS);
-        if window.len() < 2 {
-            return None;
+        self.window_ends(|_| false).0?.rates()
+    }
+
+    /// Freeze everything `stats` and the exposition report: one registry
+    /// read, one ring pass, one [`Dataset::observability`] per dataset.
+    pub(crate) fn observe(&self) -> ServiceView {
+        let (total, per_dataset) = self.window_ends(|_| true);
+        let registry = self.datasets.read().expect("registry lock").clone();
+        ServiceView {
+            datasets: registry
+                .into_iter()
+                .map(|(name, ds)| DatasetView {
+                    windowed: per_dataset.get(&name).and_then(WindowEnds::rates),
+                    obs: ds.observability(),
+                    name,
+                })
+                .collect(),
+            committer: self.committer_stats(),
+            fsync_latency: self.fsync_latency(),
+            events_total: self.events_total(),
+            windowed: total.and_then(|ends| ends.rates()),
         }
-        let (Some((first_ts, first)), Some((last_ts, last))) = (window.first(), window.last())
-        else {
-            return None;
-        };
-        let drains = [
-            (*first_ts, first.total_drains),
-            (*last_ts, last.total_drains),
-        ];
-        let queries: Vec<(u64, u64)> = window
-            .iter()
-            .map(|(ts, s)| (*ts, s.per_dataset.iter().map(|(_, c)| c.queries).sum()))
-            .collect();
-        let fsyncs = (
-            first.committer_fsyncs + first.total_ds_fsyncs,
-            last.committer_fsyncs + last.total_ds_fsyncs,
-        );
-        Some(WindowedRates {
-            drains_per_sec: rate_or_zero(&drains),
-            queries_per_sec: rate_or_zero(&queries),
-            fsyncs_per_drain: per_unit(fsyncs, (first.total_drains, last.total_drains)),
-            samples: window.len(),
-        })
     }
 
     /// The most recent `n` service-level events (group-commit windows),

@@ -214,7 +214,7 @@ fn crash_mid_auto_checkpoint_recovers_byte_identically_to_manual() {
 fn grouped_tenants_each_recover_their_committed_prefix_after_kill() {
     const TENANTS: usize = 4;
     const ROUNDS: u32 = 8;
-    let committer = Arc::new(GroupCommitter::with_window(Duration::from_micros(300)));
+    let committer = Arc::new(GroupCommitter::new());
     let dirs: Vec<PathBuf> = (0..TENANTS)
         .map(|i| test_dir(&format!("grouped-{i}")))
         .collect();

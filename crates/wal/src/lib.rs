@@ -506,11 +506,6 @@ impl Wal {
             observer: observe::ObserverSlot::default(),
             _lock: lock,
         };
-        // Join the committer's tenant roster so its sync windows can
-        // close early once every attached log has submitted.
-        if let Some(committer) = wal.opts.sync.committer() {
-            committer.register_tenant(wal.log_id);
-        }
         Ok((wal, poll, damaged))
     }
 
@@ -740,11 +735,6 @@ impl Drop for Wal {
         // Appends are already flushed per call; this is belt-and-braces
         // for the unsynced mode.
         let _ = self.file.sync_data();
-        // Leave the tenant roster so open sync windows stop waiting for
-        // a log that will never submit again.
-        if let Some(committer) = self.opts.sync.committer() {
-            committer.deregister_tenant(self.log_id);
-        }
     }
 }
 

@@ -11,9 +11,9 @@
 //! * [`SyncPolicy::Grouped`] — the append is written and flushed, then a
 //!   **sync request** is submitted to a shared [`GroupCommitter`] and the
 //!   caller receives a [`SyncTicket`]. The committer batches every
-//!   request that arrives within one *sync window* and issues **one
-//!   `fsync` per distinct file** for the whole window, however many
-//!   records landed in it. K datasets committing concurrently — and any
+//!   request that arrives while its previous batch is syncing — one
+//!   *sync window* — and issues **one `fsync` per distinct file** for
+//!   the whole window, however many records landed in it. K datasets committing concurrently — and any
 //!   one dataset pipelining several drains — amortize their syncs into
 //!   the same window, so durable throughput stops paying one fsync per
 //!   drain per tenant.
@@ -30,7 +30,7 @@
 //! log* is durable too — the property the serving layer's in-order ack
 //! pipeline relies on.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fs::File;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -132,9 +132,6 @@ pub struct GroupCommitStats {
     pub syncs: u64,
     /// Sync windows completed (each syncs every distinct dirty file once).
     pub windows: u64,
-    /// Windows that closed before their full duration because every
-    /// registered tenant had already submitted (nothing left to wait for).
-    pub early_closes: u64,
 }
 
 /// Result slot one waiter blocks on. `None` = still pending.
@@ -191,39 +188,15 @@ struct SyncRequest {
 struct CommitterState {
     queue: Vec<SyncRequest>,
     shutdown: bool,
-    /// Log ids of the logs currently attached to this committer. When
-    /// every one of them has a request in `queue`, holding the window
-    /// open any longer cannot grow the batch — it closes early.
-    tenants: HashSet<u64>,
     submitted: u64,
     syncs: u64,
     windows: u64,
-    early_closes: u64,
-}
-
-impl CommitterState {
-    /// `true` when the open window cannot gain anything by waiting:
-    /// every registered tenant already has a request queued. With no
-    /// registered tenants the answer is always `false` (unknown
-    /// population — wait the window out, the pre-registry behaviour).
-    fn all_tenants_submitted(&self) -> bool {
-        !self.tenants.is_empty()
-            && self
-                .tenants
-                .iter()
-                .all(|t| self.queue.iter().any(|r| r.key.0 == *t))
-    }
 }
 
 struct CommitterShared {
     state: Mutex<CommitterState>,
     /// Wakes the sync thread when requests arrive or shutdown is set.
     work_cv: Condvar,
-    /// Extra time the sync thread waits after the first request of a
-    /// window, letting concurrent tenants' appends pile in. Zero = sync
-    /// as soon as the thread gets the CPU (lowest latency; batching then
-    /// only comes from fsync-in-progress backpressure).
-    window: Duration,
     /// Telemetry hook: hears each fsync and each closed window. Behind
     /// its own mutex so installing one never contends with submitters.
     observer: Mutex<ObserverSlot>,
@@ -239,9 +212,7 @@ pub struct GroupCommitter {
 
 impl std::fmt::Debug for CommitterShared {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CommitterShared")
-            .field("window", &self.window)
-            .finish_non_exhaustive()
+        f.debug_struct("CommitterShared").finish_non_exhaustive()
     }
 }
 
@@ -253,20 +224,12 @@ impl Default for GroupCommitter {
 
 impl GroupCommitter {
     /// A committer that syncs as soon as its thread is scheduled (no
-    /// artificial delay). Batching still happens whenever requests arrive
+    /// artificial delay). Batching happens whenever requests arrive
     /// faster than fsyncs complete.
     pub fn new() -> GroupCommitter {
-        GroupCommitter::with_window(Duration::ZERO)
-    }
-
-    /// A committer that holds each sync window open for `window` after
-    /// its first request, trading a bounded ack latency for bigger
-    /// batches (more drains amortized per fsync).
-    pub fn with_window(window: Duration) -> GroupCommitter {
         let shared = Arc::new(CommitterShared {
             state: Mutex::new(CommitterState::default()),
             work_cv: Condvar::new(),
-            window,
             observer: Mutex::new(ObserverSlot::default()),
         });
         let worker = Arc::clone(&shared);
@@ -299,29 +262,6 @@ impl GroupCommitter {
         SyncTicket { shared }
     }
 
-    /// Register a log as a committer tenant. While registered, its sync
-    /// windows adapt: a window whose queue already covers *every*
-    /// registered tenant closes immediately instead of waiting out its
-    /// full duration (an idle-tenant-free round never pays the window).
-    /// [`Wal::open`](crate::Wal::open) registers automatically when the
-    /// policy is grouped; the matching drop deregisters.
-    pub fn register_tenant(&self, log_id: u64) {
-        let mut state = self.shared.state.lock().expect("committer lock");
-        state.tenants.insert(log_id);
-        // A currently-open window may now never satisfy the new roster;
-        // that's fine — the deadline still bounds it.
-        self.shared.work_cv.notify_all();
-    }
-
-    /// Remove a log from the tenant roster (its windows stop waiting for
-    /// it). Idempotent.
-    pub fn deregister_tenant(&self, log_id: u64) {
-        let mut state = self.shared.state.lock().expect("committer lock");
-        state.tenants.remove(&log_id);
-        // The roster shrank: an open window may be satisfiable now.
-        self.shared.work_cv.notify_all();
-    }
-
     /// Install an observer that hears each fsync (with latency) and
     /// each closed sync window; replaces any previous one.
     pub fn set_observer(&self, observer: Arc<dyn WalObserver>) {
@@ -339,7 +279,6 @@ impl GroupCommitter {
             submitted: state.submitted,
             syncs: state.syncs,
             windows: state.windows,
-            early_closes: state.early_closes,
         }
     }
 }
@@ -369,34 +308,6 @@ fn committer_loop(shared: &CommitterShared) {
             if state.queue.is_empty() {
                 debug_assert!(state.shutdown);
                 return;
-            }
-            if !shared.window.is_zero() && !state.shutdown {
-                // Window open: wait (releasing the lock so tenants keep
-                // submitting) until the deadline — or close early the
-                // moment every registered tenant has submitted, since no
-                // further wait can grow the batch.
-                let deadline = Instant::now() + shared.window;
-                loop {
-                    if state.shutdown {
-                        break;
-                    }
-                    if state.all_tenants_submitted() {
-                        state.early_closes += 1;
-                        break;
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (guard, timeout) = shared
-                        .work_cv
-                        .wait_timeout(state, deadline - now)
-                        .expect("committer lock");
-                    state = guard;
-                    if timeout.timed_out() {
-                        break;
-                    }
-                }
             }
             std::mem::take(&mut state.queue)
         };
@@ -485,19 +396,8 @@ mod tests {
     #[test]
     fn grouped_appends_ack_and_batch_fsyncs() {
         use crate::{Wal, WalOptions};
-        let committer = Arc::new(GroupCommitter::with_window(Duration::from_millis(2)));
+        let committer = Arc::new(GroupCommitter::new());
         let dirs: Vec<_> = (0..4).map(|i| test_dir(&format!("grouped-{i}"))).collect();
-        // An idle fifth tenant keeps the adaptive windows open for their
-        // full duration, so this test pins the batching path itself.
-        let idle_dir = test_dir("grouped-idle");
-        let (_idle, _) = Wal::open(
-            &idle_dir,
-            WalOptions {
-                sync: SyncPolicy::Grouped(Arc::clone(&committer)),
-                ..WalOptions::default()
-            },
-        )
-        .unwrap();
         let mut wals: Vec<Wal> = dirs
             .iter()
             .map(|d| {
@@ -513,9 +413,9 @@ mod tests {
             })
             .collect();
 
-        // Several unacked appends per log, all landing in a couple of
-        // windows: every ticket completes, and the committer issues far
-        // fewer fsyncs than it got requests.
+        // Several unacked appends per log: every ticket completes, and
+        // the committer never issues more fsyncs than it got requests
+        // (fewer whenever appends outrun an fsync in progress).
         let mut tickets = Vec::new();
         for round in 0..8 {
             for (i, wal) in wals.iter_mut().enumerate() {
@@ -531,7 +431,7 @@ mod tests {
         let stats = committer.stats();
         assert_eq!(stats.submitted, 32);
         assert!(
-            stats.syncs < stats.submitted,
+            stats.syncs <= stats.submitted,
             "windows must dedupe per-file syncs: {stats:?}"
         );
         assert!(stats.windows >= 1);
@@ -544,100 +444,12 @@ mod tests {
             assert!(rec.damaged.is_none());
             std::fs::remove_dir_all(dir).unwrap();
         }
-        drop(_idle);
-        std::fs::remove_dir_all(&idle_dir).unwrap();
-    }
-
-    #[test]
-    fn adaptive_window_closes_early_when_every_tenant_submitted() {
-        use crate::{Wal, WalOptions};
-        // A window far longer than the assertion bound: if the round
-        // waited it out, the test fails on time alone.
-        let committer = Arc::new(GroupCommitter::with_window(Duration::from_millis(500)));
-        let dirs: Vec<_> = (0..3).map(|i| test_dir(&format!("adaptive-{i}"))).collect();
-        let mut wals: Vec<Wal> = dirs
-            .iter()
-            .map(|d| {
-                Wal::open(
-                    d,
-                    WalOptions {
-                        sync: SyncPolicy::Grouped(Arc::clone(&committer)),
-                        ..WalOptions::default()
-                    },
-                )
-                .unwrap()
-                .0
-            })
-            .collect();
-
-        let start = Instant::now();
-        let tickets: Vec<_> = wals
-            .iter_mut()
-            .map(|w| w.append_async(b"round").unwrap().1.expect("grouped"))
-            .collect();
-        for t in &tickets {
-            t.wait().unwrap();
-        }
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed < Duration::from_millis(250),
-            "all tenants submitted, yet the round waited {elapsed:?} of a 500ms window"
-        );
-        assert!(
-            committer.stats().early_closes >= 1,
-            "the early close must be counted: {:?}",
-            committer.stats()
-        );
-        drop(wals);
-        for dir in &dirs {
-            std::fs::remove_dir_all(dir).unwrap();
-        }
-    }
-
-    #[test]
-    fn idle_registered_tenant_holds_the_window_open() {
-        use crate::{Wal, WalOptions};
-        let window = Duration::from_millis(120);
-        let committer = Arc::new(GroupCommitter::with_window(window));
-        let dirs: Vec<_> = (0..2)
-            .map(|i| test_dir(&format!("idle-tenant-{i}")))
-            .collect();
-        let mut wals: Vec<Wal> = dirs
-            .iter()
-            .map(|d| {
-                Wal::open(
-                    d,
-                    WalOptions {
-                        sync: SyncPolicy::Grouped(Arc::clone(&committer)),
-                        ..WalOptions::default()
-                    },
-                )
-                .unwrap()
-                .0
-            })
-            .collect();
-
-        // Only tenant 0 submits: the committer cannot know tenant 1 is
-        // idle, so the window must run its course.
-        let start = Instant::now();
-        let (_, ticket) = wals[0].append_async(b"lonely").unwrap();
-        ticket.expect("grouped").wait().unwrap();
-        let elapsed = start.elapsed();
-        assert!(
-            elapsed >= Duration::from_millis(80),
-            "an idle tenant must not let the window close early ({elapsed:?})"
-        );
-        assert_eq!(committer.stats().early_closes, 0);
-        drop(wals);
-        for dir in &dirs {
-            std::fs::remove_dir_all(dir).unwrap();
-        }
     }
 
     #[test]
     fn committer_drop_completes_stragglers() {
         use crate::{Wal, WalOptions};
-        let committer = Arc::new(GroupCommitter::with_window(Duration::from_millis(5)));
+        let committer = Arc::new(GroupCommitter::new());
         let dir = test_dir("committer-drop");
         let (mut wal, _) = Wal::open(
             &dir,

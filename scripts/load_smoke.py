@@ -5,8 +5,8 @@ Usage: load_smoke.py [path-to-annod] [protocol-addr] [metrics-addr]
 
 Boots the daemon with an explicit shard count, drives one full protocol
 session over a real TCP socket (including the `class` QoS verb), checks
-the admission families on the Prometheus metrics listener, and shuts the
-process down. This is the out-of-process complement to the in-process
+the admission families on the Prometheus metrics listener and that the
+`metrics` verb declares the same families, and shuts the process down. This is the out-of-process complement to the in-process
 `serve` bench: it proves the shipped binary actually serves the sharded
 reactor path, not just the library.
 """
@@ -88,6 +88,9 @@ def main(argv):
             if needle not in stats:
                 raise SystemExit(f"stats db lacks {needle!r}:\n{stats}")
 
+        # The service-wide rate families appear with the sampler's second
+        # 100 ms tick; wait it out so both renderings below have them.
+        time.sleep(0.3)
         with urllib.request.urlopen(f"http://{metrics_addr}/metrics", timeout=10) as rsp:
             scrape = rsp.read().decode("utf-8")
         for needle in (
@@ -99,8 +102,21 @@ def main(argv):
             if needle not in scrape:
                 raise SystemExit(f"/metrics lacks {needle!r}")
 
+        # `help` promises the `metrics` verb serves the same bytes: hold the
+        # shipped binary to it, family by family and type by type.
+        def types(text):
+            return sorted(line for line in text.splitlines() if line.startswith("# TYPE "))
+
+        verb = session.cmd_block("metrics", "OK metrics")
+        if not types(verb) or types(verb) != types(scrape):
+            raise SystemExit(
+                "`metrics` verb and GET /metrics disagree on # TYPE lines:\n"
+                f"verb only: {sorted(set(types(verb)) - set(types(scrape)))}\n"
+                f"scrape only: {sorted(set(types(scrape)) - set(types(verb)))}"
+            )
+
         session.cmd("quit", "OK bye")
-        print("load-smoke: OK (sharded serve, class verb, admission metrics)")
+        print("load-smoke: OK (sharded serve, class verb, admission metrics, metrics verb)")
         return 0
     finally:
         proc.terminate()
