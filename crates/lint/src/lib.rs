@@ -1,10 +1,10 @@
 //! anno-lint — the workspace's own static-analysis pass.
 //!
 //! Generic lints (clippy, rustc) can't know that `Inner.write` must never
-//! be taken after `Inner.queue`, that a reactor shard must not block, or
-//! that the README's metrics table is a contract with the dashboards.
-//! This crate encodes those repo-specific invariants as six rules over a
-//! token-level source model and runs as a hard CI gate:
+//! be taken after `Inner.queue`, or that a shard loop must not park on a
+//! tenant's backpressure. This crate encodes those repo-specific
+//! invariants as four rules over a token-level source model and runs as a
+//! hard CI gate:
 //!
 //! ```text
 //! cargo run -p anno-lint -- [--json] [path-prefix …]
@@ -95,20 +95,11 @@ pub fn lint_files(inputs: Vec<(PathBuf, String, FileKind)>, opts: &LintOptions) 
 
 /// Walk a workspace root and lint everything first-party.
 ///
-/// Loaded: `**/*.rs` outside `target/`, `vendor/`, and `.git/`, plus the
-/// root `README.md` (as [`FileKind::Doc`]). Files under a `tests/`,
-/// `benches/`, or `examples/` directory are [`FileKind::TestHarness`].
-/// Paths in findings are workspace-relative.
+/// Loaded: `**/*.rs` outside `target/`, `vendor/`, and `.git/`. Files
+/// under a `tests/`, `benches/`, or `examples/` directory are
+/// [`FileKind::TestHarness`]. Paths in findings are workspace-relative.
 pub fn lint_workspace(root: &Path, opts: &LintOptions) -> io::Result<Vec<Finding>> {
     let mut inputs: Vec<(PathBuf, String, FileKind)> = Vec::new();
-    let readme = root.join("README.md");
-    if readme.is_file() {
-        inputs.push((
-            PathBuf::from("README.md"),
-            fs::read_to_string(&readme)?,
-            FileKind::Doc,
-        ));
-    }
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
         let mut entries: Vec<_> = fs::read_dir(&dir)?.collect::<io::Result<_>>()?;

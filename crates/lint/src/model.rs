@@ -29,8 +29,6 @@ pub enum FileKind {
     /// `tests/`, `benches/`, `examples/` trees: structure is modeled
     /// (for call-graph completeness) but panic/blocking rules skip it.
     TestHarness,
-    /// Markdown (README): raw text only, consumed by the drift rules.
-    Doc,
 }
 
 /// One loaded source file.
@@ -339,9 +337,6 @@ impl Model {
         // Pass 1: structs (lock-field registry) and function skeletons.
         let mut structs = Vec::new();
         for (fi, file) in files.iter().enumerate() {
-            if file.kind == FileKind::Doc {
-                continue;
-            }
             collect_structs(file, fi, &mut structs);
         }
         let mut lock_fields: HashMap<&str, Vec<usize>> = HashMap::new();
@@ -354,9 +349,6 @@ impl Model {
         // Pass 2: functions with analyzed bodies.
         let mut functions = Vec::new();
         for (fi, file) in files.iter().enumerate() {
-            if file.kind == FileKind::Doc {
-                continue;
-            }
             collect_functions(file, fi, &structs, &lock_fields, &mut functions);
         }
 
@@ -433,23 +425,18 @@ fn load_file(path: PathBuf, text: String, kind: FileKind) -> SourceFile {
             line_starts.push(i + 1);
         }
     }
-    let (tokens, sig) = if kind == FileKind::Doc {
-        (Vec::new(), Vec::new())
-    } else {
-        let tokens = lex(&text);
-        let sig = tokens
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| {
-                !matches!(
-                    t.kind,
-                    TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
-                )
-            })
-            .map(|(i, _)| i)
-            .collect();
-        (tokens, sig)
-    };
+    let tokens = lex(&text);
+    let sig = tokens
+        .iter()
+        .enumerate()
+        .filter(|(_, t)| {
+            !matches!(
+                t.kind,
+                TokenKind::Whitespace | TokenKind::LineComment | TokenKind::BlockComment
+            )
+        })
+        .map(|(i, _)| i)
+        .collect();
     let mut file = SourceFile {
         path,
         text,
@@ -459,9 +446,7 @@ fn load_file(path: PathBuf, text: String, kind: FileKind) -> SourceFile {
         line_starts,
         test_regions: Vec::new(),
     };
-    if file.kind != FileKind::Doc {
-        file.test_regions = find_test_regions(&file);
-    }
+    file.test_regions = find_test_regions(&file);
     file
 }
 

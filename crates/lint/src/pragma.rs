@@ -13,14 +13,11 @@
 //! code. A pragma with an unknown rule name or a missing reason is itself
 //! a finding (rule `pragma`) — an unreadable suppression must never
 //! silently suppress.
-//!
-//! The marker form `// anno-lint: protocol-dispatch` tags the protocol
-//! verb match for the `protocol-drift` rule and takes no reason.
 
 use std::collections::HashMap;
 
 use crate::lexer::TokenKind;
-use crate::model::{FileKind, Model};
+use crate::model::Model;
 use crate::rules::RULE_NAMES;
 use crate::Finding;
 
@@ -29,7 +26,7 @@ use crate::Finding;
 /// recognized at the start of the stripped body — prose that merely
 /// mentions `anno-lint:` mid-sentence (or inside a doc example, where a
 /// second `//` layer remains after stripping) is not a directive.
-pub fn comment_body(text: &str) -> &str {
+fn comment_body(text: &str) -> &str {
     let body = if let Some(rest) = text.strip_prefix("//") {
         rest.strip_prefix('/')
             .or_else(|| rest.strip_prefix('!'))
@@ -64,9 +61,6 @@ impl PragmaIndex {
         let mut allows: HashMap<(usize, u32), Vec<String>> = HashMap::new();
         let mut malformed = Vec::new();
         for (fi, file) in model.files.iter().enumerate() {
-            if file.kind == FileKind::Doc {
-                continue;
-            }
             for (ti, tok) in file.tokens.iter().enumerate() {
                 if !matches!(tok.kind, TokenKind::LineComment | TokenKind::BlockComment) {
                     continue;
@@ -77,9 +71,6 @@ impl PragmaIndex {
                 };
                 let directive = directive.trim();
                 let (line, _) = file.line_col(tok.start);
-                if directive == "protocol-dispatch" {
-                    continue; // marker, consumed by the protocol-drift rule
-                }
                 match parse_allow(directive) {
                     Ok(rules) => {
                         let target = target_line(model, fi, ti, line);

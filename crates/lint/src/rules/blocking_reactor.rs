@@ -1,15 +1,17 @@
-//! `blocking-in-reactor`: shard event loops must not block.
+//! `blocking-in-reactor`: shard loops must not block.
 //!
-//! A reactor shard multiplexes every connection hashed to it; one
-//! blocking call (a contended mutex, a blocking channel `recv`, an
-//! unbounded read, a sleep) stalls *all* of them. This rule is textual
-//! and file-scoped on purpose: it scans the functions that make up the
-//! reactor (`reactor.rs`), not the engine they call into — the engine's
+//! A shard multiplexes every connection hashed to it; one blocking call
+//! (a contended mutex, a blocking channel `recv`, an unbounded read, a
+//! sleep) stalls *all* of them. This rule is textual and file-scoped on
+//! purpose: it scans the functions of the shard loops' file
+//! (`reactor.rs`), not the engine they call into — the engine's
 //! admission layer (`try_enqueue` + typed `Overloaded`) is the approved
-//! way work crosses from the event loop into the blocking world.
+//! way a queued write crosses from the shard into the blocking world.
+//! The verbs that wait by design (`mine`, `flush`, `checkpoint`, …) run
+//! behind `Engine::handle` and are out of its sight.
 //!
-//! Deliberate waits (the bounded idle park in `poll`) carry a pragma
-//! with the reason inline.
+//! Deliberate waits (the bounded idle park in `shard_loop`) carry a
+//! pragma with the reason inline.
 
 use crate::model::{FileKind, Model};
 use crate::Finding;

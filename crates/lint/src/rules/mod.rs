@@ -10,18 +10,14 @@ use crate::{Finding, LintOptions};
 pub mod blocking_reactor;
 pub mod forbid_unsafe;
 pub mod lock_order;
-pub mod metric_drift;
 pub mod panic_path;
-pub mod protocol_drift;
 
 /// Every rule name a pragma may allow. `pragma` itself is deliberately
 /// absent: a malformed suppression cannot be suppressed.
-pub const RULE_NAMES: [&str; 6] = [
+pub const RULE_NAMES: [&str; 4] = [
     "lock-order",
     "panic-path",
     "blocking-in-reactor",
-    "metric-drift",
-    "protocol-drift",
     "forbid-unsafe",
 ];
 
@@ -32,8 +28,6 @@ pub fn run_all(model: &Model, pragmas: &PragmaIndex, opts: &LintOptions) -> Vec<
     findings.extend(lock_order::run(model, pragmas));
     findings.extend(panic_path::run(model, opts));
     findings.extend(blocking_reactor::run(model));
-    findings.extend(metric_drift::run(model));
-    findings.extend(protocol_drift::run(model));
     findings.extend(forbid_unsafe::run(model));
     findings
 }

@@ -474,193 +474,6 @@ pub fn poll(q: &annomine_like::Queue) {
     assert!(findings[0].message.contains("try_enqueue"));
 }
 
-// ------------------------------------------------------------- metric-drift
-
-const METRIC_SRC: &str = r#"
-pub fn emit() -> &'static str {
-    "anno_fix_total"
-}
-"#;
-
-#[test]
-fn metric_drift_matching_table_is_clean() {
-    let readme =
-        "| Family | Type | Meaning |\n|---|---|---|\n| `anno_fix_total` | counter | fixture |\n";
-    let findings = run(
-        &[
-            ("crates/fix/src/expose.rs", METRIC_SRC, FileKind::Production),
-            ("README.md", readme, FileKind::Doc),
-        ],
-        &[],
-    );
-    assert!(
-        findings.is_empty(),
-        "documented family must be clean: {findings:?}"
-    );
-}
-
-#[test]
-fn metric_drift_undocumented_family_is_reported() {
-    let readme = "| Family | Type | Meaning |\n|---|---|---|\n";
-    let findings = run(
-        &[
-            ("crates/fix/src/expose.rs", METRIC_SRC, FileKind::Production),
-            ("README.md", readme, FileKind::Doc),
-        ],
-        &[],
-    );
-    assert_eq!(rules_of(&findings), ["metric-drift"], "{findings:?}");
-    assert!(findings[0].message.contains("`anno_fix_total`"));
-    assert!(findings[0].message.contains("no row"));
-}
-
-#[test]
-fn metric_drift_stale_row_is_reported() {
-    let readme =
-        "| `anno_fix_total` | counter | fixture |\n| `anno_gone_total` | counter | removed |\n";
-    let findings = run(
-        &[
-            ("crates/fix/src/expose.rs", METRIC_SRC, FileKind::Production),
-            ("README.md", readme, FileKind::Doc),
-        ],
-        &[],
-    );
-    assert_eq!(rules_of(&findings), ["metric-drift"], "{findings:?}");
-    assert!(findings[0].message.contains("`anno_gone_total`"));
-    assert!(findings[0].message.contains("stale"));
-}
-
-#[test]
-fn metric_drift_duplicate_row_is_reported() {
-    let readme =
-        "| `anno_fix_total` | counter | fixture |\n| `anno_fix_total` | counter | again |\n";
-    let findings = run(
-        &[
-            ("crates/fix/src/expose.rs", METRIC_SRC, FileKind::Production),
-            ("README.md", readme, FileKind::Doc),
-        ],
-        &[],
-    );
-    assert_eq!(rules_of(&findings), ["metric-drift"], "{findings:?}");
-    assert!(findings[0].message.contains("exactly one row"));
-}
-
-#[test]
-fn metric_drift_ignores_families_in_test_harness_code() {
-    // A fixture string in a test file is not an emitted family.
-    let readme = "| `anno_fix_total` | counter | fixture |\n";
-    let findings = run(
-        &[
-            ("crates/fix/src/expose.rs", METRIC_SRC, FileKind::Production),
-            (
-                "crates/fix/tests/other.rs",
-                "pub fn t() -> &'static str { \"anno_testonly_total\" }\n",
-                FileKind::TestHarness,
-            ),
-            ("README.md", readme, FileKind::Doc),
-        ],
-        &[],
-    );
-    assert!(
-        findings.is_empty(),
-        "test-harness literals are not emissions: {findings:?}"
-    );
-}
-
-// ----------------------------------------------------------- protocol-drift
-
-const DISPATCH_SRC: &str = r#"
-pub fn dispatch(cmd: &str) -> u32 {
-    // anno-lint: protocol-dispatch
-    match cmd {
-        "ping" => 1,
-        "get" | "put" => 2,
-        _ => 0,
-    }
-}
-"#;
-
-const PROTO_README_FULL: &str = "## Protocol reference\n\n\
-| Command | Meaning |\n|---|---|\n\
-| `ping` | liveness |\n| `get KEY` | read |\n| `put KEY VALUE` | write |\n";
-
-#[test]
-fn protocol_drift_matching_table_is_clean() {
-    let findings = run(
-        &[
-            (
-                "crates/fix/src/protocol.rs",
-                DISPATCH_SRC,
-                FileKind::Production,
-            ),
-            ("README.md", PROTO_README_FULL, FileKind::Doc),
-        ],
-        &[],
-    );
-    assert!(findings.is_empty(), "verbs and rows agree: {findings:?}");
-}
-
-#[test]
-fn protocol_drift_undocumented_verb_is_reported() {
-    let readme = "## Protocol reference\n\n| Command | Meaning |\n|---|---|\n\
-| `ping` | liveness |\n| `get KEY` | read |\n";
-    let findings = run(
-        &[
-            (
-                "crates/fix/src/protocol.rs",
-                DISPATCH_SRC,
-                FileKind::Production,
-            ),
-            ("README.md", readme, FileKind::Doc),
-        ],
-        &[],
-    );
-    assert_eq!(rules_of(&findings), ["protocol-drift"], "{findings:?}");
-    assert!(findings[0].message.contains("`put`"));
-    assert!(
-        findings[0].path.ends_with("protocol.rs"),
-        "points at the parse site"
-    );
-}
-
-#[test]
-fn protocol_drift_stale_doc_row_is_reported() {
-    let readme = "## Protocol reference\n\n| Command | Meaning |\n|---|---|\n\
-| `ping` | liveness |\n| `get KEY` | read |\n| `put KEY VALUE` | write |\n\
-| `quit` | close |\n";
-    let findings = run(
-        &[
-            (
-                "crates/fix/src/protocol.rs",
-                DISPATCH_SRC,
-                FileKind::Production,
-            ),
-            ("README.md", readme, FileKind::Doc),
-        ],
-        &[],
-    );
-    assert_eq!(rules_of(&findings), ["protocol-drift"], "{findings:?}");
-    assert!(findings[0].message.contains("`quit`"));
-    assert!(
-        findings[0].path.ends_with("README.md"),
-        "points at the stale row"
-    );
-}
-
-#[test]
-fn protocol_drift_without_marker_is_a_no_op() {
-    // An unmarked match is just a match — the rule checks nothing.
-    let src = DISPATCH_SRC.replace("// anno-lint: protocol-dispatch\n", "");
-    let findings = run(
-        &[
-            ("crates/fix/src/protocol.rs", &src, FileKind::Production),
-            ("README.md", PROTO_README_FULL, FileKind::Doc),
-        ],
-        &[],
-    );
-    assert!(findings.is_empty(), "no marker, no contract: {findings:?}");
-}
-
 // ------------------------------------------------------------ forbid-unsafe
 
 #[test]

@@ -384,24 +384,11 @@ impl Dataset {
     /// client cannot grow the daemon's memory without bound. An op larger
     /// than the whole cap is still accepted once the queue is empty.
     pub fn enqueue(&self, op: UpdateOp) -> Result<u64, ServiceError> {
-        self.check_writable()?;
-        let mut q = self.inner.queue.lock().expect("queue lock");
-        loop {
-            // A fence sets both flags and notifies, so a blocked client
-            // fails fast instead of hanging on the condvar.
-            if q.shutdown {
-                return Err(self.shut_down());
-            }
-            if q.pending.is_empty() || q.pending_updates + op.len() <= q.cap_updates {
-                break;
-            }
-            q = self.inner.queue_cv.wait(q).expect("queue lock");
-        }
-        Ok(self.admit(&mut q, op))
+        self.submit(op, false).0
     }
 
     /// Queue one mutation without ever blocking: the admission path for
-    /// the sharded front end, whose event loops must not park on a
+    /// the sharded front end, whose shard loops must not park on a
     /// tenant's backpressure condvar. When the bounded queue (or the
     /// grouped-sync unacked-drain window) is full the op is refused with
     /// the typed [`ServiceError::Overloaded`] soft error — nothing is
@@ -409,21 +396,50 @@ impl Dataset {
     /// Like [`Dataset::enqueue`], an op larger than the whole cap is
     /// still admitted once the queue is empty.
     pub fn try_enqueue(&self, op: UpdateOp) -> Result<u64, ServiceError> {
-        self.check_writable()?;
+        self.submit(op, true).0
+    }
+
+    /// [`Dataset::try_enqueue`] when `shed`, else [`Dataset::enqueue`].
+    /// Also returns the tenant's QoS class as it stood under the queue
+    /// lock the admission decision took (`None` if the role fence
+    /// refused the op before the lock), so the front end's per-class
+    /// bookkeeping costs a queued write no second lookup and no second
+    /// lock.
+    pub(crate) fn submit(
+        &self,
+        op: UpdateOp,
+        shed: bool,
+    ) -> (Result<u64, ServiceError>, Option<QosClass>) {
+        if let Err(fenced) = self.check_writable() {
+            return (Err(fenced), None);
+        }
         let mut q = self.inner.queue.lock().expect("queue lock");
-        if q.shutdown {
-            return Err(self.shut_down());
+        loop {
+            // A fence sets both flags and notifies, so a blocked client
+            // fails fast instead of hanging on the condvar.
+            if q.shutdown {
+                return (Err(self.shut_down()), Some(q.class));
+            }
+            // A full unacked-drain window sheds; it never blocks.
+            let full = !q.pending.is_empty()
+                && (q.pending_updates + op.len() > q.cap_updates
+                    || (shed && q.unacked >= MAX_PIPELINED_ACKS));
+            if !full {
+                break;
+            }
+            if shed {
+                self.inner.metrics.record_admission_shed();
+                let overloaded = ServiceError::Overloaded {
+                    dataset: self.inner.name.clone(),
+                    pending: q.pending_updates as u64,
+                    cap: q.cap_updates as u64,
+                };
+                return (Err(overloaded), Some(q.class));
+            }
+            q = self.inner.queue_cv.wait(q).expect("queue lock");
         }
-        let window_full = q.unacked >= MAX_PIPELINED_ACKS;
-        if !q.pending.is_empty() && (q.pending_updates + op.len() > q.cap_updates || window_full) {
-            self.inner.metrics.record_admission_shed();
-            return Err(ServiceError::Overloaded {
-                dataset: self.inner.name.clone(),
-                pending: q.pending_updates as u64,
-                cap: q.cap_updates as u64,
-            });
-        }
-        Ok(self.admit(&mut q, op))
+        let class = q.class;
+        (Ok(self.admit(&mut q, op)), Some(class))
     }
 
     /// Put an admitted op in the mailbox and wake the owner.

@@ -12,20 +12,31 @@
 //! recommend db tuple 3     -> OK 1 recommendations ... payload ... .
 //! ```
 //!
-//! Write commands (`row`, `annotate`, `unannotate`, `delete`) only
-//! enqueue: they return as soon as the op is queued, and the writer thread
-//! folds queued ops into batches. `flush` is the barrier; read commands
-//! (`rules`, `recommend`, `stats`) serve from the latest published
-//! snapshot and never wait on writes.
+//! What a client can say is declared once, in `VERBS`: one row per verb
+//! holds its usage string (whose first word is its name; an alias is a
+//! row of its own), its `help` notes, its handler and whether it is a
+//! queued write. Dispatch, `help`, every wrong-arguments
+//! error, the sharded front end's QoS bookkeeping and the README check
+//! all read that table. Keyword clauses (`dir <path>`, `top <k>`,
+//! `top=<k>`) are walked by one cursor, `Clauses`, over the keys the verb
+//! declares.
+//!
+//! Queued writes (`row`, `annotate`, `unannotate`, `delete`) only
+//! enqueue: they return as soon as the op is queued, and the dataset's
+//! owner thread folds queued ops into batches. `flush` is the barrier;
+//! read commands (`rules`, `recommend`, `stats`) serve from the latest
+//! published snapshot and never wait on writes.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use anno_mine::RuleKind;
 use anno_store::{Item, ItemKind, TupleId};
 
+use crate::dataset::Dataset;
 use crate::error::ServiceError;
 use crate::metrics::timed;
-use crate::query::{top_k_for_items, top_k_for_tuple, RuleFilter, RuleOrder, TopRecommendation};
+use crate::query::{top_k_for_items, top_k_for_tuple, RuleFilter, RuleOrder};
 use crate::queue::{QosClass, UpdateOp};
 use crate::service::{Service, ServiceConfig};
 use crate::snapshot::RuleSnapshot;
@@ -75,16 +86,258 @@ impl Reply {
     }
 }
 
+/// What handling one line produced. Transports see `(reply, error)`; the
+/// sharded front end also reads `wrote`.
+pub(crate) struct Handled {
+    pub reply: Reply,
+    /// The typed error behind an `ERR` reply.
+    pub error: Option<ServiceError>,
+    /// Set when a queued write reached its tenant's queue, admitted or
+    /// shed: the tenant, and its QoS class as read under the queue lock
+    /// the admission decision took.
+    pub wrote: Option<(Arc<Dataset>, QosClass)>,
+}
+
+/// One row of [`VERBS`]: everything the protocol knows about a verb.
+struct Verb {
+    /// The whole grammar; its first word is the verb's name. `help`
+    /// prints it, and it is the text of the error a line with the wrong
+    /// arguments gets.
+    usage: &'static str,
+    /// What `help` says under the usage line.
+    notes: &'static [&'static str],
+    run: Run,
+}
+
+/// A queued-write line, parsed: the tenant it names and the op for it.
+type QueuedOp<'a> = Result<(&'a str, UpdateOp), ServiceError>;
+
+/// A verb's handler. The variant is the queued-write column of the table.
+enum Run {
+    /// Answers from the registry and the published snapshots, or does its
+    /// own waiting (`mine`, `flush`, `checkpoint`, …).
+    Direct(fn(&Engine, &Verb, &[&str]) -> Result<Reply, ServiceError>),
+    /// A queued write: the handler only parses `<ds> …` into the tenant's
+    /// name and the op. [`Engine::handle`] enqueues it through the
+    /// engine's admission mode and answers `OK queued seq=<n>`.
+    Queued(for<'a> fn(&Verb, &[&'a str]) -> QueuedOp<'a>),
+}
+use Run::{Direct, Queued};
+
+impl Verb {
+    const fn new(usage: &'static str, notes: &'static [&'static str], run: Run) -> Verb {
+        Verb { usage, notes, run }
+    }
+
+    fn name(&self) -> &'static str {
+        self.usage
+            .split_once(' ')
+            .map_or(self.usage, |(name, _)| name)
+    }
+
+    /// The wrong-arguments error: the usage, verbatim.
+    fn misuse(&self) -> ServiceError {
+        bad(self.usage)
+    }
+}
+
+/// Every verb `annod` speaks, in the order `help` lists them.
+static VERBS: &[Verb] = &[
+    Verb::new("ping", &[], Direct(|_, _, _| Ok(Reply::ok("pong")))),
+    Verb::new("help", &[], Direct(|_, _, _| Ok(help()))),
+    Verb::new("quit", &[], Direct(quit)),
+    Verb::new("exit", &["alias of quit"], Direct(quit)),
+    Verb::new("datasets", &[], Direct(Engine::datasets)),
+    Verb::new(
+        "open <ds> [<alpha> <beta> [<retention>]] [dir <path>] \
+         [auto_checkpoint <bytes=N|records=N|secs=N>...] [sync grouped|per_append]",
+        &[
+            "alpha and beta in [0, 1], retention in (0, 1];",
+            "dir makes the dataset durable: drains are write-ahead logged and",
+            "existing state under <path> is recovered before serving;",
+            "auto_checkpoint makes the writer checkpoint itself once the log",
+            "grows past a threshold; sync grouped (the default) batches fsyncs",
+            "across all grouped datasets through the shared committer",
+        ],
+        Direct(Engine::open),
+    ),
+    Verb::new(
+        "drop <ds>",
+        &[],
+        Direct(|e, verb, args| {
+            let [name] = args else {
+                return Err(verb.misuse());
+            };
+            e.service.remove(name)?;
+            Ok(Reply::ok(format!("dropped {name}")))
+        }),
+    ),
+    Verb::new(
+        "row <ds> <tok>...",
+        &["digit tokens are data values, the others annotations"],
+        Queued(row),
+    ),
+    Verb::new(
+        "annotate <ds> <tid> <ann>...",
+        &["names are single tokens"],
+        Queued(|verb, args| annotation_op(verb, args, UpdateOp::AnnotateNamed)),
+    ),
+    Verb::new(
+        "unannotate <ds> <tid> <ann>...",
+        &["names are single tokens"],
+        Queued(|verb, args| annotation_op(verb, args, UpdateOp::RemoveNamed)),
+    ),
+    Verb::new("delete <ds> <tid>...", &[], Queued(delete)),
+    Verb::new(
+        "class <ds> [interactive|bulk]",
+        &[
+            "QoS class for admission control: bulk tenants get a small per-tick",
+            "budget and read-suspension backpressure; interactive tenants are",
+            "shed fast with ERR overloaded when their queue fills",
+        ],
+        Direct(Engine::class),
+    ),
+    Verb::new(
+        "mine <ds>",
+        &["full mine + first snapshot"],
+        Direct(|e, verb, args| {
+            let snap = e.tenant(verb, args)?.1.mine()?;
+            Ok(Reply::ok(format!(
+                "mined rules={} epoch={}",
+                snap.rules().len(),
+                snap.epoch()
+            )))
+        }),
+    ),
+    Verb::new(
+        "flush <ds>",
+        &["wait until queued writes are published"],
+        Direct(|e, verb, args| {
+            let (_, ds) = e.tenant(verb, args)?;
+            ds.flush()?;
+            let epoch = ds.try_snapshot().map_or(0, |s| s.epoch());
+            Ok(Reply::ok(format!("flushed epoch={epoch}")))
+        }),
+    ),
+    Verb::new(
+        "rules <ds> [contains <item>...] [kind data|ann] [minconf <x>] [by conf|sup|lift] \
+         [top <k>]",
+        &[],
+        Direct(Engine::rules),
+    ),
+    Verb::new(
+        "recommend <ds> tuple <tid> [top <k>] | recommend <ds> items <item>... [top <k>]",
+        &["item escapes: =name for keyword collisions, ann:name / data:name to force a kind"],
+        Direct(Engine::recommend),
+    ),
+    Verb::new(
+        "discover <ds> [top=<k>] [min_support=<x>] [cross_only]",
+        &[
+            "ranked annotation correlations: lift/leverage over co-occurring pairs,",
+            "maintained incrementally per drain; cross-namespace pairs rank first",
+        ],
+        Direct(Engine::discover),
+    ),
+    Verb::new(
+        "checkpoint <ds>",
+        &["persist snapshot+miner at the log head, compact the wal"],
+        Direct(|e, verb, args| {
+            let (name, ds) = e.tenant(verb, args)?;
+            let (pos, bytes) = ds.checkpoint()?;
+            Ok(Reply::ok(format!(
+                "checkpoint {name} position={pos} bytes={bytes}"
+            )))
+        }),
+    ),
+    Verb::new(
+        "attach <ds> dir <path> [poll_ms <n>]",
+        &["read-only follower tailing a leader's log"],
+        Direct(Engine::attach),
+    ),
+    Verb::new(
+        "catchup <ds>",
+        &["force a follower poll now and report replication lag"],
+        Direct(|e, verb, args| {
+            let (name, ds) = e.tenant(verb, args)?;
+            let rs = ds.catchup_now()?;
+            Ok(Reply::ok(format!(
+                "catchup {name} {}",
+                render_replication(ds.role(), &rs)
+            )))
+        }),
+    ),
+    Verb::new(
+        "promote <ds>",
+        &["follower -> leader: take the wal lock, catch up, accept writes"],
+        Direct(|e, verb, args| {
+            let (name, ds) = e.tenant(verb, args)?;
+            ds.promote()?;
+            Ok(Reply::ok(format!(
+                "promoted {name} role={} tuples={} mined={}",
+                ds.role().label(),
+                ds.live_tuples(),
+                ds.is_mined()
+            )))
+        }),
+    ),
+    Verb::new(
+        "stats [<ds>]",
+        &["per-dataset counters, or a service-wide block with no name"],
+        Direct(Engine::stats),
+    ),
+    Verb::new(
+        "metrics",
+        &["Prometheus text exposition (same bytes as GET /metrics)"],
+        Direct(|e, _, _| {
+            let text = crate::expose::render_prometheus(&e.service);
+            let payload = text.lines().map(String::from).collect();
+            Ok(Reply::block("metrics", payload))
+        }),
+    ),
+    Verb::new(
+        "events [<ds>] [<n>]",
+        &["maintenance event journal (service-level with no name)"],
+        Direct(Engine::events),
+    ),
+    Verb::new(
+        "verify <ds>",
+        &["the paper's validation: maintained rules vs. a from-scratch re-mine"],
+        Direct(|e, verb, args| {
+            let exact = e.tenant(verb, args)?.1.verify()?;
+            Ok(Reply::ok(format!("exact={exact}")))
+        }),
+    ),
+];
+
+fn quit(_: &Engine, _: &Verb, _: &[&str]) -> Result<Reply, ServiceError> {
+    Ok(Reply {
+        lines: vec!["OK bye".into()],
+        quit: true,
+    })
+}
+
+/// `help`: each row's usage at the margin, its notes indented under it.
+fn help() -> Reply {
+    let mut payload = Vec::new();
+    for verb in VERBS {
+        payload.push(verb.usage.to_string());
+        if matches!(verb.run, Queued(_)) {
+            payload.push("  queued write".to_string());
+        }
+        payload.extend(verb.notes.iter().map(|note| format!("  {note}")));
+    }
+    Reply::block("commands", payload)
+}
+
 /// A stateless command interpreter over a shared [`Service`]. One engine
 /// serves any number of concurrent sessions.
 #[derive(Debug, Clone)]
 pub struct Engine {
     service: Arc<Service>,
-    /// When set (the sharded front end), write verbs use the non-blocking
-    /// [`Dataset::try_enqueue`](crate::dataset::Dataset::try_enqueue)
-    /// admission path and answer overload with the typed `Overloaded`
-    /// soft error; when clear (REPL, embedders, tests), writes block on
-    /// backpressure as they always have.
+    /// When set (the sharded front end), queued writes use the
+    /// non-blocking admission path and answer overload with the typed
+    /// `Overloaded` soft error; when clear (REPL, embedders, tests),
+    /// writes block on backpressure as they always have.
     shed_writes: bool,
 }
 
@@ -97,9 +350,9 @@ impl Engine {
         }
     }
 
-    /// An engine whose write verbs never block: overload is shed with
-    /// [`ServiceError::Overloaded`]. This is what each reactor shard
-    /// runs — an event loop must not park on a tenant's condvar.
+    /// An engine whose queued writes never block: overload is shed with
+    /// [`ServiceError::Overloaded`]. This is what each shard of the TCP
+    /// front end runs — its loop must not park on a tenant's condvar.
     pub fn with_admission(service: Arc<Service>) -> Engine {
         Engine {
             service,
@@ -114,117 +367,68 @@ impl Engine {
 
     /// Execute one command line.
     pub fn execute(&self, line: &str) -> Reply {
-        self.execute_typed(line).0
+        self.handle(line).reply
     }
 
     /// Execute one command line, also returning the typed error (if the
-    /// command failed) so transports can react to specific failures —
-    /// the sharded server suspends a connection's reads on
-    /// [`ServiceError::Overloaded`] without parsing the reply text.
+    /// command failed) so callers can react to specific failures without
+    /// parsing the reply text.
     pub fn execute_typed(&self, line: &str) -> (Reply, Option<ServiceError>) {
+        let handled = self.handle(line);
+        (handled.reply, handled.error)
+    }
+
+    /// Handle one command line: tokenise it, find its [`VERBS`] row, run
+    /// the handler. The one place a line is parsed, whoever sent it.
+    pub(crate) fn handle(&self, line: &str) -> Handled {
         let tokens: Vec<&str> = line.split_whitespace().collect();
         let Some((&cmd, args)) = tokens.split_first() else {
-            return (Reply::err("empty command; try `help`"), None);
+            return Handled {
+                reply: Reply::err("empty command; try `help`"),
+                error: None,
+                wrote: None,
+            };
         };
-        match self.dispatch(&cmd.to_ascii_lowercase(), args) {
+        let mut wrote = None;
+        let result = match VERBS.iter().find(|v| v.name().eq_ignore_ascii_case(cmd)) {
+            None => Err(bad(format!(
+                "unknown command {:?}; try `help`",
+                cmd.to_ascii_lowercase()
+            ))),
+            Some(verb) => match verb.run {
+                Direct(run) => run(self, verb, args),
+                Queued(parse) => parse(verb, args).and_then(|(name, op)| {
+                    let ds = self.service.get(name)?;
+                    let (seq, class) = ds.submit(op, self.shed_writes);
+                    wrote = class.map(|class| (ds, class));
+                    Ok(Reply::ok(format!("queued seq={}", seq?)))
+                }),
+            },
+        };
+        let (reply, error) = match result {
             Ok(reply) => (reply, None),
             Err(e) => (Reply::err(&e), Some(e)),
+        };
+        Handled {
+            reply,
+            error,
+            wrote,
         }
     }
 
-    /// Route a write op through the engine's admission mode.
-    fn enqueue_op(&self, ds: &crate::dataset::Dataset, op: UpdateOp) -> Result<u64, ServiceError> {
-        if self.shed_writes {
-            ds.try_enqueue(op)
-        } else {
-            ds.enqueue(op)
-        }
+    /// The tenant a `<verb> <ds>` line names.
+    fn tenant<'a>(
+        &self,
+        verb: &Verb,
+        args: &[&'a str],
+    ) -> Result<(&'a str, Arc<Dataset>), ServiceError> {
+        let [name] = args else {
+            return Err(verb.misuse());
+        };
+        Ok((name, self.service.get(name)?))
     }
 
-    fn dispatch(&self, cmd: &str, args: &[&str]) -> Result<Reply, ServiceError> {
-        // anno-lint: protocol-dispatch
-        match cmd {
-            "ping" => Ok(Reply::ok("pong")),
-            "help" => Ok(help()),
-            "quit" | "exit" => Ok(Reply {
-                lines: vec!["OK bye".into()],
-                quit: true,
-            }),
-            "datasets" => Ok(self.datasets()),
-            "open" => self.open(args),
-            "attach" => self.attach(args),
-            "catchup" => {
-                let [name] = expect_args::<1>(args, "catchup <dataset>")?;
-                let ds = self.service.get(name)?;
-                let rs = ds.catchup_now()?;
-                Ok(Reply::ok(format!(
-                    "catchup {name} {}",
-                    render_replication(ds.role(), &rs)
-                )))
-            }
-            "promote" => {
-                let [name] = expect_args::<1>(args, "promote <dataset>")?;
-                let ds = self.service.get(name)?;
-                ds.promote()?;
-                Ok(Reply::ok(format!(
-                    "promoted {name} role={} tuples={} mined={}",
-                    ds.role().label(),
-                    ds.live_tuples(),
-                    ds.is_mined()
-                )))
-            }
-            "drop" => {
-                let [name] = expect_args::<1>(args, "drop <dataset>")?;
-                self.service.remove(name)?;
-                Ok(Reply::ok(format!("dropped {name}")))
-            }
-            "row" => self.row(args),
-            "annotate" => self.annotation_op(args, true),
-            "unannotate" => self.annotation_op(args, false),
-            "delete" => self.delete(args),
-            "class" => self.class(args),
-            "mine" => {
-                let [name] = expect_args::<1>(args, "mine <dataset>")?;
-                let snap = self.service.get(name)?.mine()?;
-                Ok(Reply::ok(format!(
-                    "mined rules={} epoch={}",
-                    snap.rules().len(),
-                    snap.epoch()
-                )))
-            }
-            "flush" => {
-                let [name] = expect_args::<1>(args, "flush <dataset>")?;
-                let ds = self.service.get(name)?;
-                ds.flush()?;
-                let epoch = ds.try_snapshot().map_or(0, |s| s.epoch());
-                Ok(Reply::ok(format!("flushed epoch={epoch}")))
-            }
-            "rules" => self.rules(args),
-            "recommend" => self.recommend(args),
-            "discover" => self.discover(args),
-            "stats" => self.stats(args),
-            "metrics" => Ok(self.metrics()),
-            "events" => self.events(args),
-            "checkpoint" => {
-                let [name] = expect_args::<1>(args, "checkpoint <dataset>")?;
-                let ds = self.service.get(name)?;
-                let (pos, bytes) = ds.checkpoint()?;
-                Ok(Reply::ok(format!(
-                    "checkpoint {name} position={pos} bytes={bytes}"
-                )))
-            }
-            "verify" => {
-                let [name] = expect_args::<1>(args, "verify <dataset>")?;
-                let exact = self.service.get(name)?.verify()?;
-                Ok(Reply::ok(format!("exact={exact}")))
-            }
-            other => Err(ServiceError::BadCommand(format!(
-                "unknown command {other:?}; try `help`"
-            ))),
-        }
-    }
-
-    fn datasets(&self) -> Reply {
+    fn datasets(&self, _: &Verb, _: &[&str]) -> Result<Reply, ServiceError> {
         let payload: Vec<String> = self
             .service
             .list()
@@ -236,27 +440,15 @@ impl Engine {
                 )
             })
             .collect();
-        Reply::block(format!("{} datasets", payload.len()), payload)
+        Ok(Reply::block(format!("{} datasets", payload.len()), payload))
     }
 
-    fn open(&self, args: &[&str]) -> Result<Reply, ServiceError> {
-        let usage = "open <dataset> [<alpha> <beta> [<retention in (0, 1]>]] [dir <path>] \
-                     [auto_checkpoint <bytes=N|records=N|secs=N>...] [sync grouped|per_append]";
-        let (name, rest) = args.split_first().ok_or_else(|| bad(usage))?;
-        let is_open_keyword = |t: &str| {
-            matches!(
-                t.to_ascii_lowercase().as_str(),
-                "dir" | "auto_checkpoint" | "sync"
-            )
-        };
+    fn open(&self, verb: &Verb, args: &[&str]) -> Result<Reply, ServiceError> {
+        let (name, rest) = args.split_first().ok_or_else(|| verb.misuse())?;
+        let mut clauses = Clauses::new(verb, rest, &["dir", "auto_checkpoint", "sync"]);
         // Positional thresholds first, then keyword clauses to the end.
-        let first_clause = rest
-            .iter()
-            .position(|t| is_open_keyword(t))
-            .unwrap_or(rest.len());
-        let (thresholds, mut clauses) = rest.split_at(first_clause);
         let mut config = ServiceConfig::default();
-        match thresholds {
+        match clauses.run() {
             [] => {}
             [alpha, beta, rest2 @ ..] => {
                 let alpha = parse_fraction(alpha, "alpha")?;
@@ -265,7 +457,7 @@ impl Engine {
                 match rest2 {
                     [] => {}
                     [retention] => config.retention = parse_fraction(retention, "retention")?,
-                    _ => return Err(bad(usage)),
+                    _ => return Err(verb.misuse()),
                 }
             }
             _ => return Err(bad("open takes alpha and beta together")),
@@ -273,65 +465,36 @@ impl Engine {
 
         let mut dir: Option<&str> = None;
         let mut policy = anno_wal::CheckpointPolicy::default();
-        let mut sync_mode: Option<String> = None;
-        while let Some((&clause, after)) = clauses.split_first() {
-            clauses = match clause.to_ascii_lowercase().as_str() {
-                "dir" => {
-                    let (&path, next) = after.split_first().ok_or_else(|| bad("dir <path>"))?;
-                    dir = Some(path);
-                    next
-                }
+        let mut per_append: Option<bool> = None;
+        while let Some(key) = clauses.next_key()? {
+            match key {
+                "dir" => dir = Some(clauses.value()?),
                 "auto_checkpoint" => {
-                    let mut cursor = after;
-                    let mut consumed = 0usize;
-                    while let Some((&tok, next)) = cursor.split_first() {
-                        if is_open_keyword(tok) {
-                            break;
+                    let mut thresholds =
+                        Clauses::new(verb, clauses.values()?, &["bytes=", "records=", "secs="]);
+                    while let Some(key) = thresholds.next_key()? {
+                        let n = parse_count(thresholds.value()?)? as u64;
+                        match key {
+                            "bytes=" => policy.log_bytes = Some(n),
+                            "records=" => policy.replayed_records = Some(n),
+                            "secs=" => policy.interval = Some(Duration::from_secs(n)),
+                            _ => return Err(verb.misuse()),
                         }
-                        let (key, value) = tok.split_once('=').ok_or_else(|| {
-                            bad(format!(
-                                "auto_checkpoint takes bytes=N, records=N, or secs=N; got {tok:?}"
-                            ))
-                        })?;
-                        let value: u64 = value.parse().map_err(|_| {
-                            bad(format!("auto_checkpoint {key} must be an integer: {tok:?}"))
-                        })?;
-                        match key.to_ascii_lowercase().as_str() {
-                            "bytes" => policy.log_bytes = Some(value),
-                            "records" => policy.replayed_records = Some(value),
-                            "secs" => {
-                                policy.interval = Some(std::time::Duration::from_secs(value));
-                            }
-                            other => {
-                                return Err(bad(format!(
-                                    "unknown auto_checkpoint threshold {other:?}"
-                                )))
-                            }
-                        }
-                        consumed += 1;
-                        cursor = next;
                     }
-                    if consumed == 0 {
-                        return Err(bad("auto_checkpoint needs at least one threshold"));
-                    }
-                    cursor
                 }
                 "sync" => {
-                    let (&mode, next) = after
-                        .split_first()
-                        .ok_or_else(|| bad("sync grouped|per_append"))?;
-                    match mode.to_ascii_lowercase().as_str() {
-                        m @ ("grouped" | "per_append") => sync_mode = Some(m.to_string()),
+                    per_append = Some(match clauses.value()?.to_ascii_lowercase().as_str() {
+                        "grouped" => false,
+                        "per_append" => true,
                         other => return Err(bad(format!("unknown sync mode {other:?}"))),
-                    }
-                    next
+                    })
                 }
-                other => return Err(bad(format!("unknown open clause {other:?}; {usage}"))),
-            };
+                _ => return Err(verb.misuse()),
+            }
         }
 
         let Some(path) = dir else {
-            if policy.is_enabled() || sync_mode.is_some() {
+            if policy.is_enabled() || per_append.is_some() {
                 return Err(bad(
                     "auto_checkpoint and sync apply to durable datasets; add `dir <path>`",
                 ));
@@ -346,8 +509,8 @@ impl Engine {
         // Grouped sync through the registry's shared committer is the
         // default for protocol opens; `sync per_append` opts back into
         // one inline fsync per drain.
-        let sync = match sync_mode.as_deref() {
-            Some("per_append") => anno_wal::SyncPolicy::PerAppend,
+        let sync = match per_append {
+            Some(true) => anno_wal::SyncPolicy::PerAppend,
             _ => anno_wal::SyncPolicy::Grouped(self.service.group_committer()),
         };
         let options = crate::dataset::DurabilityOptions {
@@ -377,35 +540,27 @@ impl Engine {
         )))
     }
 
-    /// `attach <ds> dir <path> [poll_ms <n>]`: register a read-only
-    /// follower replica tailing the leader's log directory.
-    fn attach(&self, args: &[&str]) -> Result<Reply, ServiceError> {
-        let usage = "attach <dataset> dir <path> [poll_ms <n>]";
-        let (name, rest) = args.split_first().ok_or_else(|| bad(usage))?;
+    /// `attach`: register a read-only follower replica tailing the
+    /// leader's log directory.
+    fn attach(&self, verb: &Verb, args: &[&str]) -> Result<Reply, ServiceError> {
+        let (name, rest) = args.split_first().ok_or_else(|| verb.misuse())?;
+        let mut clauses = Clauses::new(verb, rest, &["dir", "poll_ms"]);
         let mut dir: Option<&str> = None;
-        let mut poll = std::time::Duration::from_millis(50);
-        let mut rest = rest;
-        while let Some((&clause, after)) = rest.split_first() {
-            rest = match clause.to_ascii_lowercase().as_str() {
-                "dir" => {
-                    let (&path, next) = after.split_first().ok_or_else(|| bad("dir <path>"))?;
-                    dir = Some(path);
-                    next
-                }
+        let mut poll = Duration::from_millis(50);
+        while let Some(key) = clauses.next_key()? {
+            match key {
+                "dir" => dir = Some(clauses.value()?),
                 "poll_ms" => {
-                    let (&ms, next) = after.split_first().ok_or_else(|| bad("poll_ms <n>"))?;
+                    let ms = clauses.value()?;
                     let ms: u64 = ms
                         .parse()
                         .map_err(|_| bad(format!("poll_ms must be an integer, got {ms:?}")))?;
-                    poll = std::time::Duration::from_millis(ms);
-                    next
+                    poll = Duration::from_millis(ms);
                 }
-                other => return Err(bad(format!("unknown attach clause {other:?}; {usage}"))),
-            };
+                _ => return Err(verb.misuse()),
+            }
         }
-        let Some(path) = dir else {
-            return Err(bad(usage));
-        };
+        let path = dir.ok_or_else(|| verb.misuse())?;
         let ds = self.service.attach_follower(
             name,
             ServiceConfig::default(),
@@ -422,163 +577,74 @@ impl Engine {
         )))
     }
 
-    fn row(&self, args: &[&str]) -> Result<Reply, ServiceError> {
-        let (name, rest) = args
-            .split_first()
-            .ok_or_else(|| bad("row <dataset> <value|annotation>..."))?;
-        if rest.is_empty() {
-            return Err(bad("row needs at least one value"));
-        }
-        let line = rest.join(" ");
-        // A line the parser skips (comment/blank/separator-only) would
-        // silently vanish at apply time; err immediately instead of
-        // replying `queued`.
-        if !anno_store::line_has_items(&line) {
-            return Err(bad(
-                "row has no items (comment, blank, or separators only) and would be dropped",
-            ));
-        }
-        let ds = self.service.get(name)?;
-        let seq = self.enqueue_op(&ds, UpdateOp::InsertRows(vec![line]))?;
-        Ok(Reply::ok(format!("queued seq={seq}")))
-    }
-
-    /// `class <ds> [interactive|bulk]`: set (or report) the tenant's QoS
-    /// class. The class steers the sharded front end's admission policy —
-    /// bulk tenants get a small per-tick command budget and absorb
-    /// overload through read suspension; interactive tenants keep a large
-    /// budget and are shed fast with `Overloaded` so their latency stays
-    /// bounded.
-    fn class(&self, args: &[&str]) -> Result<Reply, ServiceError> {
-        let usage = "class <dataset> [interactive|bulk]";
-        match args {
-            [name] => {
-                let ds = self.service.get(name)?;
-                Ok(Reply::ok(format!(
-                    "class {name} {} cap={}",
-                    ds.qos_class().label(),
-                    ds.queue_cap()
-                )))
-            }
+    /// `class`: set (or report) the tenant's QoS class. The class steers
+    /// the sharded front end's admission policy — bulk tenants get a
+    /// small per-tick command budget and absorb overload through read
+    /// suspension; interactive tenants keep a large budget and are shed
+    /// fast with `Overloaded` so their latency stays bounded.
+    fn class(&self, verb: &Verb, args: &[&str]) -> Result<Reply, ServiceError> {
+        let (name, class) = match args {
+            [name] => (name, None),
             [name, class] => {
-                let class = QosClass::parse(class)
-                    .ok_or_else(|| bad(format!("unknown class {class:?}; {usage}")))?;
-                let ds = self.service.get(name)?;
-                ds.set_qos_class(class);
-                Ok(Reply::ok(format!(
-                    "class {name} {} cap={}",
-                    class.label(),
-                    ds.queue_cap()
-                )))
+                let parsed = QosClass::parse(class)
+                    .ok_or_else(|| bad(format!("unknown class {class:?}; {}", verb.usage)))?;
+                (name, Some(parsed))
             }
-            _ => Err(bad(usage)),
-        }
-    }
-
-    fn annotation_op(&self, args: &[&str], attach: bool) -> Result<Reply, ServiceError> {
-        let usage = if attach {
-            "annotate <dataset> <tuple-id> <annotation>..."
-        } else {
-            "unannotate <dataset> <tuple-id> <annotation>..."
+            _ => return Err(verb.misuse()),
         };
-        let [name, tid, anns @ ..] = args else {
-            return Err(bad(usage));
-        };
-        if anns.is_empty() {
-            return Err(bad(usage));
-        }
-        let tid = parse_tid(tid)?;
-        let named: Vec<(TupleId, String)> = anns.iter().map(|a| (tid, a.to_string())).collect();
         let ds = self.service.get(name)?;
-        let op = if attach {
-            UpdateOp::AnnotateNamed(named)
-        } else {
-            UpdateOp::RemoveNamed(named)
-        };
-        let seq = self.enqueue_op(&ds, op)?;
-        Ok(Reply::ok(format!("queued seq={seq}")))
-    }
-
-    fn delete(&self, args: &[&str]) -> Result<Reply, ServiceError> {
-        let [name, tids @ ..] = args else {
-            return Err(bad("delete <dataset> <tuple-id>..."));
-        };
-        if tids.is_empty() {
-            return Err(bad("delete needs at least one tuple id"));
+        if let Some(class) = class {
+            ds.set_qos_class(class);
         }
-        let tids = tids
-            .iter()
-            .map(|t| parse_tid(t))
-            .collect::<Result<Vec<_>, _>>()?;
-        let ds = self.service.get(name)?;
-        let seq = self.enqueue_op(&ds, UpdateOp::DeleteTuples(tids))?;
-        Ok(Reply::ok(format!("queued seq={seq}")))
+        Ok(Reply::ok(format!(
+            "class {name} {} cap={}",
+            class.unwrap_or_else(|| ds.qos_class()).label(),
+            ds.queue_cap()
+        )))
     }
 
-    fn rules(&self, args: &[&str]) -> Result<Reply, ServiceError> {
-        let (name, mut rest) = args.split_first().ok_or_else(|| {
-            bad("rules <dataset> [contains <item>...] [kind data|ann] [minconf <x>] [top <k>]")
-        })?;
+    fn rules(&self, verb: &Verb, args: &[&str]) -> Result<Reply, ServiceError> {
+        let (name, rest) = args.split_first().ok_or_else(|| verb.misuse())?;
         let ds = self.service.get(name)?;
         let snap = ds.snapshot()?;
+        let mut clauses = Clauses::new(verb, rest, &["contains", "kind", "minconf", "by", "top"]);
+        clauses.repeats = "contains";
         let mut filter = RuleFilter::default();
         // An unknown `contains` item means an empty result, but only after
         // the whole command parses — a success reply must never mask a
         // malformed later clause.
         let mut unknown_item = false;
-        while let Some((&clause, after)) = rest.split_first() {
-            rest = match clause.to_ascii_lowercase().as_str() {
+        while let Some(key) = clauses.next_key()? {
+            match key {
                 "contains" => {
-                    let mut cursor = after;
-                    let mut consumed = 0usize;
-                    while let Some((&tok, next)) = cursor.split_first() {
-                        let (item_tok, literal) = unescape_item(tok);
-                        if !literal && is_clause_keyword(tok) {
-                            break;
-                        }
-                        consumed += 1;
-                        match resolve_item(&ds, &snap, item_tok) {
+                    for tok in clauses.values()? {
+                        match resolve_item(&ds, &snap, tok) {
                             Some(item) => filter.antecedent.push(item),
                             None => unknown_item = true,
                         }
-                        cursor = next;
                     }
-                    if consumed == 0 {
-                        return Err(bad("contains needs at least one item"));
-                    }
-                    cursor
                 }
                 "kind" => {
-                    let (&kind, next) = after.split_first().ok_or_else(|| bad("kind data|ann"))?;
-                    filter.kind = Some(match kind.to_ascii_lowercase().as_str() {
+                    filter.kind = Some(match clauses.value()?.to_ascii_lowercase().as_str() {
                         "data" | "d2a" => RuleKind::DataToAnnotation,
                         "ann" | "a2a" => RuleKind::AnnotationToAnnotation,
                         other => return Err(bad(format!("unknown rule kind {other:?}"))),
-                    });
-                    next
+                    })
                 }
                 "minconf" => {
-                    let (&x, next) = after.split_first().ok_or_else(|| bad("minconf <x>"))?;
-                    filter.min_confidence = Some(parse_fraction(x, "minconf")?);
-                    next
-                }
-                "top" => {
-                    let (&k, next) = after.split_first().ok_or_else(|| bad("top <k>"))?;
-                    filter.top = Some(parse_count(k)?);
-                    next
+                    filter.min_confidence = Some(parse_fraction(clauses.value()?, "minconf")?)
                 }
                 "by" => {
-                    let (&o, next) = after.split_first().ok_or_else(|| bad("by conf|sup|lift"))?;
-                    filter.order = match o.to_ascii_lowercase().as_str() {
+                    filter.order = match clauses.value()?.to_ascii_lowercase().as_str() {
                         "conf" | "confidence" => RuleOrder::Confidence,
                         "sup" | "support" => RuleOrder::Support,
                         "lift" => RuleOrder::Lift,
                         other => return Err(bad(format!("unknown order {other:?}"))),
-                    };
-                    next
+                    }
                 }
-                other => return Err(bad(format!("unknown rules clause {other:?}"))),
-            };
+                "top" => filter.top = Some(parse_count(clauses.value()?)?),
+                _ => return Err(verb.misuse()),
+            }
         }
         if unknown_item {
             // Still a served rule query; count it.
@@ -597,41 +663,34 @@ impl Engine {
         Ok(Reply::block(format!("{} rules", payload.len()), payload))
     }
 
-    fn recommend(&self, args: &[&str]) -> Result<Reply, ServiceError> {
-        let usage = "recommend <dataset> tuple <id> [top <k>] | recommend <dataset> items <item>... [top <k>]";
-        let [name, mode, rest @ ..] = args else {
-            return Err(bad(usage));
-        };
+    fn recommend(&self, verb: &Verb, args: &[&str]) -> Result<Reply, ServiceError> {
+        let (name, rest) = args.split_first().ok_or_else(|| verb.misuse())?;
         let ds = self.service.get(name)?;
         let snap = ds.snapshot()?;
-        let (recs, nanos): (Option<Vec<TopRecommendation>>, u64) =
-            match mode.to_ascii_lowercase().as_str() {
-                "tuple" => {
-                    let [tid, k @ ..] = rest else {
-                        return Err(bad(usage));
-                    };
-                    let tid = parse_tid(tid)?;
-                    let k = parse_top_clause(k)?;
-                    timed(|| top_k_for_tuple(&snap, tid, k))
-                }
+        let mut clauses = Clauses::new(verb, rest, &["tuple", "items", "top"]);
+        let mut tuple = None;
+        // Unknown items resolve to nothing, so `Some(vec![])` is a query.
+        let mut items: Option<Vec<Item>> = None;
+        let mut k = DEFAULT_TOP_K;
+        while let Some(key) = clauses.next_key()? {
+            match key {
+                "tuple" => tuple = Some(parse_tid(clauses.value()?)?),
                 "items" => {
-                    let (toks, k) = split_top_clause(rest)?;
-                    if toks.is_empty() {
-                        return Err(bad(usage));
-                    }
-                    let items: Vec<Item> = toks
-                        .iter()
-                        .filter_map(|t| resolve_item(&ds, &snap, unescape_item(t).0))
-                        .collect();
-                    timed(|| Some(top_k_for_items(&snap, &items, k)))
+                    let toks = clauses.values()?.iter();
+                    items = Some(toks.filter_map(|t| resolve_item(&ds, &snap, t)).collect());
                 }
-                _ => return Err(bad(usage)),
-            };
+                "top" => k = parse_count(clauses.value()?)?,
+                _ => return Err(verb.misuse()),
+            }
+        }
+        let (recs, nanos) = match (tuple, items) {
+            (Some(tid), None) => timed(|| top_k_for_tuple(&snap, tid, k)),
+            (None, Some(items)) => timed(|| Some(top_k_for_items(&snap, &items, k))),
+            _ => return Err(verb.misuse()),
+        };
         ds.raw_metrics().record_recommend_query(nanos);
         let Some(recs) = recs else {
-            return Err(ServiceError::BadCommand(
-                "tuple is dead or out of range in the current snapshot".into(),
-            ));
+            return Err(bad("tuple is dead or out of range in the current snapshot"));
         };
         let payload: Vec<String> = recs
             .into_iter()
@@ -652,21 +711,19 @@ impl Engine {
     /// snapshot — O(k), never touching the write path. Cross-namespace
     /// pairs (annotation families co-firing) lead; same-namespace pairs
     /// follow unless `cross_only` drops them.
-    fn discover(&self, args: &[&str]) -> Result<Reply, ServiceError> {
-        let usage = "discover <dataset> [top=<k>] [min_support=<x>] [cross_only]";
-        let (name, rest) = args.split_first().ok_or_else(|| bad(usage))?;
+    fn discover(&self, verb: &Verb, args: &[&str]) -> Result<Reply, ServiceError> {
+        let (name, rest) = args.split_first().ok_or_else(|| verb.misuse())?;
         let ds = self.service.get(name)?;
+        let mut clauses = Clauses::new(verb, rest, &["top=", "min_support=", "cross_only"]);
         let mut k = DEFAULT_TOP_K;
         let mut min_support = 0.0f64;
         let mut cross_only = false;
-        for tok in rest {
-            match tok.to_ascii_lowercase().as_str() {
+        while let Some(key) = clauses.next_key()? {
+            match key {
+                "top=" => k = parse_count(clauses.value()?)?,
+                "min_support=" => min_support = parse_fraction(clauses.value()?, "min_support")?,
                 "cross_only" => cross_only = true,
-                other => match other.split_once('=') {
-                    Some(("top", v)) => k = parse_count(v)?,
-                    Some(("min_support", v)) => min_support = parse_fraction(v, "min_support")?,
-                    _ => return Err(bad(format!("unknown discover clause {tok:?}; {usage}"))),
-                },
+                _ => return Err(verb.misuse()),
             }
         }
         let k = k.min(crate::dataset::DISCOVERY_TOPK_CAP);
@@ -702,38 +759,24 @@ impl Engine {
         ))
     }
 
-    /// The full Prometheus exposition text as a protocol block — the
-    /// same bytes `GET /metrics` serves, reachable without the second
-    /// listener.
-    fn metrics(&self) -> Reply {
-        let text = crate::expose::render_prometheus(&self.service);
-        Reply::block("metrics", text.lines().map(String::from).collect())
-    }
-
     /// The maintenance event journal: a dataset's (recovery, checkpoints,
     /// fencing) with a name, the service's (group-commit windows) bare.
-    fn events(&self, args: &[&str]) -> Result<Reply, ServiceError> {
-        let usage = "events [<dataset>] [<n>]";
+    fn events(&self, verb: &Verb, args: &[&str]) -> Result<Reply, ServiceError> {
         let (scope, events, total) = match args {
             [] => (
-                "service".to_string(),
+                "service",
                 self.service.events(DEFAULT_EVENTS),
                 self.service.events_total(),
             ),
-            [name] => {
+            [name, n @ ..] => {
+                let n = match n {
+                    [] => DEFAULT_EVENTS,
+                    [n] => parse_count(n)?,
+                    _ => return Err(verb.misuse()),
+                };
                 let ds = self.service.get(name)?;
-                (
-                    name.to_string(),
-                    ds.events(DEFAULT_EVENTS),
-                    ds.events_total(),
-                )
+                (*name, ds.events(n), ds.events_total())
             }
-            [name, n] => {
-                let n = parse_count(n)?;
-                let ds = self.service.get(name)?;
-                (name.to_string(), ds.events(n), ds.events_total())
-            }
-            _ => return Err(bad(usage)),
         };
         let payload: Vec<String> = events.iter().map(|e| e.to_string()).collect();
         Ok(Reply::block(
@@ -785,12 +828,12 @@ impl Engine {
     /// [`DatasetObs::stats_line`](crate::metrics::DatasetObs::stats_line),
     /// and beside them what the same publication says that is not a
     /// metric — thresholds, miner cases, discovery epochs, the log.
-    fn stats(&self, args: &[&str]) -> Result<Reply, ServiceError> {
+    fn stats(&self, verb: &Verb, args: &[&str]) -> Result<Reply, ServiceError> {
         if args.is_empty() {
             return Ok(self.service_stats());
         }
-        let [name] = expect_args::<1>(args, "stats [<dataset>]")?;
-        let (obs, published) = self.service.get(name)?.freeze();
+        let (name, ds) = self.tenant(verb, args)?;
+        let (obs, published) = ds.freeze();
         let mut payload = Vec::new();
         match &published.rules {
             Some(snap) => {
@@ -927,58 +970,157 @@ fn render_policy(policy: &anno_wal::CheckpointPolicy) -> String {
     }
 }
 
-fn help() -> Reply {
-    let payload = vec![
-        "ping | help | quit".into(),
-        "datasets".into(),
-        "open <ds> [<alpha> <beta> [<retention>]] [dir <path>]".into(),
-        "     [auto_checkpoint <bytes=N|records=N|secs=N>...] [sync grouped|per_append]".into(),
-        "  (alpha and beta in [0, 1], retention in (0, 1];".into(),
-        "   dir makes the dataset durable: drains are write-ahead logged and".into(),
-        "   existing state under <path> is recovered before serving;".into(),
-        "   auto_checkpoint makes the writer checkpoint itself once the log".into(),
-        "   grows past a threshold; sync grouped — the default — batches".into(),
-        "   fsyncs across all grouped datasets into shared commit windows)".into(),
-        "drop <ds>".into(),
-        "row <ds> <value|annotation>...        (queued write)".into(),
-        "annotate <ds> <tid> <annotation>...   (queued write; names are single tokens)".into(),
-        "unannotate <ds> <tid> <annotation>... (queued write; names are single tokens)".into(),
-        "delete <ds> <tid>...                  (queued write)".into(),
-        "class <ds> [interactive|bulk]         QoS class for admission control".into(),
-        "  (bulk tenants get a small per-tick budget + read-suspension backpressure;".into(),
-        "   interactive tenants are shed fast with ERR overloaded when their queue fills)"
-            .into(),
-        "mine <ds>     full mine + first snapshot".into(),
-        "flush <ds>    wait until queued writes are published".into(),
-        "rules <ds> [contains <item>...] [kind data|ann] [minconf <x>] [by conf|sup|lift] [top <k>]".into(),
-        "recommend <ds> tuple <tid> [top <k>]".into(),
-        "recommend <ds> items <item>... [top <k>]".into(),
-        "  (item escapes: =name for keyword collisions, ann:name / data:name to force a kind)"
-            .into(),
-        "discover <ds> [top=<k>] [min_support=<x>] [cross_only]".into(),
-        "  (ranked annotation correlations — lift/leverage over co-occurring pairs,".into(),
-        "   maintained incrementally per drain; cross-namespace pairs rank first)".into(),
-        "checkpoint <ds>  persist snapshot+miner at the log head, compact the wal".into(),
-        "attach <ds> dir <path> [poll_ms <n>]  read-only follower tailing a leader's log".into(),
-        "catchup <ds>     force a follower poll now and report replication lag".into(),
-        "promote <ds>     follower -> leader: take the wal lock, catch up, accept writes".into(),
-        "stats [<ds>]     per-dataset counters, or a service-wide block with no name".into(),
-        "metrics          Prometheus text exposition (same bytes as GET /metrics)".into(),
-        "events [<ds>] [<n>]  maintenance event journal (service-level with no name)".into(),
-        "verify <ds>".into(),
-    ];
-    Reply::block("commands", payload)
+/// The one clause cursor: walks the `keyword value…` clauses that close
+/// a line, in whatever order they come. A token that opens no declared
+/// clause, a clause given twice and a clause missing its value are all
+/// refused here, with the verb's usage.
+struct Clauses<'a> {
+    usage: &'static str,
+    /// The clauses the verb declares. A trailing `=` marks one written
+    /// `key=<value>` in a single token.
+    keys: &'static [&'static str],
+    /// The one key whose second occurrence adds to the first.
+    repeats: &'static str,
+    tokens: &'a [&'a str],
+    seen: Vec<&'static str>,
+    /// The value inside the `key=<value>` token `next_key` just took.
+    inline: Option<&'a str>,
+}
+
+/// The declared key `tok` opens, and its value when that is written
+/// inline. A token with a leading `=` opens nothing: that is the
+/// literal-item escape (`=top` names an item called `top`).
+fn clause_key<'t>(keys: &[&'static str], tok: &'t str) -> Option<(&'static str, Option<&'t str>)> {
+    keys.iter().find_map(|&key| match key.strip_suffix('=') {
+        Some(stem) => tok
+            .split_once('=')
+            .filter(|(k, _)| k.eq_ignore_ascii_case(stem))
+            .map(|(_, value)| (key, Some(value))),
+        None => tok.eq_ignore_ascii_case(key).then_some((key, None)),
+    })
+}
+
+impl<'a> Clauses<'a> {
+    fn new(verb: &Verb, tokens: &'a [&'a str], keys: &'static [&'static str]) -> Clauses<'a> {
+        Clauses {
+            usage: verb.usage,
+            keys,
+            repeats: "",
+            tokens,
+            seen: Vec::new(),
+            inline: None,
+        }
+    }
+
+    /// Step to the next clause and return its key, as declared.
+    fn next_key(&mut self) -> Result<Option<&'static str>, ServiceError> {
+        let Some((tok, rest)) = self.tokens.split_first() else {
+            return Ok(None);
+        };
+        let Some((key, inline)) = clause_key(self.keys, tok) else {
+            return Err(bad(format!("unknown clause {tok:?}; {}", self.usage)));
+        };
+        if key != self.repeats && self.seen.contains(&key) {
+            return Err(bad(format!("{key} given twice; {}", self.usage)));
+        }
+        self.seen.push(key);
+        (self.tokens, self.inline) = (rest, inline);
+        Ok(Some(key))
+    }
+
+    /// Every token up to the next keyword: the positional arguments
+    /// before the first clause, or a clause's list of values.
+    fn run(&mut self) -> &'a [&'a str] {
+        let n = (self.tokens.iter())
+            .take_while(|tok| clause_key(self.keys, tok).is_none())
+            .count();
+        let (run, rest) = self.tokens.split_at(n);
+        self.tokens = rest;
+        run
+    }
+
+    /// The current clause's values: at least one.
+    fn values(&mut self) -> Result<&'a [&'a str], ServiceError> {
+        match self.run() {
+            [] => Err(self.needs_value()),
+            values => Ok(values),
+        }
+    }
+
+    /// The current clause's one value: the inline one, else the next
+    /// token whatever it spells.
+    fn value(&mut self) -> Result<&'a str, ServiceError> {
+        if let Some(value) = self.inline.take() {
+            return Ok(value);
+        }
+        let (value, rest) = self
+            .tokens
+            .split_first()
+            .ok_or_else(|| self.needs_value())?;
+        self.tokens = rest;
+        Ok(value)
+    }
+
+    fn needs_value(&self) -> ServiceError {
+        let key = self.seen.last().copied().unwrap_or_default();
+        bad(format!("{key} needs a value; {}", self.usage))
+    }
+}
+
+fn row<'a>(verb: &Verb, args: &[&'a str]) -> QueuedOp<'a> {
+    let [name, toks @ ..] = args else {
+        return Err(verb.misuse());
+    };
+    if toks.is_empty() {
+        return Err(verb.misuse());
+    }
+    let line = toks.join(" ");
+    // A line the parser skips (comment/blank/separator-only) would
+    // silently vanish at apply time; err immediately instead of
+    // replying `queued`.
+    if !anno_store::line_has_items(&line) {
+        return Err(bad(
+            "row has no items (comment, blank, or separators only) and would be dropped",
+        ));
+    }
+    Ok((name, UpdateOp::InsertRows(vec![line])))
+}
+
+/// `annotate` / `unannotate`, which differ only in the op they build.
+fn annotation_op<'a>(
+    verb: &Verb,
+    args: &[&'a str],
+    op: fn(Vec<(TupleId, String)>) -> UpdateOp,
+) -> QueuedOp<'a> {
+    let [name, tid, anns @ ..] = args else {
+        return Err(verb.misuse());
+    };
+    if anns.is_empty() {
+        return Err(verb.misuse());
+    }
+    let tid = parse_tid(tid)?;
+    Ok((
+        name,
+        op(anns.iter().map(|a| (tid, a.to_string())).collect()),
+    ))
+}
+
+fn delete<'a>(verb: &Verb, args: &[&'a str]) -> QueuedOp<'a> {
+    let [name, tids @ ..] = args else {
+        return Err(verb.misuse());
+    };
+    if tids.is_empty() {
+        return Err(verb.misuse());
+    }
+    let tids = tids
+        .iter()
+        .map(|t| parse_tid(t))
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((name, UpdateOp::DeleteTuples(tids)))
 }
 
 fn bad(msg: impl Into<String>) -> ServiceError {
     ServiceError::BadCommand(msg.into())
-}
-
-fn expect_args<'a, const N: usize>(
-    args: &[&'a str],
-    usage: &str,
-) -> Result<[&'a str; N], ServiceError> {
-    <[&str; N]>::try_from(args.to_vec()).map_err(|_| bad(usage))
 }
 
 fn parse_fraction(tok: &str, what: &str) -> Result<f64, ServiceError> {
@@ -1004,56 +1146,20 @@ fn parse_count(tok: &str) -> Result<usize, ServiceError> {
         .map_err(|_| bad(format!("count must be a non-negative integer, got {tok:?}")))
 }
 
-/// Strip the `=` literal-item escape: `=top` names an item called `top`
-/// even though bare `top` would parse as a clause keyword (annotations can
-/// carry any single-token name, including the grammar's reserved words).
-fn unescape_item(tok: &str) -> (&str, bool) {
-    match tok.strip_prefix('=') {
-        Some(rest) => (rest, true),
-        None => (tok, false),
-    }
-}
-
-fn is_clause_keyword(tok: &str) -> bool {
-    matches!(
-        tok.to_ascii_lowercase().as_str(),
-        "contains" | "kind" | "minconf" | "top" | "by"
-    )
-}
-
-/// Parse an optional trailing `top <k>` clause.
-fn parse_top_clause(rest: &[&str]) -> Result<usize, ServiceError> {
-    match rest {
-        [] => Ok(DEFAULT_TOP_K),
-        [kw, k] if kw.eq_ignore_ascii_case("top") => parse_count(k),
-        _ => Err(bad("expected `top <k>`")),
-    }
-}
-
-/// Split `tokens... [top <k>]` into the tokens and the effective k.
-fn split_top_clause<'a>(rest: &[&'a str]) -> Result<(Vec<&'a str>, usize), ServiceError> {
-    if let Some(pos) = rest.iter().position(|t| t.eq_ignore_ascii_case("top")) {
-        let k = match &rest[pos + 1..] {
-            [k] => parse_count(k)?,
-            _ => return Err(bad("expected `top <k>` at end")),
-        };
-        Ok((rest[..pos].to_vec(), k))
-    } else {
-        Ok((rest.to_vec(), DEFAULT_TOP_K))
-    }
-}
-
 /// Resolve a protocol token against the snapshot's vocabulary without
-/// interning. `ann:<name>` / `data:<name>` force a kind (the only way to
-/// reach an annotation whose digit-only name shadows a data value);
-/// otherwise the shared Fig. 4 convention (`anno_store::token_kind`)
-/// picks the preferred kind, falling back to the other on a miss so
-/// digit-named annotations stay queryable when unambiguous.
-/// Lookups go through the dataset's per-namespace lookaside cache
-/// ([`crate::dataset::Dataset::resolve_cached`]): hot query names skip
-/// the HAMT walk entirely, and append-only interning keeps every cached
-/// hit valid forever (misses are never cached).
-fn resolve_item(ds: &crate::dataset::Dataset, snap: &RuleSnapshot, tok: &str) -> Option<Item> {
+/// interning. A leading `=` is the literal-item escape and is dropped
+/// (annotations can carry any single-token name, including the grammar's
+/// reserved words). `ann:<name>` / `data:<name>` force a kind (the only
+/// way to reach an annotation whose digit-only name shadows a data
+/// value); otherwise the shared Fig. 4 convention
+/// (`anno_store::token_kind`) picks the preferred kind, falling back to
+/// the other on a miss so digit-named annotations stay queryable when
+/// unambiguous. Lookups go through the dataset's per-namespace lookaside
+/// cache ([`Dataset::resolve_cached`]): hot query names skip the HAMT
+/// walk entirely, and append-only interning keeps every cached hit valid
+/// forever (misses are never cached).
+fn resolve_item(ds: &Dataset, snap: &RuleSnapshot, tok: &str) -> Option<Item> {
+    let tok = tok.strip_prefix('=').unwrap_or(tok);
     let vocab = snap.relation().vocab();
     if let Some(rest) = tok.strip_prefix("ann:") {
         return ds.resolve_cached(vocab, ItemKind::Annotation, rest);
@@ -1638,5 +1744,155 @@ mod tests {
         assert!(rules[0].contains("0 rules"), "{rules:?}");
         let recs = ok(&e, "recommend db items NoSuchAnnotation");
         assert!(recs[0].contains("0 recommendations"), "{recs:?}");
+    }
+
+    /// Rows whose bare verb is a wrong-arguments error.
+    fn takes_arguments(verb: &Verb) -> bool {
+        verb.usage.starts_with(&format!("{} <", verb.name()))
+    }
+
+    #[test]
+    fn usage_is_spelled_once_and_help_prints_it() {
+        let e = engine();
+        let help = e.execute("help").lines;
+        for verb in VERBS {
+            assert!(
+                help.iter().any(|l| l == verb.usage),
+                "help lacks {:?}: {help:#?}",
+                verb.usage
+            );
+            assert!(!verb.usage.contains("<dataset>"), "{:?}", verb.usage);
+            let bare = e.execute(verb.name()).lines;
+            if takes_arguments(verb) {
+                assert_eq!(bare, [format!("ERR bad command: {}", verb.usage)]);
+            } else {
+                assert!(bare[0].starts_with("OK"), "{:?} -> {bare:?}", verb.name());
+            }
+        }
+        assert!(help.iter().any(|l| l == "exit"), "the alias is listed");
+    }
+
+    #[test]
+    fn every_table_row_dispatches() {
+        let e = engine();
+        for (i, verb) in VERBS.iter().enumerate() {
+            assert!(
+                VERBS[..i]
+                    .iter()
+                    .all(|earlier| earlier.name() != verb.name()),
+                "{:?} is shadowed by an earlier row",
+                verb.name()
+            );
+            // Matching is case-blind, and lands on this row: its usage
+            // comes back, or (for a verb that needs nothing) its reply.
+            let shouted = e.execute(&verb.name().to_ascii_uppercase()).lines;
+            assert_eq!(shouted, e.execute(verb.name()).lines);
+            assert!(!shouted[0].contains("unknown command"), "{shouted:?}");
+            // A queued write gets as far as looking its tenant up.
+            if matches!(verb.run, Queued(_)) {
+                let reply = e.execute(&format!("{} nosuch 0 1", verb.name())).lines;
+                assert_eq!(reply, ["ERR unknown dataset \"nosuch\""]);
+            }
+        }
+        assert!(e.execute("quit").quit && e.execute("exit").quit);
+        assert_eq!(
+            e.execute("Bogus x").lines,
+            ["ERR bad command: unknown command \"bogus\"; try `help`"]
+        );
+    }
+
+    #[test]
+    fn a_clause_given_twice_is_refused() {
+        let dir = std::env::temp_dir().join(format!("anno-protocol-twice-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (a, b) = (dir.join("A"), dir.join("B"));
+        let (a_tok, b_tok) = (a.to_str().unwrap(), b.to_str().unwrap());
+        let e = engine();
+        ok(&e, "open db 0.4 0.7");
+        for row in ["28 85 Annot_1", "28 85 Annot_1", "28 85 Annot_1", "28 85"] {
+            ok(&e, &format!("row db {row}"));
+        }
+        ok(&e, "mine db");
+        let twice = |line: &str, clause: &str| {
+            let reply = e.execute(line).lines;
+            let want = format!("ERR bad command: {clause} given twice; ");
+            assert!(reply[0].starts_with(&want), "{line:?} -> {reply:?}");
+        };
+        twice(&format!("open d2 dir {a_tok} dir {b_tok}"), "dir");
+        twice(
+            &format!("open d2 dir {a_tok} auto_checkpoint records=4 auto_checkpoint bytes=9"),
+            "auto_checkpoint",
+        );
+        twice(
+            &format!("open d2 dir {a_tok} sync grouped sync per_append"),
+            "sync",
+        );
+        twice(&format!("attach f dir {a_tok} dir {b_tok}"), "dir");
+        twice(
+            &format!("attach f dir {a_tok} poll_ms 5 poll_ms 6"),
+            "poll_ms",
+        );
+        assert!(!a.exists() && !b.exists(), "a refused line opens nothing");
+        twice("rules db top 1 top 2", "top");
+        twice("rules db kind ann kind data", "kind");
+        twice("rules db minconf 0.1 minconf 0.2", "minconf");
+        twice("rules db by lift by sup", "by");
+        twice("recommend db tuple 3 top 1 top 2", "top");
+        twice("discover db top=1 top=2", "top=");
+        twice(
+            "discover db min_support=0.1 min_support=0.2",
+            "min_support=",
+        );
+        // `contains` alone may repeat, and accumulates.
+        assert_eq!(
+            ok(&e, "rules db contains 28 contains 85"),
+            ok(&e, "rules db contains 28 85")
+        );
+    }
+
+    /// The README's protocol reference against the table, both ways: each
+    /// backticked command in a row's first cell starts with a verb the
+    /// table has and is spelled as (part of) that verb's usage, every verb
+    /// has such a command, and the rows marked as queued writes are the
+    /// `Queued` ones.
+    #[test]
+    fn readme_protocol_reference_matches_the_verb_table() {
+        let readme = include_str!("../../../README.md");
+        let section = readme
+            .split("\n## ")
+            .find(|s| {
+                s.lines()
+                    .next()
+                    .is_some_and(|h| h.contains("protocol reference"))
+            })
+            .expect("README has a protocol reference section");
+        let mut documented = Vec::new();
+        for row in section.lines().filter(|l| l.starts_with("| `")) {
+            let cell = row[2..].split(" | ").next().unwrap();
+            for command in cell.split('`').skip(1).step_by(2) {
+                let command = command.replace("\\|", "|");
+                let name = command.split(' ').next().unwrap();
+                let verb = (VERBS.iter().find(|v| v.name() == name))
+                    .unwrap_or_else(|| panic!("README documents {name:?}; no such verb"));
+                assert!(
+                    verb.usage.contains(&command),
+                    "README spells {command:?}, the table {:?}",
+                    verb.usage
+                );
+                assert_eq!(
+                    row.contains("**Queued write**"),
+                    matches!(verb.run, Queued(_)),
+                    "{row}"
+                );
+                documented.push(name.to_string());
+            }
+        }
+        for verb in VERBS {
+            assert!(
+                documented.iter().any(|name| name == verb.name()),
+                "{:?} has no README row",
+                verb.name()
+            );
+        }
     }
 }

@@ -1,44 +1,40 @@
-//! Worker-per-core sharded TCP front end on a std-only readiness reactor.
+//! The sharded TCP front end: one accept loop, N shard loops, `std::net`
+//! only (the workspace is dependency-free by construction, and real
+//! epoll stays behind `forbid(unsafe_code)`).
 //!
-//! The workspace is dependency-free by construction (vendored stubs only,
-//! no registry access), so this is an epoll/mio-*style* reactor built
-//! entirely on `std::net`: every registered source is a non-blocking
-//! [`TcpStream`] probe (a `try_clone` of the owner's socket), and
-//! [`Reactor::poll`] discovers read readiness with `peek` — data pending,
-//! orderly EOF, and socket errors all report readable so the owner's next
-//! read observes them. No `unsafe`, no FFI, level-triggered semantics.
-//!
-//! On top of it, [`serve_sharded`] runs the `annod` serving layer the
-//! ROADMAP's heavy-traffic item calls for:
-//!
-//! * one accept loop **hashes each connection to a shard at accept
+//! * The accept loop **hashes each connection to a shard at accept
 //!   time** (peer-address hash), so a connection is owned by exactly one
 //!   shard thread for its whole life and shards share nothing but the
-//!   [`Engine`];
-//! * N **shard event loops** (default one per core) parse the line
-//!   protocol non-blockingly from per-connection buffers and execute
-//!   commands through [`Engine::execute_typed`];
-//! * **admission control**: write verbs go through the non-blocking
+//!   [`Engine`].
+//! * Each **shard loop** (default one per core) reads its own
+//!   non-blocking sockets in place — `WouldBlock` is "nothing yet",
+//!   `Ok(0)` is EOF — naps `PARK` between sweeps while none has
+//!   anything to say, and hands every complete line to
+//!   [`Engine::handle`](crate::protocol::Engine), once.
+//! * **Admission control**: queued writes go through the non-blocking
 //!   [`try_enqueue`](crate::dataset::Dataset::try_enqueue) path, so a
 //!   full tenant queue (or unacked-drain window) sheds with the typed
 //!   [`ServiceError::Overloaded`] soft error instead of parking the
-//!   event loop. Connections that keep flooding a saturated **bulk**
-//!   tenant stop being polled for reads until the writer drains below
-//!   half the cap — natural TCP backpressure with hysteresis — while
-//!   **interactive** tenants keep getting fast errors so their latency
-//!   stays bounded;
+//!   shard. A connection that keeps flooding a saturated **bulk** tenant
+//!   stops being read until the writer drains below half the cap —
+//!   natural TCP backpressure with hysteresis — while **interactive**
+//!   tenants keep getting fast errors so their latency stays bounded.
 //! * **QoS fairness**: each connection gets a per-tick command budget
-//!   from the class of the dataset it last wrote
-//!   ([`BULK_CMDS_PER_TICK`] vs [`INTERACTIVE_CMDS_PER_TICK`]), so a
-//!   bulk loader pipelining thousands of commands cannot monopolize its
-//!   shard's loop and starve interactive tenants of drain slots;
-//! * **hostile-client bounds**: per-connection input is capped (a
+//!   from the class of the tenant it last wrote (`BULK_CMDS_PER_TICK` vs
+//!   `INTERACTIVE_CMDS_PER_TICK`), so a bulk loader pipelining thousands
+//!   of commands cannot monopolize its shard and starve interactive
+//!   tenants of drain slots.
+//! * **Hostile-client bounds**: per-connection input is capped (a
 //!   newline-free flood is answered with an error and closed, a
 //!   slow-loris dribbler just sits in its buffer costing nothing), and
-//!   buffered replies past [`OUT_HIGH_WATER`] suspend reads until the
-//!   peer drains them.
+//!   buffered replies past `OUT_HIGH_WATER` suspend reads until the peer
+//!   drains them.
+//!
+//! What a shard must not do is block on a *tenant's* backpressure. It
+//! does run `mine`, `flush`, `verify`, `checkpoint`, `open … dir`,
+//! `attach`, `catchup` and `promote` on its own thread, and every other
+//! connection on the shard waits them out (ROADMAP, first open item).
 
-use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -52,208 +48,33 @@ use crate::queue::QosClass;
 use crate::server::AcceptBackoff;
 use crate::service::Service;
 
-/// Identifies one registered source within a [`Reactor`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Token(pub usize);
-
-/// Which readiness a registered source should report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Interest {
-    /// Report the source when bytes (or EOF, or an error) are pending.
-    pub readable: bool,
-    /// Report the source as a write candidate. The reactor cannot probe
-    /// kernel send-buffer space without `unsafe`, so write readiness is
-    /// optimistic: owners must treat `WouldBlock` from their own `write`
-    /// as the real signal and retry on a later tick.
-    pub writable: bool,
-}
-
-impl Interest {
-    /// Read readiness only.
-    pub const READ: Interest = Interest {
-        readable: true,
-        writable: false,
-    };
-    /// No readiness at all — the source stays registered but silent
-    /// (how a shard suspends a connection to exert TCP backpressure).
-    pub const NONE: Interest = Interest {
-        readable: false,
-        writable: false,
-    };
-}
-
-/// One readiness report from [`Reactor::poll`].
-#[derive(Debug, Clone, Copy)]
-pub struct Event {
-    /// The registered source.
-    pub token: Token,
-    /// Bytes, EOF, or a socket error are observable by a read.
-    pub readable: bool,
-    /// The source asked for write interest (see [`Interest::writable`]).
-    pub writable: bool,
-}
-
-/// How long [`Reactor::poll`] naps between readiness scans while nothing
-/// is readable. Bounds the wakeup latency a freshly-written byte sees.
+/// How long a shard naps between sweeps of its sockets while none has
+/// anything to say. Bounds the wakeup latency a freshly-written byte sees.
 const PARK: Duration = Duration::from_millis(1);
 
-struct Slot {
-    probe: TcpStream,
-    interest: Interest,
-}
-
-/// A std-only readiness reactor over non-blocking [`TcpStream`] probes.
-///
-/// Registration clones the stream (`try_clone` shares the descriptor),
-/// marks it non-blocking — which flips the *owner's* handle too, exactly
-/// what an event-loop owner wants — and probes readability with
-/// zero-consumption `peek`s during [`Reactor::poll`].
-pub struct Reactor {
-    slots: Vec<Option<Slot>>,
-    free: Vec<usize>,
-}
-
-impl Reactor {
-    /// An empty reactor.
-    pub fn new() -> Reactor {
-        Reactor {
-            slots: Vec::new(),
-            free: Vec::new(),
-        }
-    }
-
-    /// Register `source`, returning its token. Tokens of deregistered
-    /// sources are reused.
-    pub fn register(&mut self, source: &TcpStream, interest: Interest) -> io::Result<Token> {
-        let probe = source.try_clone()?;
-        probe.set_nonblocking(true)?;
-        let slot = Slot { probe, interest };
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.slots[idx] = Some(slot);
-                idx
-            }
-            None => {
-                self.slots.push(Some(slot));
-                self.slots.len() - 1
-            }
-        };
-        Ok(Token(idx))
-    }
-
-    /// Replace a source's interest. `false` if the token is not live.
-    pub fn set_interest(&mut self, token: Token, interest: Interest) -> bool {
-        match self.slots.get_mut(token.0) {
-            Some(Some(slot)) => {
-                slot.interest = interest;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Drop a source, freeing its token for reuse. `false` if not live.
-    pub fn deregister(&mut self, token: Token) -> bool {
-        match self.slots.get_mut(token.0) {
-            Some(slot @ Some(_)) => {
-                *slot = None;
-                self.free.push(token.0);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Currently registered sources.
-    pub fn registered(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    /// Fill `events` with every source that is ready, waiting up to
-    /// `timeout` for at least one *readable* source. Write-interest
-    /// events never cut the wait short (write readiness is optimistic —
-    /// see [`Interest::writable`]), so a loop with only stalled writers
-    /// parks instead of spinning. Returns the event count.
-    pub fn poll(&self, events: &mut Vec<Event>, timeout: Duration) -> usize {
-        let deadline = Instant::now() + timeout;
-        loop {
-            self.scan(events);
-            if events.iter().any(|e| e.readable) {
-                break;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            // anno-lint: allow(blocking-in-reactor) -- bounded idle park: no source is readable and the deadline caps the wait
-            std::thread::sleep(PARK.min(deadline - now));
-        }
-        events.len()
-    }
-
-    /// One non-blocking readiness sweep.
-    fn scan(&self, events: &mut Vec<Event>) {
-        events.clear();
-        let mut probe_buf = [0u8; 1];
-        for (idx, slot) in self.slots.iter().enumerate() {
-            let Some(slot) = slot else { continue };
-            let readable = slot.interest.readable
-                && match slot.probe.peek(&mut probe_buf) {
-                    // Data pending, or Ok(0): orderly EOF — both are
-                    // observable by the owner's next read.
-                    Ok(_) => true,
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => false,
-                    // Deliver errors through the owner's read too.
-                    Err(_) => true,
-                };
-            let writable = slot.interest.writable;
-            if readable || writable {
-                events.push(Event {
-                    token: Token(idx),
-                    readable,
-                    writable,
-                });
-            }
-        }
-    }
-}
-
-impl Default for Reactor {
-    fn default() -> Self {
-        Reactor::new()
-    }
-}
-
-impl std::fmt::Debug for Reactor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Reactor")
-            .field("registered", &self.registered())
-            .finish()
-    }
-}
-
 /// Commands an interactive-classed connection may execute per shard tick.
-pub const INTERACTIVE_CMDS_PER_TICK: usize = 64;
+const INTERACTIVE_CMDS_PER_TICK: usize = 64;
 
 /// Commands a bulk-classed connection may execute per shard tick. The
 /// small budget is the drain-slot fairness mechanism: a bulk loader
 /// pipelining thousands of commands yields the loop back to interactive
 /// connections every few commands instead of starving them.
-pub const BULK_CMDS_PER_TICK: usize = 4;
+const BULK_CMDS_PER_TICK: usize = 4;
 
 /// Buffered-reply high-water mark per connection. Past it the shard stops
 /// reading (and executing) for that connection until the peer drains its
 /// replies — a client that sends but never reads cannot grow the daemon.
-pub const OUT_HIGH_WATER: usize = 256 * 1024;
+const OUT_HIGH_WATER: usize = 256 * 1024;
 
 /// Input-buffer soft cap per connection: one maximal protocol line plus a
 /// read quantum. Reads are suspended (TCP backpressure) while at the cap.
 const INBUF_SOFT_CAP: usize = crate::server::MAX_LINE_BYTES as usize + 4096;
 
-/// Shard poll timeout when no connection has a buffered complete line.
+/// How long a shard tick waits for input when no connection has a
+/// buffered complete line.
 const POLL_TIMEOUT: Duration = Duration::from_millis(10);
 
-/// Default shard count: one event loop per available core, clamped to a
+/// Default shard count: one shard loop per available core, clamped to a
 /// sane range (a 128-core box does not need 128 accept queues for a line
 /// protocol, and even a failed probe still gets a working server).
 pub fn default_shards() -> usize {
@@ -265,15 +86,14 @@ pub fn default_shards() -> usize {
 
 struct Conn {
     stream: TcpStream,
-    token: Token,
     inbuf: Vec<u8>,
     outbuf: Vec<u8>,
     out_pos: usize,
     /// Set when a write to this (bulk-classed) dataset was shed: reads
     /// stay suspended until the dataset reports admission headroom.
     stalled_on: Option<String>,
-    /// Class of the dataset this connection last targeted with a write
-    /// verb; drives the per-tick command budget.
+    /// Class of the tenant this connection last wrote; drives the
+    /// per-tick command budget.
     bulk: bool,
     /// Flush what is buffered, then close (after `quit` or a fatal
     /// protocol error).
@@ -303,16 +123,15 @@ impl Conn {
             && self.pending_out() <= OUT_HIGH_WATER
     }
 
-    fn desired_interest(&self) -> Interest {
-        Interest {
-            readable: !self.closing
-                && !self.dead
-                && !self.read_eof
-                && self.stalled_on.is_none()
-                && self.inbuf.len() < INBUF_SOFT_CAP
-                && self.pending_out() <= OUT_HIGH_WATER,
-            writable: self.pending_out() > 0,
-        }
+    /// Should the shard read this socket? `false` is how a connection is
+    /// suspended to exert TCP backpressure on its peer.
+    fn wants_read(&self) -> bool {
+        !self.closing
+            && !self.dead
+            && !self.read_eof
+            && self.stalled_on.is_none()
+            && self.inbuf.len() < INBUF_SOFT_CAP
+            && self.pending_out() <= OUT_HIGH_WATER
     }
 
     fn finished(&self) -> bool {
@@ -322,8 +141,12 @@ impl Conn {
     }
 
     /// Pull everything available off the socket, up to the input cap.
-    fn read_socket(&mut self) {
+    /// `true` if it had anything to say: bytes, EOF or an error. The
+    /// first `read` is the readiness probe — `WouldBlock` straight away
+    /// means the peer is quiet.
+    fn read_socket(&mut self) -> bool {
         let mut buf = [0u8; 4096];
+        let before = self.inbuf.len();
         while self.inbuf.len() < INBUF_SOFT_CAP {
             match self.stream.read(&mut buf) {
                 Ok(0) => {
@@ -339,6 +162,7 @@ impl Conn {
                 }
             }
         }
+        self.inbuf.len() > before || self.read_eof || self.dead
     }
 
     /// Execute up to the class budget of buffered complete lines.
@@ -374,21 +198,23 @@ impl Conn {
                 self.refuse("line is not valid UTF-8");
                 break;
             };
-            let (reply, err) = engine.execute_typed(&line);
-            self.outbuf.extend_from_slice(reply.to_text().as_bytes());
-            self.note_write_target(engine, &line);
-            if reply.quit {
+            let handled = engine.handle(&line);
+            self.outbuf
+                .extend_from_slice(handled.reply.to_text().as_bytes());
+            if handled.reply.quit {
                 self.closing = true;
                 break;
             }
-            if let Some(ServiceError::Overloaded { dataset, .. }) = err {
-                // Bulk tenants absorb overload through read suspension
-                // (the loader just slows down); interactive tenants keep
-                // reading and keep getting fast soft errors instead.
+            let Some((tenant, class)) = handled.wrote else {
+                continue;
+            };
+            self.bulk = class == QosClass::Bulk;
+            // Bulk tenants absorb overload through read suspension (the
+            // loader just slows down); interactive tenants keep reading
+            // and keep getting fast soft errors instead.
+            if let Some(ServiceError::Overloaded { dataset, .. }) = handled.error {
                 if self.bulk {
-                    if let Ok(ds) = engine.service().get(&dataset) {
-                        ds.raw_metrics().record_backpressure_stall();
-                    }
+                    tenant.raw_metrics().record_backpressure_stall();
                     self.stalled_on = Some(dataset);
                 }
             }
@@ -400,24 +226,6 @@ impl Conn {
         self.outbuf
             .extend_from_slice(format!("ERR {why}\n").as_bytes());
         self.closing = true;
-    }
-
-    /// Track the class of the dataset this connection targets, so the
-    /// next tick's budget reflects it (read after execution: a `class`
-    /// verb on this very line already took effect).
-    fn note_write_target(&mut self, engine: &Engine, line: &str) {
-        let mut it = line.split_whitespace();
-        let Some(verb) = it.next() else { return };
-        if matches!(
-            verb.to_ascii_lowercase().as_str(),
-            "row" | "annotate" | "unannotate" | "delete" | "class"
-        ) {
-            if let Some(name) = it.next() {
-                if let Ok(ds) = engine.service().get(name) {
-                    self.bulk = ds.qos_class() == QosClass::Bulk;
-                }
-            }
-        }
     }
 
     /// Push buffered replies; tolerate `WouldBlock` (retried next tick).
@@ -448,24 +256,29 @@ impl Conn {
     }
 }
 
-/// One shard's event loop: owns every connection hashed to it, start to
+#[cfg(test)]
+thread_local! {
+    /// Shard ticks taken by this thread, so a test can tell a parked
+    /// shard from a spinning one.
+    static TICKS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// One shard's loop: owns every connection hashed to it, start to
 /// finish. Exits when the accept loop hangs up and no connections remain.
 fn shard_loop(engine: Engine, rx: Receiver<TcpStream>) {
-    let mut reactor = Reactor::new();
-    let mut conns: HashMap<usize, Conn> = HashMap::new();
-    let mut events: Vec<Event> = Vec::new();
+    let mut conns: Vec<Conn> = Vec::new();
     loop {
         // Admit new connections; block only when there is nothing to do.
         if conns.is_empty() {
             // anno-lint: allow(blocking-in-reactor) -- guarded by conns.is_empty(): with no connections owned there is nothing to stall
             match rx.recv() {
-                Ok(stream) => admit(&mut reactor, &mut conns, stream),
+                Ok(stream) => conns.extend(admit(stream)),
                 Err(_) => return,
             }
         }
         loop {
             match rx.try_recv() {
-                Ok(stream) => admit(&mut reactor, &mut conns, stream),
+                Ok(stream) => conns.extend(admit(stream)),
                 Err(TryRecvError::Empty) => break,
                 Err(TryRecvError::Disconnected) => {
                     if conns.is_empty() {
@@ -478,7 +291,7 @@ fn shard_loop(engine: Engine, rx: Receiver<TcpStream>) {
 
         // Resume suspended connections whose dataset drained below the
         // hysteresis watermark (or vanished entirely).
-        for conn in conns.values_mut() {
+        for conn in &mut conns {
             if let Some(name) = &conn.stalled_on {
                 let ready = match engine.service().get(name) {
                     Ok(ds) => ds.admission_ready(),
@@ -490,52 +303,52 @@ fn shard_loop(engine: Engine, rx: Receiver<TcpStream>) {
             }
         }
 
-        let timeout = if conns.values().any(Conn::hot) {
+        // Wait for input: not at all if a buffered line is ready to run,
+        // else up to POLL_TIMEOUT, napping PARK between sweeps. Only a
+        // socket with something to say ends the wait early; one with
+        // nothing but unflushed replies never does (whether it can take
+        // them is not knowable without `unsafe`), so a shard of stalled
+        // writers parks instead of spinning.
+        let timeout = if conns.iter().any(Conn::hot) {
             Duration::ZERO
         } else {
             POLL_TIMEOUT
         };
-        reactor.poll(&mut events, timeout);
-        for event in &events {
-            if !event.readable {
-                continue;
+        let deadline = Instant::now() + timeout;
+        loop {
+            let mut heard = false;
+            for conn in conns.iter_mut().filter(|conn| conn.wants_read()) {
+                heard |= conn.read_socket();
             }
-            if let Some(conn) = conns.get_mut(&event.token.0) {
-                conn.read_socket();
+            let now = Instant::now();
+            if heard || now >= deadline {
+                break;
             }
+            // anno-lint: allow(blocking-in-reactor) -- bounded idle park: no socket had anything to say and the deadline caps the wait
+            std::thread::sleep(PARK.min(deadline - now));
         }
-        for conn in conns.values_mut() {
+        for conn in &mut conns {
             conn.process_lines(&engine);
             if conn.pending_out() > 0 {
                 conn.flush_out();
             }
         }
-        conns.retain(|_, conn| {
-            if conn.finished() {
-                reactor.deregister(conn.token);
-                false
-            } else {
-                reactor.set_interest(conn.token, conn.desired_interest());
-                true
-            }
-        });
+        conns.retain(|conn| !conn.finished());
+        #[cfg(test)]
+        TICKS.with(|ticks| ticks.set(ticks.get() + 1));
     }
 }
 
-/// Register an accepted connection with its shard's reactor and greet it.
-fn admit(reactor: &mut Reactor, conns: &mut HashMap<usize, Conn>, stream: TcpStream) {
-    let Ok(peer) = stream.peer_addr() else {
-        return; // died between accept and dispatch — nothing to serve
-    };
+/// Make an accepted connection the shard's own and greet it.
+fn admit(stream: TcpStream) -> Option<Conn> {
+    // Died between accept and dispatch: nothing to serve.
+    let peer = stream.peer_addr().ok()?;
+    stream.set_nonblocking(true).ok()?;
     // Replies are latency-sensitive single writes; never let Nagle hold
-    // one back waiting for a delayed ACK (best-effort, like the probe).
+    // one back waiting for a delayed ACK (best-effort).
     let _ = stream.set_nodelay(true);
-    let Ok(token) = reactor.register(&stream, Interest::READ) else {
-        return;
-    };
     let mut conn = Conn {
         stream,
-        token,
         inbuf: Vec::new(),
         outbuf: Vec::new(),
         out_pos: 0,
@@ -548,13 +361,15 @@ fn admit(reactor: &mut Reactor, conns: &mut HashMap<usize, Conn>, stream: TcpStr
     conn.outbuf
         .extend_from_slice(format!("OK annod ready ({peer})\n").as_bytes());
     conn.flush_out();
-    conns.insert(token.0, conn);
+    Some(conn)
 }
 
-/// Accept connections forever, hashing each to one of `shards` event
-/// loops at accept time. Accept errors back off exponentially (see
-/// [`AcceptBackoff`]) so fd exhaustion cannot spin a core.
-pub fn serve_sharded(
+/// Accept connections forever on an already-bound listener, hashing each
+/// to one of `shards` shard loops at accept time. Accept errors (fd
+/// exhaustion under a connection burst, aborted handshakes) back off
+/// exponentially (see [`AcceptBackoff`]) and are survived — one
+/// recoverable error must not tear down every dataset in the daemon.
+pub fn serve_listener_sharded(
     service: Arc<Service>,
     listener: TcpListener,
     shards: usize,
@@ -571,27 +386,19 @@ pub fn serve_sharded(
         senders.push(tx);
     }
     let mut backoff = AcceptBackoff::new();
-    let mut fallback = 0usize;
     for stream in listener.incoming() {
         match stream {
             Ok(stream) => {
                 backoff.reset();
-                let shard = match stream.peer_addr() {
-                    Ok(peer) => {
-                        let mut h = std::collections::hash_map::DefaultHasher::new();
-                        peer.hash(&mut h);
-                        h.finish() as usize
-                    }
-                    Err(_) => {
-                        // Peer already gone; round-robin keeps the hash
-                        // path honest for live connections.
-                        fallback = fallback.wrapping_add(1);
-                        fallback
-                    }
+                // No address: the peer is already gone, nothing to serve.
+                let Ok(peer) = stream.peer_addr() else {
+                    continue;
                 };
+                let mut h = std::collections::hash_map::DefaultHasher::new();
+                peer.hash(&mut h);
                 // A shard thread can only be gone if it panicked; shed
                 // the connection (dropping closes it) and keep accepting.
-                let _ = senders[shard % senders.len()].send(stream);
+                let _ = senders[h.finish() as usize % senders.len()].send(stream);
             }
             Err(e) => {
                 eprintln!("annod: accept error (continuing): {e}");
@@ -606,100 +413,100 @@ pub fn serve_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::net::TcpListener;
+    use std::io::{BufRead, BufReader};
 
-    /// A connected (server-side, client-side) socket pair on loopback.
-    fn pair() -> (TcpStream, TcpStream) {
+    /// More pipelined `help`s than a peer that never reads can have
+    /// answered: their ~20 MB of replies is past anything the kernel
+    /// will buffer on loopback, so the shard is left holding output.
+    const HELPS: usize = 8_000;
+
+    /// A one-shard server on loopback.
+    fn one_shard() -> std::net::SocketAddr {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().unwrap();
-        let client = TcpStream::connect(addr).expect("connect");
-        let (server, _) = listener.accept().expect("accept");
-        (server, client)
+        let service = Arc::new(Service::new());
+        std::thread::spawn(move || serve_listener_sharded(service, listener, 1));
+        addr
     }
 
     #[test]
-    fn poll_reports_pending_bytes_and_eof() {
-        let (server, mut client) = pair();
-        let mut reactor = Reactor::new();
-        let token = reactor.register(&server, Interest::READ).unwrap();
-        let mut events = Vec::new();
-
-        // Nothing pending: a short poll returns no events.
-        assert_eq!(reactor.poll(&mut events, Duration::from_millis(5)), 0);
-
+    fn a_command_followed_at_once_by_eof_is_answered_before_the_close() {
+        let mut client = TcpStream::connect(one_shard()).expect("connect");
         client.write_all(b"ping\n").unwrap();
-        assert!(reactor.poll(&mut events, Duration::from_millis(500)) > 0);
-        assert!(events.iter().any(|e| e.token == token && e.readable));
+        client.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut said = String::new();
+        client.read_to_string(&mut said).unwrap();
+        let lines: Vec<&str> = said.lines().collect();
+        assert!(lines[0].starts_with("OK annod ready"), "{said}");
+        assert_eq!(lines[1..], ["OK pong"], "{said}");
+    }
 
-        // peek consumed nothing: the bytes are still there for the owner.
-        let mut sniff = [0u8; 8];
-        let n = server.peek(&mut sniff).unwrap();
-        assert_eq!(&sniff[..n], b"ping\n");
+    #[test]
+    fn a_peer_that_stops_reading_is_suspended_while_its_shard_keeps_serving() {
+        let addr = one_shard();
+        let mut greedy = TcpStream::connect(addr).expect("connect");
+        greedy.write_all("help\n".repeat(HELPS).as_bytes()).unwrap();
 
-        // EOF also reports readable, so owners observe the close.
-        let mut drain = [0u8; 8];
-        let mut owner = server.try_clone().unwrap();
-        owner.read_exact(&mut drain[..5]).unwrap();
+        // The same shard's other connection is answered promptly all the
+        // while (the median, so one descheduled round trip on a busy
+        // machine is not a failure).
+        let other = TcpStream::connect(addr).expect("connect");
+        other.set_nodelay(true).unwrap();
+        let mut writer = other.try_clone().unwrap();
+        let mut reader = BufReader::new(other);
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        let mut round_trips = Vec::new();
+        for _ in 0..21 {
+            let start = Instant::now();
+            writer.write_all(b"ping\n").unwrap();
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            round_trips.push(start.elapsed());
+            assert_eq!(line, "OK pong\n");
+        }
+        round_trips.sort();
+        assert!(
+            round_trips[10] < Duration::from_millis(50),
+            "{round_trips:?}"
+        );
+
+        // Once the peer reads again, every reply arrives, whole.
+        greedy.write_all(b"quit\n").unwrap();
+        let mut said = String::new();
+        greedy.read_to_string(&mut said).unwrap();
+        let count = |what: &str| said.lines().filter(|l| *l == what).count();
+        assert_eq!((count("OK commands"), count(".")), (HELPS, HELPS));
+        assert!(said.ends_with(".\nOK bye\n"));
+    }
+
+    #[test]
+    fn a_shard_with_only_unflushed_replies_parks_instead_of_spinning() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (server, _) = listener.accept().expect("accept");
+        let (tx, rx) = mpsc::channel();
+        tx.send(server).unwrap();
+        let engine = Engine::with_admission(Arc::new(Service::new()));
+        let shard = std::thread::spawn(move || {
+            shard_loop(engine, rx);
+            TICKS.with(|ticks| ticks.get())
+        });
+
+        // The peer never reads: the kernel's buffers fill, replies back up
+        // past OUT_HIGH_WATER and the connection stops being read. From
+        // then on the shard's only connection has output it cannot flush
+        // and no input it wants, for most of this window.
+        client.write_all("help\n".repeat(HELPS).as_bytes()).unwrap();
+        std::thread::sleep(Duration::from_millis(300));
+        // Hanging up with replies unread resets the connection; the
+        // shard's next write fails, and with the channel gone it exits.
+        drop(tx);
         drop(client);
-        assert!(reactor.poll(&mut events, Duration::from_millis(500)) > 0);
-        assert!(events.iter().any(|e| e.token == token && e.readable));
-    }
-
-    #[test]
-    fn suspended_interest_silences_a_ready_source() {
-        let (server, mut client) = pair();
-        let mut reactor = Reactor::new();
-        let token = reactor.register(&server, Interest::READ).unwrap();
-        client.write_all(b"flood\n").unwrap();
-
-        let mut events = Vec::new();
-        assert!(reactor.poll(&mut events, Duration::from_millis(500)) > 0);
-
-        // Suspend: the pending bytes stop producing events — this is the
-        // read-suspension backpressure mechanism.
-        assert!(reactor.set_interest(token, Interest::NONE));
-        assert_eq!(reactor.poll(&mut events, Duration::from_millis(5)), 0);
-
-        // Resume: the same bytes are readable again (level-triggered).
-        assert!(reactor.set_interest(token, Interest::READ));
-        assert!(reactor.poll(&mut events, Duration::from_millis(500)) > 0);
-    }
-
-    #[test]
-    fn deregistered_tokens_are_reused() {
-        let (server_a, _client_a) = pair();
-        let (server_b, _client_b) = pair();
-        let mut reactor = Reactor::new();
-        let a = reactor.register(&server_a, Interest::READ).unwrap();
-        assert_eq!(reactor.registered(), 1);
-        assert!(reactor.deregister(a));
-        assert!(!reactor.deregister(a), "double deregister must be a no-op");
-        assert_eq!(reactor.registered(), 0);
-        let b = reactor.register(&server_b, Interest::READ).unwrap();
-        assert_eq!(b, a, "freed slot is reused");
-        assert!(!reactor.set_interest(Token(99), Interest::READ));
-    }
-
-    #[test]
-    fn write_only_interest_never_cuts_the_park_short() {
-        let (server, _client) = pair();
-        let mut reactor = Reactor::new();
-        reactor
-            .register(
-                &server,
-                Interest {
-                    readable: false,
-                    writable: true,
-                },
-            )
-            .unwrap();
-        let mut events = Vec::new();
-        let start = Instant::now();
-        let n = reactor.poll(&mut events, Duration::from_millis(20));
-        // The writable event is reported, but only after the full park —
-        // a loop with only stalled writers must not spin.
-        assert_eq!(n, 1);
-        assert!(events[0].writable && !events[0].readable);
-        assert!(start.elapsed() >= Duration::from_millis(15));
+        let ticks = shard.join().expect("shard exits");
+        // Parked, that is ~30 ticks of POLL_TIMEOUT after at most
+        // HELPS / INTERACTIVE_CMDS_PER_TICK busy ones. A shard woken by
+        // its own unflushed output would tick ~100 000 times.
+        assert!(ticks < 500, "{ticks} ticks in 300 ms");
     }
 }

@@ -1,13 +1,13 @@
 //! Std-only transports for the [`Engine`]: TCP and a stdin REPL.
 //!
-//! The TCP front end is the worker-per-core sharded reactor runtime in
-//! [`crate::reactor`]: connections are hashed to shard event loops at
-//! accept time and parsed non-blockingly, with per-tenant admission
-//! control and QoS classes. Every shard shares one [`Engine`] (itself
-//! over a shared [`Service`](crate::service::Service)) — every connection
-//! sees the same datasets, which is the point of a multi-tenant serving
-//! layer. No async runtime: the workspace is dependency-free by
-//! construction, and the reactor is built entirely on `std::net`.
+//! The TCP front end is the worker-per-core sharded runtime in
+//! [`crate::reactor`]: connections are hashed to shard loops at accept
+//! time and read non-blockingly, with per-tenant admission control and
+//! QoS classes. Every shard shares one [`Engine`] (itself over a shared
+//! [`Service`](crate::service::Service)) — every connection sees the same
+//! datasets, which is the point of a multi-tenant serving layer. No async
+//! runtime: the workspace is dependency-free by construction, and the
+//! front end is built entirely on `std::net`.
 //!
 //! The metrics scrape listener stays thread-per-request (scrapes are rare
 //! and short-lived).
@@ -18,6 +18,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::protocol::Engine;
+pub use crate::reactor::serve_listener_sharded;
 use crate::service::Service;
 
 /// Longest command line a TCP client may send. Bounds per-connection
@@ -78,30 +79,7 @@ fn read_bounded_line<R: BufRead>(reader: &mut R, max: u64) -> std::io::Result<Op
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
-/// Accept connections forever on an already-bound listener, serving them
-/// with the sharded reactor runtime at the default per-core shard count.
-/// Transient accept errors (fd exhaustion under a connection burst,
-/// aborted handshakes) back off exponentially and are survived — one
-/// recoverable error must not tear down every dataset in the daemon.
-pub fn serve_listener(service: Arc<Service>, listener: TcpListener) -> std::io::Result<()> {
-    crate::reactor::serve_sharded(service, listener, crate::reactor::default_shards())
-}
-
-/// [`serve_listener`] with an explicit shard (event loop) count.
-pub fn serve_listener_sharded(
-    service: Arc<Service>,
-    listener: TcpListener,
-    shards: usize,
-) -> std::io::Result<()> {
-    crate::reactor::serve_sharded(service, listener, shards)
-}
-
-/// Bind `addr` and serve forever with the default shard count.
-pub fn serve_tcp(service: Arc<Service>, addr: &str) -> std::io::Result<()> {
-    serve_tcp_sharded(service, addr, crate::reactor::default_shards())
-}
-
-/// Bind `addr` and serve forever with `shards` event loops.
+/// Bind `addr` and serve forever on `shards` shard loops.
 pub fn serve_tcp_sharded(service: Arc<Service>, addr: &str, shards: usize) -> std::io::Result<()> {
     let listener = TcpListener::bind(addr)?;
     eprintln!(
@@ -442,7 +420,8 @@ quit
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
         let addr = listener.local_addr().unwrap();
         let service = Arc::new(Service::new());
-        std::thread::spawn(move || serve_listener(service, listener));
+        let shards = crate::reactor::default_shards();
+        std::thread::spawn(move || serve_listener_sharded(service, listener, shards));
 
         let stream = TcpStream::connect(addr).expect("connect loopback");
         let mut writer = stream.try_clone().unwrap();

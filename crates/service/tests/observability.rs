@@ -221,3 +221,52 @@ fn observability_levels_equal_what_stats_prints() {
     ok(&e, "drop db");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// The README's metrics reference against a rendered exposition, both
+/// ways: every family with a `# TYPE` line has exactly one row, and every
+/// row is a family the exposition has. The fixture is the golden's — a
+/// mined memory dataset, a durable grouped one and a follower — spoken
+/// through the protocol. A histogram's derived `_quantile` family has no
+/// row of its own (the reference says so above its table).
+#[test]
+fn readme_metrics_reference_matches_the_exposition() {
+    let dir = test_dir("readme");
+    let dir_tok = dir.to_str().unwrap();
+    let e = engine();
+    for ds in ["mem".to_string(), format!("dur dir {dir_tok}")] {
+        ok(&e, &format!("open {ds}"));
+        let name = ds.split(' ').next().unwrap();
+        ok(&e, &format!("row {name} 28 85 Annot_1"));
+        ok(&e, &format!("mine {name}"));
+    }
+    ok(&e, &format!("attach fol dir {dir_tok}"));
+    e.service().sample_now();
+    e.service().sample_now();
+
+    let exposition = ok(&e, "metrics");
+    let types: Vec<(&str, &str)> = (exposition.iter())
+        .filter_map(|line| line.strip_prefix("# TYPE ")?.split_once(' '))
+        .collect();
+    let mut exposed: Vec<&str> = (types.iter())
+        .filter(|(family, _)| {
+            let stem = family.strip_suffix("_quantile");
+            !stem.is_some_and(|stem| types.contains(&(stem, "histogram")))
+        })
+        .map(|(family, _)| *family)
+        .collect();
+    exposed.sort_unstable();
+    let mut documented: Vec<&str> = include_str!("../../../README.md")
+        .lines()
+        .filter_map(|row| row.strip_prefix("| `")?.split_once("` |"))
+        .map(|(family, _)| family)
+        .filter(|family| family.starts_with("anno_"))
+        .collect();
+    documented.sort_unstable();
+    assert_eq!(
+        documented, exposed,
+        "left: README rows, right: # TYPE families"
+    );
+    ok(&e, "drop fol");
+    ok(&e, "drop dur");
+    std::fs::remove_dir_all(&dir).unwrap();
+}

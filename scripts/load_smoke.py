@@ -6,9 +6,11 @@ Usage: load_smoke.py [path-to-annod] [protocol-addr] [metrics-addr]
 Boots the daemon with an explicit shard count, drives one full protocol
 session over a real TCP socket (including the `class` QoS verb), checks
 the admission families on the Prometheus metrics listener and that the
-`metrics` verb declares the same families, and shuts the process down. This is the out-of-process complement to the in-process
-`serve` bench: it proves the shipped binary actually serves the sharded
-reactor path, not just the library.
+`metrics` verb declares the same families, walks `help` (every usage
+line's verb, sent bare, is dispatched; `quit` and `exit` close the
+session), and shuts the process down. This is the out-of-process
+complement to the in-process `serve` bench: it proves the shipped binary
+actually serves the sharded front end, not just the library.
 """
 
 import socket
@@ -115,8 +117,34 @@ def main(argv):
                 f"scrape only: {sorted(set(types(scrape)) - set(types(verb)))}"
             )
 
+        # `help` is printed from the verb table: every usage line (the ones
+        # at the margin; notes are indented) must start with a verb the
+        # shipped binary dispatches. Sent bare, it answers OK or the
+        # wrong-arguments error, never `unknown command`.
+        usages = [l for l in session.cmd_block("help", "OK commands").splitlines()[1:-1] if l[:1].strip()]
+        verbs = {usage.split()[0] for usage in usages}
+        if not {"ping", "rules", "exit"} <= verbs:
+            raise SystemExit(f"`help` lists no usage for ping/rules/exit: {sorted(verbs)}")
+        for verb in sorted(verbs - {"quit", "exit"}):
+            # A `ping` behind it marks where the reply (one line or a
+            # block) ends.
+            session.io.write(f"{verb}\nping\n")
+            session.io.flush()
+            reply = session.io.readline().rstrip("\n")
+            while session.io.readline().rstrip("\n") != "OK pong":
+                pass
+            if not reply.startswith(("OK", f"ERR bad command: {verb} ")):
+                raise SystemExit(f"bare {verb!r} -> {reply!r}")
+
+        # `quit` and its alias both close the session.
+        for closer in ("quit", "exit"):
+            closing = Session(connect(addr, deadline))
+            closing.cmd(closer, "OK bye")
+            if closing.io.readline() != "":
+                raise SystemExit(f"{closer!r} did not close the session")
+
         session.cmd("quit", "OK bye")
-        print("load-smoke: OK (sharded serve, class verb, admission metrics, metrics verb)")
+        print("load-smoke: OK (sharded serve, class verb, admission metrics, metrics verb, help walk)")
         return 0
     finally:
         proc.terminate()
