@@ -4,8 +4,6 @@
 //! their inputs here so that they measure the same thing. All workloads
 //! are seeded and deterministic.
 
-#![forbid(unsafe_code)]
-
 use anno_mine::{IncrementalConfig, IncrementalMiner, Thresholds};
 use anno_store::{
     generate, random_annotation_batch, AnnotatedRelation, AnnotationUpdate, GeneratorConfig,

@@ -76,9 +76,13 @@ impl IncrementalMiner {
     /// Render the checkpoint to a string.
     pub fn checkpoint_to_string(&self) -> String {
         let mut buf = Vec::new();
+        #[expect(clippy::expect_used, reason = "io::Write on Vec<u8> is infallible")]
         self.write_checkpoint(&mut buf)
-            .expect("writing to Vec cannot fail"); // anno-lint: allow(panic-path) -- io::Write on Vec<u8> is infallible
-                                                   // anno-lint: allow(panic-path) -- the writer emits only ASCII framing and already-valid UTF-8 names
+            .expect("writing to Vec cannot fail");
+        #[expect(
+            clippy::expect_used,
+            reason = "the writer emits only ASCII framing and already-valid UTF-8 names"
+        )]
         String::from_utf8(buf).expect("checkpoint text is UTF-8")
     }
 

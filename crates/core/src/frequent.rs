@@ -85,23 +85,34 @@ impl FrequentItemsets {
 
     /// Add `delta` occurrences to `s` (which must be stored).
     pub fn add_count(&mut self, s: &ItemSet, delta: u64) {
-        *self
+        #[expect(
+            clippy::panic,
+            reason = "documented contract: callers only count itemsets they inserted; a miss is table corruption"
+        )]
+        let slot = self
             .counts
             .get_mut(s)
-            // anno-lint: allow(panic-path) -- documented contract: callers only count itemsets they inserted; a miss is table corruption
-            .unwrap_or_else(|| panic!("itemset not stored: {s:?}")) += delta;
+            .unwrap_or_else(|| panic!("itemset not stored: {s:?}"));
+        *slot += delta;
     }
 
     /// Subtract `delta` occurrences from `s` (which must be stored and have
     /// at least `delta` occurrences).
     pub fn sub_count(&mut self, s: &ItemSet, delta: u64) {
+        #[expect(
+            clippy::panic,
+            reason = "documented contract: callers only count itemsets they inserted; a miss is table corruption"
+        )]
         let slot = self
             .counts
             .get_mut(s)
-            // anno-lint: allow(panic-path) -- documented contract: callers only count itemsets they inserted; a miss is table corruption
             .unwrap_or_else(|| panic!("itemset not stored: {s:?}"));
-        // anno-lint: allow(panic-path) -- documented contract: deletions never exceed prior insertions; underflow is table corruption
-        *slot = slot.checked_sub(delta).expect("count underflow");
+        #[expect(
+            clippy::expect_used,
+            reason = "documented contract: deletions never exceed prior insertions; underflow is table corruption"
+        )]
+        let left = slot.checked_sub(delta).expect("count underflow");
+        *slot = left;
     }
 
     /// Remove every itemset with count below `min_count`.

@@ -69,17 +69,11 @@ impl HashTree {
                 slots.push(idx);
                 // Split overfull leaves while there are items left to hash.
                 if slots.len() > LEAF_CAPACITY && depth < k {
-                    let old = std::mem::take(slots);
-                    let mut children: Box<[Node; FANOUT]> =
-                        Box::new(std::array::from_fn(|_| Node::empty_leaf()));
-                    for i in old {
-                        let item = candidates[i].items()[depth];
-                        match &mut children[bucket(item)] {
-                            Node::Leaf(v) => v.push(i),
-                            Node::Interior(_) => unreachable!("fresh children are leaves"),
-                        }
+                    let mut leaves: [Vec<usize>; FANOUT] = std::array::from_fn(|_| Vec::new());
+                    for i in std::mem::take(slots) {
+                        leaves[bucket(candidates[i].items()[depth])].push(i);
                     }
-                    *node = Node::Interior(children);
+                    *node = Node::Interior(Box::new(leaves.map(Node::Leaf)));
                 }
             }
         }
@@ -108,7 +102,6 @@ impl HashTree {
         );
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn descend(
         node: &Node,
         transaction: &[Item],

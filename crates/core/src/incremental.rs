@@ -176,6 +176,10 @@ impl IncrementalMiner {
     /// Mine `relation` from scratch and set up incremental state. Panics
     /// if `config` fails [`IncrementalConfig::validate`].
     pub fn mine_initial(relation: &AnnotatedRelation, config: IncrementalConfig) -> Self {
+        #[expect(
+            clippy::panic,
+            reason = "documented contract: the configuration is validated first (the serving layer refuses one that fails)"
+        )]
         if let Err(msg) = config.validate() {
             panic!("{msg}");
         }
@@ -338,10 +342,7 @@ impl IncrementalMiner {
         // tuple now and contains one of the tuple's fresh annotations.
         let touched: Vec<(&[Item], &[Item])> = added_per_tuple
             .iter()
-            .map(|(tid, fresh)| {
-                let tuple = relation.tuple(*tid).expect("delta tuple is live");
-                (tuple.items(), &fresh[..])
-            })
+            .filter_map(|(tid, fresh)| Some((relation.tuple(*tid)?.items(), &fresh[..])))
             .collect();
         self.fold_delta(Sign::Gain, touched.iter().copied());
 
@@ -435,8 +436,7 @@ impl IncrementalMiner {
                     } else {
                         let mut c = 0u64;
                         for &tid in &postings {
-                            let t = relation.tuple(tid).expect("indexed tuple is live");
-                            if seed.matches(t) {
+                            if relation.tuple(tid).is_some_and(|t| seed.matches(t)) {
                                 c += 1;
                             }
                         }
@@ -496,11 +496,10 @@ impl IncrementalMiner {
         // (current items ∪ removed items) and contains a removed annotation.
         let touched: Vec<(Vec<Item>, &[Item])> = removed_per_tuple
             .iter()
-            .map(|(&tid, removed)| {
-                let tuple = relation.tuple(tid).expect("touched tuple is live");
-                let mut before = [tuple.items(), removed].concat();
+            .filter_map(|(&tid, removed)| {
+                let mut before = [relation.tuple(tid)?.items(), removed].concat();
                 before.sort_unstable();
-                (before, &removed[..])
+                Some((before, &removed[..]))
             })
             .collect();
         self.fold_delta(Sign::Loss, touched.iter().map(|(b, r)| (&b[..], *r)));

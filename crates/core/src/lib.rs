@@ -50,8 +50,20 @@
 //! assert!(miner.verify_against_remine(&rel));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The serving threads must not panic: library code returns typed errors,
+// and each deliberate panic carries `#[expect(…, reason = "…")]`. A stale
+// or reasonless suppression fails the build.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod apriori;
 pub mod checkpoint;

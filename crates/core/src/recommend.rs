@@ -47,20 +47,16 @@ impl Recommendation {
 /// `(tuple, annotation)`) and order by descending confidence, then support.
 fn finalize(mut recs: Vec<Recommendation>) -> Vec<Recommendation> {
     recs.sort_by(|a, b| {
-        (a.tuple, a.annotation).cmp(&(b.tuple, b.annotation)).then(
-            b.rule
-                .confidence()
-                .partial_cmp(&a.rule.confidence())
-                .unwrap(),
-        )
+        (a.tuple, a.annotation)
+            .cmp(&(b.tuple, b.annotation))
+            .then(b.rule.confidence().total_cmp(&a.rule.confidence()))
     });
     recs.dedup_by(|a, b| a.tuple == b.tuple && a.annotation == b.annotation);
     recs.sort_by(|a, b| {
         b.rule
             .confidence()
-            .partial_cmp(&a.rule.confidence())
-            .unwrap()
-            .then(b.rule.support().partial_cmp(&a.rule.support()).unwrap())
+            .total_cmp(&a.rule.confidence())
+            .then(b.rule.support().total_cmp(&a.rule.support()))
             .then((a.tuple, a.annotation).cmp(&(b.tuple, b.annotation)))
     });
     recs

@@ -279,9 +279,8 @@ impl RuleSet {
         let mut order: Vec<&AssociationRule> = self.rules.iter().collect();
         order.sort_by(|a, b| {
             b.confidence()
-                .partial_cmp(&a.confidence())
-                .unwrap()
-                .then(b.support().partial_cmp(&a.support()).unwrap())
+                .total_cmp(&a.confidence())
+                .then(b.support().total_cmp(&a.support()))
                 .then_with(|| (&a.lhs, a.rhs).cmp(&(&b.lhs, b.rhs)))
         });
         let mut out = String::new();

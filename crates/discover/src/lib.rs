@@ -28,8 +28,20 @@
 //! leverage values themselves are materialized from the raw counts at
 //! snapshot time, where `n` is known.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The serving threads must not panic: library code returns typed errors,
+// and each deliberate panic carries `#[expect(…, reason = "…")]`. A stale
+// or reasonless suppression fails the build.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 use std::collections::BTreeSet;
 
@@ -262,11 +274,9 @@ impl DiscoveryIndex {
         } else {
             None
         };
-        self.pairs
-            .get_mut(&pair)
-            // anno-lint: allow(panic-path) -- presence established by the contains_key/insert path just above in this function
-            .expect("pair checked above")
-            .ranked_key = new_key;
+        if let Some(state) = self.pairs.get_mut(&pair) {
+            state.ranked_key = new_key;
+        }
     }
 
     /// Discard everything and rescan `table`: singletons are the

@@ -8,10 +8,15 @@
 //! off, the journal never grows, and recording never blocks on a
 //! reader for long (one short mutex).
 
+// An out-of-bounds panic while a guard is live would poison the lock.
+#![deny(clippy::indexing_slicing)]
+
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
+
+use crate::Unpoisoned;
 
 /// One journal entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,7 +74,7 @@ impl EventJournal {
             kind,
             detail,
         };
-        let mut events = self.events.lock().expect("journal lock");
+        let mut events = self.events.lock().unpoisoned("journal lock");
         if events.len() == self.capacity {
             events.pop_front();
         }
@@ -79,7 +84,7 @@ impl EventJournal {
 
     /// The most recent `n` events, oldest first.
     pub fn recent(&self, n: usize) -> Vec<Event> {
-        let events = self.events.lock().expect("journal lock");
+        let events = self.events.lock().unpoisoned("journal lock");
         events
             .iter()
             .skip(events.len().saturating_sub(n))

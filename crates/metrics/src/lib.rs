@@ -29,8 +29,20 @@
 //! or wire formats; the serving layer composes these into its metric
 //! table and renders them for exposition.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The serving threads must not panic: library code returns typed errors,
+// and each deliberate panic carries `#[expect(…, reason = "…")]`. A stale
+// or reasonless suppression fails the build.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod hist;
 pub mod journal;
@@ -39,3 +51,21 @@ pub mod ring;
 pub use hist::{Histogram, HistogramSnapshot, BUCKETS};
 pub use journal::{Event, EventJournal};
 pub use ring::{windowed_rate, Ring};
+
+/// Poison propagation, stated once for the crate: a lock that another
+/// thread panicked while holding is not read from.
+trait Unpoisoned<G> {
+    /// The guard, or a panic naming `lock`.
+    fn unpoisoned(self, lock: &str) -> G;
+}
+
+impl<G> Unpoisoned<G> for std::sync::LockResult<G> {
+    #[track_caller]
+    #[expect(
+        clippy::expect_used,
+        reason = "a poisoned lock means another thread panicked mid-update; propagate the panic rather than serve from that state"
+    )]
+    fn unpoisoned(self, lock: &str) -> G {
+        self.expect(lock)
+    }
+}

@@ -11,9 +11,14 @@
 //! times per second by one sampler and rarely by scrapes, never by the
 //! serving hot paths.
 
+// An out-of-bounds panic while a guard is live would poison the lock.
+#![deny(clippy::indexing_slicing)]
+
 use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::Instant;
+
+use crate::Unpoisoned;
 
 /// A bounded ring of timestamped samples. See the module docs.
 #[derive(Debug)]
@@ -44,7 +49,7 @@ impl<T: Clone> Ring<T> {
     /// oldest once full. Returns the sample's timestamp.
     pub fn push(&self, value: T) -> u64 {
         let at = self.now_ms();
-        let mut samples = self.samples.lock().expect("ring lock");
+        let mut samples = self.samples.lock().unpoisoned("ring lock");
         if samples.len() == self.capacity {
             samples.pop_front();
         }
@@ -58,7 +63,7 @@ impl<T: Clone> Ring<T> {
     /// must not call back into this ring.
     pub fn scan(&self, window_ms: u64, mut visit: impl FnMut(u64, &T)) {
         let cutoff = self.now_ms().saturating_sub(window_ms);
-        let samples = self.samples.lock().expect("ring lock");
+        let samples = self.samples.lock().unpoisoned("ring lock");
         for (at, sample) in samples.iter().filter(|(at, _)| *at >= cutoff) {
             visit(*at, sample);
         }
@@ -73,12 +78,12 @@ impl<T: Clone> Ring<T> {
 
     /// The most recent sample, if any.
     pub fn last(&self) -> Option<(u64, T)> {
-        self.samples.lock().expect("ring lock").back().cloned()
+        self.samples.lock().unpoisoned("ring lock").back().cloned()
     }
 
     /// Samples currently held.
     pub fn len(&self) -> usize {
-        self.samples.lock().expect("ring lock").len()
+        self.samples.lock().unpoisoned("ring lock").len()
     }
 
     /// `true` when no sample has been pushed yet.

@@ -54,7 +54,6 @@
 //! assert!(b.0);
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod boolean;

@@ -35,8 +35,11 @@
 //!   ([`Dataset::verify`] checks this on demand).
 //!
 //! The locks that remain on [`Inner`] are the mailbox (`queue` +
-//! `queue_cv`), `published`, and the `name_cache`; none is ever held
-//! while another is taken.
+//! `queue_cv`), `published`, and the `name_cache`. The crate docs'
+//! "Lock order" lists every place one is held while another is taken.
+
+// An out-of-bounds panic while a guard is live would poison the lock.
+#![deny(clippy::indexing_slicing)]
 
 use std::path::Path;
 use std::sync::mpsc;
@@ -56,6 +59,7 @@ use crate::metrics::{DatasetObs, Metrics, MetricsReport};
 use crate::owner::{record_takeover, Mode, Owner, Tail};
 use crate::queue::{QosClass, QueueState, UpdateOp};
 use crate::snapshot::RuleSnapshot;
+use crate::Unpoisoned;
 
 /// How a durable dataset runs its write-ahead log: the log's own tuning
 /// (segment size, [sync policy](anno_wal::SyncPolicy) — pass
@@ -359,7 +363,7 @@ impl Dataset {
     fn request<T>(&self, make: impl FnOnce(Reply<T>) -> Request) -> Result<T, ServiceError> {
         let (reply, answer) = mpsc::channel();
         {
-            let mut q = self.inner.queue.lock().expect("queue lock");
+            let mut q = self.inner.queue.lock().unpoisoned("queue lock");
             if q.shutdown {
                 return Err(self.shut_down());
             }
@@ -413,7 +417,7 @@ impl Dataset {
         if let Err(fenced) = self.check_writable() {
             return (Err(fenced), None);
         }
-        let mut q = self.inner.queue.lock().expect("queue lock");
+        let mut q = self.inner.queue.lock().unpoisoned("queue lock");
         loop {
             // A fence sets both flags and notifies, so a blocked client
             // fails fast instead of hanging on the condvar.
@@ -436,7 +440,7 @@ impl Dataset {
                 };
                 return (Err(overloaded), Some(q.class));
             }
-            q = self.inner.queue_cv.wait(q).expect("queue lock");
+            q = self.inner.queue_cv.wait(q).unpoisoned("queue lock");
         }
         let class = q.class;
         (Ok(self.admit(&mut q, op)), Some(class))
@@ -457,7 +461,7 @@ impl Dataset {
     /// full. The sharded front end polls this to decide when to suspend
     /// a flooding connection's reads.
     pub fn overloaded(&self) -> bool {
-        let q = self.inner.queue.lock().expect("queue lock");
+        let q = self.inner.queue.lock().unpoisoned("queue lock");
         !q.pending.is_empty()
             && (q.pending_updates >= q.cap_updates || q.unacked >= MAX_PIPELINED_ACKS)
     }
@@ -467,13 +471,13 @@ impl Dataset {
     /// a suspended connection's reads are resumed, so a tenant does not
     /// flap between suspended and resumed at the cap boundary.
     pub fn admission_ready(&self) -> bool {
-        let q = self.inner.queue.lock().expect("queue lock");
+        let q = self.inner.queue.lock().unpoisoned("queue lock");
         q.pending_updates <= q.cap_updates / 2 && q.unacked < MAX_PIPELINED_ACKS
     }
 
     /// The admission cap on pending individual updates.
     pub fn queue_cap(&self) -> usize {
-        self.inner.queue.lock().expect("queue lock").cap_updates
+        self.inner.queue.lock().unpoisoned("queue lock").cap_updates
     }
 
     /// Set the admission cap on pending individual updates (min 1).
@@ -481,20 +485,20 @@ impl Dataset {
     /// admissions; blocked [`Dataset::enqueue`] callers re-check on the
     /// next drain.
     pub fn set_queue_cap(&self, cap: usize) {
-        let mut q = self.inner.queue.lock().expect("queue lock");
+        let mut q = self.inner.queue.lock().unpoisoned("queue lock");
         q.cap_updates = cap.max(1);
     }
 
     /// The tenant's QoS class.
     pub fn qos_class(&self) -> QosClass {
-        self.inner.queue.lock().expect("queue lock").class
+        self.inner.queue.lock().unpoisoned("queue lock").class
     }
 
     /// Reclassify the tenant (protocol verb `class <ds>
     /// interactive|bulk`); `anno_admission_bulk_class` reports it, so
     /// dashboards can slice queue depth by class.
     pub fn set_qos_class(&self, class: QosClass) {
-        self.inner.queue.lock().expect("queue lock").class = class;
+        self.inner.queue.lock().unpoisoned("queue lock").class = class;
     }
 
     /// Test hook: while paused the owner leaves its mailbox untouched, so
@@ -502,7 +506,7 @@ impl Dataset {
     /// Cleared automatically at shutdown so the final drain still runs.
     #[doc(hidden)]
     pub fn pause_writer_for_tests(&self, paused: bool) {
-        let mut q = self.inner.queue.lock().expect("queue lock");
+        let mut q = self.inner.queue.lock().unpoisoned("queue lock");
         q.paused = paused;
         self.inner.queue_cv.notify_all();
     }
@@ -515,13 +519,13 @@ impl Dataset {
     /// owner actually died with the work undone.
     pub fn flush(&self) -> Result<(), ServiceError> {
         self.inner.metrics.record_flush();
-        let mut q = self.inner.queue.lock().expect("queue lock");
+        let mut q = self.inner.queue.lock().unpoisoned("queue lock");
         let target = q.enqueued;
         while q.applied < target {
             if q.writer_dead {
                 return Err(self.shut_down());
             }
-            q = self.inner.queue_cv.wait(q).expect("queue lock");
+            q = self.inner.queue_cv.wait(q).unpoisoned("queue lock");
         }
         Ok(())
     }
@@ -586,8 +590,8 @@ impl Dataset {
         kind: ItemKind,
         name: &str,
     ) -> Option<anno_store::Item> {
-        let cache = &self.inner.name_cache[kind as usize];
-        if let Some(item) = cache.read().expect("name cache lock").get(name) {
+        let cache = self.inner.name_cache.get(kind as usize)?;
+        if let Some(item) = cache.read().unpoisoned("name cache lock").get(name) {
             self.inner.metrics.record_name_cache(true);
             return Some(*item);
         }
@@ -595,7 +599,7 @@ impl Dataset {
         self.inner.metrics.record_name_cache(false);
         cache
             .write()
-            .expect("name cache lock")
+            .unpoisoned("name cache lock")
             .insert(name.to_string(), item);
         Some(item)
     }
@@ -686,7 +690,7 @@ impl Dataset {
     /// print them from the same instant.
     pub(crate) fn freeze(&self) -> (DatasetObs, Arc<Published>) {
         let (queue_depth, unacked_drains, queue_cap, class) = {
-            let q = self.inner.queue.lock().expect("queue lock");
+            let q = self.inner.queue.lock().unpoisoned("queue lock");
             (q.pending_updates, q.unacked, q.cap_updates, q.class)
         };
         let published = self.published();
@@ -747,7 +751,7 @@ impl Dataset {
     /// `M` the publish-cost model amortizes over (stress suites pin
     /// readers across a minimum drain count with this).
     pub fn drains(&self) -> u64 {
-        self.inner.queue.lock().expect("queue lock").drains
+        self.inner.queue.lock().unpoisoned("queue lock").drains
     }
 
     /// Which side of replication this dataset is on right now.
@@ -833,13 +837,13 @@ impl Dataset {
     /// before this returns. Idempotent.
     pub fn shutdown(&self) {
         {
-            let mut q = self.inner.queue.lock().expect("queue lock");
+            let mut q = self.inner.queue.lock().unpoisoned("queue lock");
             q.shutdown = true;
             // A paused owner (test hook) must still run its final drain.
             q.paused = false;
             self.inner.queue_cv.notify_all();
         }
-        if let Some(handle) = self.worker.lock().expect("worker lock").take() {
+        if let Some(handle) = self.worker.lock().unpoisoned("worker lock").take() {
             let _ = handle.join();
         }
     }

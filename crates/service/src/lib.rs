@@ -41,6 +41,34 @@
 //! See the workspace `README.md` for the `annod` protocol reference and
 //! `examples/annod_session.rs` for an end-to-end walkthrough.
 //!
+//! # Lock order
+//!
+//! The serving path has 14 locks: `Service::{opening, datasets}`, the
+//! sampler's stop flag and join handle, each dataset's `queue`,
+//! `published`, `name_cache` and `worker`, the group committer's four
+//! (`anno-wal`), and the `Ring` and `EventJournal` guards
+//! (`anno-metrics`). These are every place a thread takes one while it
+//! holds another:
+//!
+//! | held | then taken | where |
+//! |---|---|---|
+//! | `opening` | `datasets` | `Service::{create, open_durable_with, attach_follower}`: the name check and the insert |
+//! | `opening`, `datasets` | the new dataset's `published` | `Service::create`: `Dataset::spawn` publishes before the dataset is registered |
+//! | `datasets` | a dataset's `published` | `Service::list`, and `Service`'s `Debug` |
+//! | `datasets` | a dataset's `queue`, then its `worker` | `Service`'s `Drop`, through `Dataset::shutdown` |
+//! | a dataset's `queue` | its journal | the owner thread's exit guard (`owner.rs`), after a panic |
+//!
+//! All of them keep one order: `opening`, then `datasets`, then one
+//! dataset's locks, its `queue` before its journal. None can run
+//! backwards, so no cycle is possible: a dataset cannot name the
+//! registry, and every other lock (`published`, `name_cache`, `worker`,
+//! the journal, the ring, the sampler's and the committer's) is held
+//! only to read or write its own value. Three guards are held across a
+//! thread join: a dataset's `worker` (its owner thread), the sampler's
+//! handle and the committer's handle; no joined thread takes the lock
+//! its joiner holds. `annod`'s REPL holds the stdin lock for its whole
+//! session, and nothing else in the process reads stdin.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -71,8 +99,20 @@
 //! assert!(ds.snapshot().unwrap().epoch() > snap.epoch());
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The serving threads must not panic: library code returns typed errors,
+// and each deliberate panic carries `#[expect(…, reason = "…")]`. A stale
+// or reasonless suppression fails the build.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 mod apply;
 pub mod dataset;
@@ -101,3 +141,21 @@ pub use queue::{QosClass, UpdateOp};
 pub use service::WindowedRates;
 pub use service::{DatasetSummary, Service, ServiceConfig};
 pub use snapshot::RuleSnapshot;
+
+/// Poison propagation, stated once for the crate: a lock that another
+/// thread panicked while holding is not read from.
+trait Unpoisoned<G> {
+    /// The guard, or a panic naming `lock`.
+    fn unpoisoned(self, lock: &str) -> G;
+}
+
+impl<G> Unpoisoned<G> for std::sync::LockResult<G> {
+    #[track_caller]
+    #[expect(
+        clippy::expect_used,
+        reason = "a poisoned lock means another thread panicked mid-update; propagate the panic rather than serve from that state"
+    )]
+    fn unpoisoned(self, lock: &str) -> G {
+        self.expect(lock)
+    }
+}

@@ -26,6 +26,9 @@
 //! and finish; a second request parks (the owner keeps draining), so
 //! positions finish in capture order.
 
+// An out-of-bounds panic while a guard is live would poison the lock.
+#![deny(clippy::indexing_slicing)]
+
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -49,6 +52,7 @@ use crate::metrics::{timed, Metrics};
 use crate::queue::{coalesce, UpdateOp};
 use crate::snapshot::RuleSnapshot;
 use crate::walcodec::{self, WalRecord};
+use crate::Unpoisoned;
 
 /// How long the owner parks between ticket polls when it has unacked
 /// grouped drains but no fresh work. Bounds the extra flush latency a
@@ -263,7 +267,7 @@ impl Owner {
             return None;
         }
         let inner = &self.inner;
-        let mut q = inner.queue.lock().expect("queue lock");
+        let mut q = inner.queue.lock().unpoisoned("queue lock");
         q.unacked = self.unacked.len();
         let has_mail = !(q.pending.is_empty() && q.requests.is_empty());
         if q.shutdown || (has_mail && !q.paused) {
@@ -288,8 +292,8 @@ impl Owner {
             None => None,
         };
         match timeout {
-            Some(t) => drop(inner.queue_cv.wait_timeout(q, t).expect("queue lock")),
-            None => drop(inner.queue_cv.wait(q).expect("queue lock")),
+            Some(t) => drop(inner.queue_cv.wait_timeout(q, t).unpoisoned("queue lock")),
+            None => drop(inner.queue_cv.wait(q).unpoisoned("queue lock")),
         }
         None
     }
@@ -308,7 +312,7 @@ impl Owner {
             .journal
             .record("fenced", format!("{why}; dataset disabled"));
         self.fenced = true;
-        let mut q = self.inner.queue.lock().expect("queue lock");
+        let mut q = self.inner.queue.lock().unpoisoned("queue lock");
         q.shutdown = true;
         q.writer_dead = true;
         self.inner.queue_cv.notify_all();
@@ -430,7 +434,7 @@ impl Owner {
             discovery,
             status,
         });
-        *inner.published.write().expect("published lock") = Arc::clone(&self.current);
+        *inner.published.write().unpoisoned("published lock") = Arc::clone(&self.current);
     }
 
     /// The status block as of now; `refreshed` is what this publish's
@@ -462,7 +466,7 @@ impl Owner {
     /// Mark the ops up to `drained_to` as applied-and-durable, releasing
     /// their `flush` barriers.
     fn ack(&self, drained_to: u64) {
-        let mut q = self.inner.queue.lock().expect("queue lock");
+        let mut q = self.inner.queue.lock().unpoisoned("queue lock");
         q.applied = q.applied.max(drained_to);
         q.unacked = self.unacked.len();
         self.inner.queue_cv.notify_all();
@@ -619,7 +623,7 @@ impl Owner {
             .name(format!("annod-ckpt-{}", inner.name))
             .spawn(move || {
                 let outcome = commit_checkpoint(&inner.metrics, cap);
-                let mut q = inner.queue.lock().expect("queue lock");
+                let mut q = inner.queue.lock().unpoisoned("queue lock");
                 q.requests.push_back(Request::CheckpointEncoded);
                 inner.queue_cv.notify_all();
                 outcome

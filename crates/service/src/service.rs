@@ -4,6 +4,9 @@
 //! rates like drains/s fall out of it), a service event journal, and the
 //! shared group committer's fsync latency histogram.
 
+// An out-of-bounds panic while a guard is live would poison the lock.
+#![deny(clippy::indexing_slicing)]
+
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock, RwLock};
@@ -16,6 +19,7 @@ use anno_wal::{GroupCommitStats, GroupCommitter, SyncPolicy, WalObserver, WalOpt
 use crate::dataset::{Dataset, DurabilityOptions};
 use crate::error::ServiceError;
 use crate::metrics::DatasetObs;
+use crate::Unpoisoned;
 
 /// The registry proper: datasets by name, in name order. Names are
 /// shared (`Arc<str>`) so the sampler's ring entries point at them
@@ -68,7 +72,8 @@ pub struct Service {
     /// plus log replay) can take seconds; reserving the name here lets
     /// [`Service::open_durable`] run it *without* holding the registry
     /// lock, so reads against other datasets never stall behind it.
-    /// Lock order: `opening` before `datasets`, never the reverse.
+    /// Lock order: `opening` before `datasets`, never the reverse (the
+    /// crate docs' "Lock order" lists every nesting).
     opening: Mutex<BTreeSet<String>>,
     /// One group committer shared by every durable tenant this registry
     /// opens (created on first use): K datasets committing concurrently
@@ -215,7 +220,7 @@ fn take_sample(datasets: &Registry, obs: &ServiceObs) {
     };
     let per_dataset = datasets
         .read()
-        .expect("registry lock")
+        .unpoisoned("registry lock")
         .iter()
         .map(|(name, ds)| {
             let r = ds.metrics();
@@ -276,11 +281,11 @@ impl Service {
 
     /// Register a new dataset and start its writer thread.
     pub fn create(&self, name: &str, config: ServiceConfig) -> Result<Arc<Dataset>, ServiceError> {
-        let opening = self.opening.lock().expect("opening lock");
+        let opening = self.opening.lock().unpoisoned("opening lock");
         if opening.contains(name) {
             return Err(ServiceError::DatasetExists(name.to_string()));
         }
-        let mut map = self.datasets.write().expect("registry lock");
+        let mut map = self.datasets.write().unpoisoned("registry lock");
         if map.contains_key(name) {
             return Err(ServiceError::DatasetExists(name.to_string()));
         }
@@ -353,12 +358,12 @@ impl Service {
         options: DurabilityOptions,
     ) -> Result<Arc<Dataset>, ServiceError> {
         {
-            let mut opening = self.opening.lock().expect("opening lock");
+            let mut opening = self.opening.lock().unpoisoned("opening lock");
             if opening.contains(name)
                 || self
                     .datasets
                     .read()
-                    .expect("registry lock")
+                    .unpoisoned("registry lock")
                     .contains_key(name)
             {
                 return Err(ServiceError::DatasetExists(name.to_string()));
@@ -368,12 +373,12 @@ impl Service {
         let opened = Dataset::open_with(name, config, dir, options);
         // Release the reservation and (on success) publish, atomically
         // with respect to other create/open calls on this name.
-        let mut opening = self.opening.lock().expect("opening lock");
+        let mut opening = self.opening.lock().unpoisoned("opening lock");
         opening.remove(name);
         let ds = Arc::new(opened?);
         self.datasets
             .write()
-            .expect("registry lock")
+            .unpoisoned("registry lock")
             .insert(name.into(), Arc::clone(&ds));
         self.ensure_sampler();
         Ok(ds)
@@ -392,12 +397,12 @@ impl Service {
         poll: Duration,
     ) -> Result<Arc<Dataset>, ServiceError> {
         {
-            let mut opening = self.opening.lock().expect("opening lock");
+            let mut opening = self.opening.lock().unpoisoned("opening lock");
             if opening.contains(name)
                 || self
                     .datasets
                     .read()
-                    .expect("registry lock")
+                    .unpoisoned("registry lock")
                     .contains_key(name)
             {
                 return Err(ServiceError::DatasetExists(name.to_string()));
@@ -405,12 +410,12 @@ impl Service {
             opening.insert(name.to_string());
         }
         let attached = Dataset::follow(name, config, dir, poll);
-        let mut opening = self.opening.lock().expect("opening lock");
+        let mut opening = self.opening.lock().unpoisoned("opening lock");
         opening.remove(name);
         let ds = Arc::new(attached?);
         self.datasets
             .write()
-            .expect("registry lock")
+            .unpoisoned("registry lock")
             .insert(name.into(), Arc::clone(&ds));
         self.ensure_sampler();
         Ok(ds)
@@ -420,7 +425,7 @@ impl Service {
     pub fn get(&self, name: &str) -> Result<Arc<Dataset>, ServiceError> {
         self.datasets
             .read()
-            .expect("registry lock")
+            .unpoisoned("registry lock")
             .get(name)
             .cloned()
             .ok_or_else(|| ServiceError::UnknownDataset(name.to_string()))
@@ -431,7 +436,7 @@ impl Service {
         let ds = self
             .datasets
             .write()
-            .expect("registry lock")
+            .unpoisoned("registry lock")
             .remove(name)
             .ok_or_else(|| ServiceError::UnknownDataset(name.to_string()))?;
         ds.shutdown();
@@ -440,7 +445,7 @@ impl Service {
 
     /// Summaries of every registered dataset, in name order.
     pub fn list(&self) -> Vec<DatasetSummary> {
-        let map = self.datasets.read().expect("registry lock");
+        let map = self.datasets.read().unpoisoned("registry lock");
         map.values()
             .map(|ds| match ds.try_snapshot() {
                 Some(snap) => DatasetSummary {
@@ -512,7 +517,7 @@ impl Service {
     /// read, one ring pass, one [`Dataset::observability`] per dataset.
     pub(crate) fn observe(&self) -> ServiceView {
         let (total, per_dataset) = self.window_ends(|_| true);
-        let registry = self.datasets.read().expect("registry lock").clone();
+        let registry = self.datasets.read().unpoisoned("registry lock").clone();
         ServiceView {
             datasets: registry
                 .into_iter()
@@ -566,10 +571,10 @@ impl Service {
                     let (flag, cv) = &*thread_stop;
                     loop {
                         take_sample(&datasets, &obs);
-                        let stopped = flag.lock().expect("sampler stop lock");
+                        let stopped = flag.lock().unpoisoned("sampler stop lock");
                         let (stopped, _) = cv
                             .wait_timeout(stopped, SAMPLE_INTERVAL)
-                            .expect("sampler stop lock");
+                            .unpoisoned("sampler stop lock");
                         if *stopped {
                             return;
                         }
@@ -591,13 +596,13 @@ impl Drop for Service {
         // writers too, but only once the last outside Arc is gone.
         if let Some(sampler) = self.sampler.get() {
             let (flag, cv) = &*sampler.stop;
-            *flag.lock().expect("sampler stop lock") = true;
+            *flag.lock().unpoisoned("sampler stop lock") = true;
             cv.notify_all();
-            if let Some(handle) = sampler.thread.lock().expect("sampler join lock").take() {
+            if let Some(handle) = sampler.thread.lock().unpoisoned("sampler join lock").take() {
                 let _ = handle.join();
             }
         }
-        for ds in self.datasets.read().expect("registry lock").values() {
+        for ds in self.datasets.read().unpoisoned("registry lock").values() {
             ds.shutdown();
         }
     }

@@ -47,12 +47,9 @@ impl RuleSnapshot {
     ) -> RuleSnapshot {
         let rules = miner.rules().clone();
         let mut by_lhs_item: FxHashMap<Item, Vec<u32>> = FxHashMap::default();
-        for (idx, rule) in rules.rules().iter().enumerate() {
+        for (idx, rule) in (0u32..).zip(rules.rules()) {
             for &item in rule.lhs.items() {
-                by_lhs_item
-                    .entry(item)
-                    .or_default()
-                    .push(u32::try_from(idx).expect("rule count fits u32"));
+                by_lhs_item.entry(item).or_default().push(idx);
             }
         }
         let relation_epoch = relation.epoch();

@@ -355,6 +355,22 @@ fn bulk_flood_cannot_stall_an_interactive_tenant() {
         "interactive p100 blew up under bulk flood: {worst:?}"
     );
 
+    // The queries can finish before the flood has filled bg's queue.
+    // Resume only once it has: the first shed parks the connection, so
+    // a stall also means the queue was full.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let obs = bg.observability();
+        if obs.report.backpressure_stalls >= 1 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "saturation never engaged admission control: {obs:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
     // Let the flood finish: resume the writer so bg drains and the
     // suspended connection is re-polled through to `quit`.
     bg.pause_writer_for_tests(false);

@@ -92,7 +92,7 @@ impl<K: Semiring> KRelation<K> {
         self.rows = order
             .into_iter()
             .filter_map(|row| {
-                let k = merged.remove(&row).expect("row recorded");
+                let k = merged.remove(&row)?;
                 (!k.is_zero()).then_some((row, k))
             })
             .collect();

@@ -26,15 +26,14 @@ impl FxHasher {
 
 impl Hasher for FxHasher {
     #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.add_to_hash(u64::from_le_bytes(chunk.try_into().unwrap()));
+    fn write(&mut self, mut bytes: &[u8]) {
+        while let Some((word, rest)) = bytes.split_first_chunk::<8>() {
+            self.add_to_hash(u64::from_le_bytes(*word));
+            bytes = rest;
         }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
+        if !bytes.is_empty() {
             let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
+            buf[..bytes.len()].copy_from_slice(bytes);
             self.add_to_hash(u64::from_le_bytes(buf));
         }
     }

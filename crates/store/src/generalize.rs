@@ -118,7 +118,10 @@ impl Taxonomy {
         for tid in tids {
             // Collect first: we cannot mutate while borrowing the tuple.
             let mut labels: Vec<Item> = Vec::new();
-            for &ann in relation.tuple(tid).expect("live tuple").annotations() {
+            let Some(tuple) = relation.tuple(tid) else {
+                continue;
+            };
+            for &ann in tuple.annotations() {
                 for anc in self.ancestors(ann) {
                     if !labels.contains(&anc) {
                         labels.push(anc);

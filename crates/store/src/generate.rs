@@ -191,7 +191,7 @@ pub fn generate(config: &GeneratorConfig) -> SyntheticDataset {
         // Background filler values (uniform over the non-reserved range).
         if !free_values.is_empty() {
             for _ in 0..config.tuple_width {
-                data.push(*free_values.choose(&mut rng).expect("non-empty"));
+                data.extend(free_values.choose(&mut rng));
             }
         }
 

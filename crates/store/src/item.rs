@@ -60,12 +60,15 @@ impl Item {
     }
 
     /// The namespace of this item.
+    #[expect(
+        clippy::unreachable,
+        reason = "the tag is set only by the three constructors, and `from_raw` validates through this match; any other tag is corruption"
+    )]
     pub fn kind(self) -> ItemKind {
         match self.0 >> TAG_SHIFT {
             0 => ItemKind::Data,
             1 => ItemKind::Annotation,
             2 => ItemKind::Label,
-            // anno-lint: allow(panic-path) -- the tag field is written only by the three constructors; a fourth value is memory corruption
             tag => unreachable!("corrupt item tag {tag}"),
         }
     }

@@ -32,8 +32,20 @@
 //!   Green–Karvounarakis–Tannen framework;
 //! * [`fxhash`] — the integer-keyed hash maps used throughout.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The serving threads must not panic: library code returns typed errors,
+// and each deliberate panic carries `#[expect(…, reason = "…")]`. A stale
+// or reasonless suppression fails the build.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod algebra;
 pub mod bitset;

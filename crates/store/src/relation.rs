@@ -195,6 +195,10 @@ impl AnnotatedRelation {
 
     /// Insert one tuple, returning its id.
     pub fn insert(&mut self, tuple: Tuple) -> TupleId {
+        #[expect(
+            clippy::expect_used,
+            reason = "tuple ids are u32 in every format; 2^32 tuples exceed memory first"
+        )]
         let slot = u32::try_from(self.store.slot_count()).expect("relation overflow");
         let tid = TupleId(slot);
         for &ann in tuple.annotations() {
@@ -231,7 +235,7 @@ impl AnnotatedRelation {
     pub fn tuples_with(&self, ann: Item) -> impl Iterator<Item = (TupleId, &Tuple)> + '_ {
         self.index
             .tuples_with(ann)
-            .map(move |tid| (tid, self.store.get(tid.0).expect("indexed tuple is live")))
+            .filter_map(move |tid| Some((tid, self.store.get(tid.0)?)))
     }
 
     /// Attach `ann` to `tid`. Returns `true` if the relation changed.
@@ -246,10 +250,9 @@ impl AnnotatedRelation {
             Some(t) if t.contains(ann) => return false,
             Some(_) => {}
         }
-        let added = self
-            .store
-            .update(tid.0, |t| t.add_annotation(ann))
-            .expect("liveness just checked");
+        let Some(added) = self.store.update(tid.0, |t| t.add_annotation(ann)) else {
+            return false;
+        };
         debug_assert!(added);
         self.index.insert(tid, ann);
         self.epoch += 1;
@@ -283,10 +286,9 @@ impl AnnotatedRelation {
             Some(t) if !t.contains(ann) => return false,
             Some(_) => {}
         }
-        let removed = self
-            .store
-            .update(tid.0, |t| t.remove_annotation(ann))
-            .expect("liveness just checked");
+        let Some(removed) = self.store.update(tid.0, |t| t.remove_annotation(ann)) else {
+            return false;
+        };
         debug_assert!(removed);
         self.index.remove(tid, ann);
         self.epoch += 1;

@@ -191,12 +191,20 @@ impl SegmentStore {
 
     /// Append a tuple, returning its slot.
     pub fn push(&mut self, tuple: Tuple) -> u32 {
+        #[expect(
+            clippy::expect_used,
+            reason = "slots are u32 in every format; 2^32 tuples exceed memory first"
+        )]
         let slot = u32::try_from(self.slots).expect("store overflow");
-        if self.segments.last().is_none_or(|s| s.is_full()) {
-            self.segments.push(Arc::new(Segment::default()));
-        }
-        let seg = Arc::make_mut(self.segments.last_mut().expect("just ensured"));
-        let off = seg.push(tuple);
+        let off = match self.segments.last_mut() {
+            Some(seg) if !seg.is_full() => Arc::make_mut(seg).push(tuple),
+            _ => {
+                let mut seg = Segment::default();
+                let off = seg.push(tuple);
+                self.segments.push(Arc::new(seg));
+                off
+            }
+        };
         debug_assert_eq!(
             slot,
             ((self.segments.len() as u32 - 1) << SEGMENT_BITS) | off
@@ -271,13 +279,8 @@ impl SegmentStore {
     pub fn iter_slots(&self) -> impl Iterator<Item = (u32, &Tuple, bool)> + '_ {
         self.segments.iter().enumerate().flat_map(|(idx, seg)| {
             let base = (idx as u32) << SEGMENT_BITS;
-            (0..seg.len() as u32).map(move |off| {
-                (
-                    base | off,
-                    seg.slot(off).expect("offset in range"),
-                    seg.is_live(off),
-                )
-            })
+            (0..seg.len() as u32)
+                .filter_map(move |off| Some((base | off, seg.slot(off)?, seg.is_live(off))))
         })
     }
 

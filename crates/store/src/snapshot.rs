@@ -112,8 +112,12 @@ pub fn write_snapshot<W: Write>(rel: &AnnotatedRelation, writer: &mut W) -> io::
 /// Render a snapshot to a string.
 pub fn snapshot_to_string(rel: &AnnotatedRelation) -> String {
     let mut buf = Vec::new();
-    write_snapshot(rel, &mut buf).expect("writing to Vec cannot fail"); // anno-lint: allow(panic-path) -- io::Write on Vec<u8> is infallible
-                                                                        // anno-lint: allow(panic-path) -- the writer emits only ASCII framing and already-valid UTF-8 names
+    #[expect(clippy::expect_used, reason = "io::Write on Vec<u8> is infallible")]
+    write_snapshot(rel, &mut buf).expect("writing to Vec cannot fail");
+    #[expect(
+        clippy::expect_used,
+        reason = "the writer emits only ASCII framing and already-valid UTF-8 names"
+    )]
     String::from_utf8(buf).expect("snapshot text is UTF-8")
 }
 
@@ -196,13 +200,11 @@ pub fn read_snapshot<R: BufRead>(reader: R) -> Result<AnnotatedRelation, String>
     live.sort_by_key(|&(tid, _)| tid);
     let mut by_tid = live.into_iter().peekable();
     for slot in 0..slots {
-        match by_tid.peek() {
-            Some((tid, _)) if tid.0 as usize == slot => {
-                // anno-lint: allow(panic-path) -- peek() returned Some for this iteration's match arm
-                let (_, items) = by_tid.next().expect("peeked");
+        match by_tid.next_if(|(tid, _)| tid.0 as usize == slot) {
+            Some((_, items)) => {
                 rel.insert(Tuple::from_items(items));
             }
-            _ => {
+            None => {
                 let tid = rel.insert(Tuple::from_items(Vec::new()));
                 rel.delete_tuple(tid);
             }

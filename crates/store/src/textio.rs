@@ -141,7 +141,12 @@ pub fn write_dataset<W: Write>(rel: &AnnotatedRelation, writer: &mut W) -> io::R
 /// Render a whole relation to a string (see [`write_dataset`]).
 pub fn dataset_to_string(rel: &AnnotatedRelation) -> String {
     let mut buf = Vec::new();
+    #[expect(clippy::expect_used, reason = "io::Write on Vec<u8> is infallible")]
     write_dataset(rel, &mut buf).expect("writing to Vec cannot fail");
+    #[expect(
+        clippy::expect_used,
+        reason = "the writer emits only ASCII framing and already-valid UTF-8 names"
+    )]
     String::from_utf8(buf).expect("dataset text is UTF-8")
 }
 

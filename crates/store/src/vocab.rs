@@ -82,16 +82,14 @@ impl NameArena {
     /// iff it is shared with a snapshot; full chunks are never touched.
     fn push(&mut self, name: String) -> u32 {
         let idx = self.len;
-        if self
-            .chunks
-            .last()
-            .is_none_or(|c| c.len() == VOCAB_CHUNK_CAP)
-        {
-            self.chunks
-                .push(Arc::new(Vec::with_capacity(VOCAB_CHUNK_CAP)));
+        match self.chunks.last_mut() {
+            Some(tail) if tail.len() < VOCAB_CHUNK_CAP => Arc::make_mut(tail).push(name),
+            _ => {
+                let mut chunk = Vec::with_capacity(VOCAB_CHUNK_CAP);
+                chunk.push(name);
+                self.chunks.push(Arc::new(chunk));
+            }
         }
-        let tail = self.chunks.last_mut().expect("just ensured");
-        Arc::make_mut(tail).push(name);
         self.len += 1;
         idx
     }
@@ -429,6 +427,10 @@ impl Vocabulary {
 
     /// The name of an item. Panics on an item from a different vocabulary
     /// with an out-of-range index.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented contract: items come from this vocabulary"
+    )]
     pub fn name(&self, item: Item) -> &str {
         self.namespaces[item.kind() as usize]
             .arena

@@ -97,10 +97,16 @@ fn open_checkpoint(
     if magic != CHECKPOINT_MAGIC {
         return Err(corrupt(dir, "bad magic"));
     }
-    let segment = u64::from_le_bytes(fields[..8].try_into().expect("8 bytes"));
-    let offset = u64::from_le_bytes(fields[8..16].try_into().expect("8 bytes"));
-    let len = u32::from_le_bytes(fields[16..20].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_le_bytes(fields[20..24].try_into().expect("4 bytes"));
+    #[expect(
+        clippy::expect_used,
+        reason = "fixed ranges of the fixed-size header array"
+    )]
+    let (segment, offset, len, crc) = (
+        u64::from_le_bytes(fields[..8].try_into().expect("8 bytes")),
+        u64::from_le_bytes(fields[8..16].try_into().expect("8 bytes")),
+        u32::from_le_bytes(fields[16..20].try_into().expect("4 bytes")) as usize,
+        u32::from_le_bytes(fields[20..24].try_into().expect("4 bytes")),
+    );
     Ok(Some((file, LogPosition { segment, offset }, len, crc)))
 }
 

@@ -42,8 +42,20 @@
 //! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The serving threads must not panic: library code returns typed errors,
+// and each deliberate panic carries `#[expect(…, reason = "…")]`. A stale
+// or reasonless suppression fails the build.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod checkpoint;
 pub mod observe;

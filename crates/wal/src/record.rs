@@ -64,7 +64,10 @@ pub fn record_crc(len: u32, payload: &[u8]) -> u32 {
 
 /// Frame one payload into its on-disk record bytes.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    // anno-lint: allow(panic-path) -- payloads are single checkpoint/drain frames, bounded far below 4 GiB by the segment size cap
+    #[expect(
+        clippy::expect_used,
+        reason = "payloads are single checkpoint/drain frames, bounded far below 4 GiB by the segment size cap"
+    )]
     let len = u32::try_from(payload.len()).expect("record payload fits u32");
     let mut out = Vec::with_capacity(RECORD_HEADER_BYTES + payload.len());
     out.extend_from_slice(&len.to_le_bytes());
@@ -127,8 +130,14 @@ pub fn scan(bytes: &[u8], start: usize) -> Scan {
                 damage: Some(ScanDamage::Torn),
             };
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes"));
+        #[expect(
+            clippy::expect_used,
+            reason = "fixed ranges inside the header length checked above"
+        )]
+        let (len, crc) = (
+            u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("4 bytes")) as usize,
+            u32::from_le_bytes(bytes[pos + 4..pos + 8].try_into().expect("4 bytes")),
+        );
         let body_start = pos + RECORD_HEADER_BYTES;
         if bytes.len() - body_start < len {
             return Scan {

@@ -65,15 +65,20 @@ pub fn parse_header(bytes: &[u8], expect_seq: u64) -> Result<u64, String> {
     if &bytes[..8] != SEGMENT_MAGIC {
         return Err("bad segment magic".into());
     }
-    let seq = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
+    #[expect(
+        clippy::expect_used,
+        reason = "fixed ranges inside the header length checked above"
+    )]
+    let (seq, prev_len) = (
+        u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")),
+        u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes")),
+    );
     if seq != expect_seq {
         return Err(format!(
             "segment header seq {seq} does not match file name seq {expect_seq}"
         ));
     }
-    Ok(u64::from_le_bytes(
-        bytes[16..24].try_into().expect("8 bytes"),
-    ))
+    Ok(prev_len)
 }
 
 /// All segment sequence numbers present in `dir`, ascending. Non-segment

@@ -29,6 +29,13 @@
 //! [`SyncTicket`] therefore guarantees *every earlier append to the same
 //! log* is durable too — the property the serving layer's in-order ack
 //! pipeline relies on.
+//!
+//! No lock here is taken while another is held, and the observer is
+//! called with none held; the serving layer's crate docs (`anno-service`,
+//! "Lock order") list the nestings of the whole serving path.
+
+// An out-of-bounds panic while a guard is live would poison the lock.
+#![deny(clippy::indexing_slicing)]
 
 use std::collections::HashMap;
 use std::fs::File;
@@ -46,6 +53,24 @@ static NEXT_LOG_ID: AtomicU64 = AtomicU64::new(0);
 
 pub(crate) fn next_log_id() -> u64 {
     NEXT_LOG_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Poison propagation, stated once for the crate: a lock that another
+/// thread panicked while holding is not read from.
+trait Unpoisoned<G> {
+    /// The guard, or a panic naming `lock`.
+    fn unpoisoned(self, lock: &str) -> G;
+}
+
+impl<G> Unpoisoned<G> for std::sync::LockResult<G> {
+    #[track_caller]
+    #[expect(
+        clippy::expect_used,
+        reason = "a poisoned lock means another thread panicked mid-update; propagate the panic rather than serve from that state"
+    )]
+    fn unpoisoned(self, lock: &str) -> G {
+        self.expect(lock)
+    }
 }
 
 /// When an appended record becomes durable. See the module docs.
@@ -152,13 +177,13 @@ pub struct SyncTicket {
 impl SyncTicket {
     /// Block until the covering sync window completes. Idempotent.
     pub fn wait(&self) -> Result<(), WalError> {
-        let mut state = self.shared.state.lock().expect("ticket lock");
-        while state.is_none() {
-            state = self.shared.cv.wait(state).expect("ticket lock");
-        }
-        match state.as_ref().expect("just checked") {
-            Ok(()) => Ok(()),
-            Err(msg) => Err(WalError::Io(std::io::Error::other(msg.clone()))),
+        let mut state = self.shared.state.lock().unpoisoned("ticket lock");
+        loop {
+            match state.as_ref() {
+                Some(Ok(())) => return Ok(()),
+                Some(Err(msg)) => return Err(WalError::Io(std::io::Error::other(msg.clone()))),
+                None => state = self.shared.cv.wait(state).unpoisoned("ticket lock"),
+            }
         }
     }
 
@@ -166,7 +191,7 @@ impl SyncTicket {
     /// `Some(result)` once it closed. Lets a pipelined appender retire
     /// completed acks without ever parking on an open window.
     pub fn try_ready(&self) -> Option<Result<(), WalError>> {
-        let state = self.shared.state.lock().expect("ticket lock");
+        let state = self.shared.state.lock().unpoisoned("ticket lock");
         state.as_ref().map(|outcome| match outcome {
             Ok(()) => Ok(()),
             Err(msg) => Err(WalError::Io(std::io::Error::other(msg.clone()))),
@@ -233,6 +258,10 @@ impl GroupCommitter {
             observer: Mutex::new(ObserverSlot::default()),
         });
         let worker = Arc::clone(&shared);
+        #[expect(
+            clippy::expect_used,
+            reason = "the constructor is infallible by signature, and without its thread no grouped append could ever be acknowledged"
+        )]
         let thread = std::thread::Builder::new()
             .name("anno-wal-group-commit".to_string())
             .spawn(move || committer_loop(&worker))
@@ -250,7 +279,7 @@ impl GroupCommitter {
             state: Mutex::new(None),
             cv: Condvar::new(),
         });
-        let mut state = self.shared.state.lock().expect("committer lock");
+        let mut state = self.shared.state.lock().unpoisoned("committer lock");
         state.submitted += 1;
         state.queue.push(SyncRequest {
             key,
@@ -268,13 +297,13 @@ impl GroupCommitter {
         self.shared
             .observer
             .lock()
-            .expect("observer lock")
+            .unpoisoned("observer lock")
             .install(observer);
     }
 
     /// Point-in-time counters.
     pub fn stats(&self) -> GroupCommitStats {
-        let state = self.shared.state.lock().expect("committer lock");
+        let state = self.shared.state.lock().unpoisoned("committer lock");
         GroupCommitStats {
             submitted: state.submitted,
             syncs: state.syncs,
@@ -286,11 +315,11 @@ impl GroupCommitter {
 impl Drop for GroupCommitter {
     fn drop(&mut self) {
         {
-            let mut state = self.shared.state.lock().expect("committer lock");
+            let mut state = self.shared.state.lock().unpoisoned("committer lock");
             state.shutdown = true;
             self.shared.work_cv.notify_all();
         }
-        if let Some(handle) = self.thread.lock().expect("thread lock").take() {
+        if let Some(handle) = self.thread.lock().unpoisoned("thread lock").take() {
             // The loop drains (and completes) everything still queued
             // before exiting, so no ticket is ever abandoned.
             let _ = handle.join();
@@ -301,9 +330,9 @@ impl Drop for GroupCommitter {
 fn committer_loop(shared: &CommitterShared) {
     loop {
         let batch = {
-            let mut state = shared.state.lock().expect("committer lock");
+            let mut state = shared.state.lock().unpoisoned("committer lock");
             while state.queue.is_empty() && !state.shutdown {
-                state = shared.work_cv.wait(state).expect("committer lock");
+                state = shared.work_cv.wait(state).unpoisoned("committer lock");
             }
             if state.queue.is_empty() {
                 debug_assert!(state.shutdown);
@@ -314,7 +343,7 @@ fn committer_loop(shared: &CommitterShared) {
 
         // Sync outside the lock: submissions for the *next* window are
         // never blocked behind this one's fsyncs.
-        let observer = shared.observer.lock().expect("observer lock").clone();
+        let observer = shared.observer.lock().unpoisoned("observer lock").clone();
         let window_start = Instant::now();
         let mut results: HashMap<(u64, u64), Result<(), String>> = HashMap::new();
         let mut syncs = 0u64;
@@ -340,12 +369,12 @@ fn committer_loop(shared: &CommitterShared) {
                 .get(&req.key)
                 .cloned()
                 .unwrap_or_else(|| Err("internal: sync result missing for ticket".to_string()));
-            let mut slot = req.ticket.state.lock().expect("ticket lock");
+            let mut slot = req.ticket.state.lock().unpoisoned("ticket lock");
             *slot = Some(outcome);
             req.ticket.cv.notify_all();
         }
 
-        let mut state = shared.state.lock().expect("committer lock");
+        let mut state = shared.state.lock().unpoisoned("committer lock");
         state.syncs += syncs;
         state.windows += 1;
     }

@@ -31,8 +31,6 @@
 //! walkthroughs; and `crates/bench` for the harness regenerating every
 //! measured figure of the paper.
 
-#![forbid(unsafe_code)]
-
 pub use anno_mine as mine;
 pub use anno_semiring as semiring;
 pub use anno_service as service;
