@@ -4,175 +4,120 @@
 //! future-work item ("implementing the incremental updating of association
 //! rules into an actual database management system"): the maintained
 //! frequent-itemset table, the evolution budget, and the configuration are
-//! persisted in a line-oriented text format, and a restored miner carries
-//! the *same exactness contract* — it continues incremental maintenance as
-//! if the process had never stopped (rules are derived data, so they are
-//! re-derived on load rather than stored).
+//! persisted in a binary encoding, and a restored miner carries the *same
+//! exactness contract* — it continues incremental maintenance as if the
+//! process had never stopped (rules are derived data, so they are
+//! re-derived on decode rather than stored). Written with
+//! `anno_store::codec`:
 //!
 //! ```text
-//! annomine-checkpoint v1
-//! thresholds <min_support> <min_confidence>
-//! retention <factor>
-//! [counting hash_tree|direct_scan|parallel_scan]
-//! base_size <tuples-at-last-full-mine>
-//! added_since <tuples-added-since>
-//! db_size <current-denominator>
-//! stats <remines> <c1> <c2> <c3> <del> <discovered>
-//! itemset <count> <raw-item>,...
-//! end
+//! config       3 × f64 bits           min_support, min_confidence, retention
+//! base_size    u64                    tuples at the last full mine
+//! added_since  u64                    tuples added since
+//! db_size      u64                    current support denominator
+//! stats        6 × u64                remines, case 1/2/3, deletions, discovered
+//! itemsets     count u32, then sorted [count u64, len u32, raw items u32…]
 //! ```
-//!
-//! The `counting` line was written by builds before PR 19, when a full
-//! mine could count candidates three ways; all three produced the same
-//! table, so it is read and ignored, and no longer written.
 
-use std::io::{self, BufRead, Write};
-
-use anno_store::Item;
+use anno_store::codec::{put_count, put_u32, put_u64, Cursor};
 
 use crate::frequent::FrequentItemsets;
 use crate::incremental::{IncrementalConfig, IncrementalMiner, MaintenanceStats};
 use crate::itemset::ItemSet;
 use crate::rules::{RuleSet, Thresholds};
 
+impl IncrementalConfig {
+    /// Append the three fractions as their IEEE bits, bit-exactly.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.thresholds.min_support.to_bits());
+        put_u64(out, self.thresholds.min_confidence.to_bits());
+        put_u64(out, self.retention.to_bits());
+    }
+
+    /// Read back what [`IncrementalConfig::encode`] wrote. The fractions
+    /// are range-checked before [`Thresholds::new`] (which asserts them)
+    /// and the retention through [`IncrementalConfig::validate`], so an
+    /// out-of-range or NaN value is an `Err`, never a panic.
+    pub fn decode(cur: &mut Cursor<'_>) -> Result<IncrementalConfig, String> {
+        let mut fraction = |what: &str| {
+            let x = cur.f64()?;
+            if (0.0..=1.0).contains(&x) {
+                Ok(x)
+            } else {
+                Err(format!("{what} out of range: {x}"))
+            }
+        };
+        let min_support = fraction("min_support")?;
+        let min_confidence = fraction("min_confidence")?;
+        let config = IncrementalConfig {
+            thresholds: Thresholds::new(min_support, min_confidence),
+            retention: cur.f64()?,
+        };
+        config.validate()?;
+        Ok(config)
+    }
+}
+
 impl IncrementalMiner {
-    /// Persist the full maintenance state.
-    pub fn write_checkpoint<W: Write>(&self, writer: &mut W) -> io::Result<()> {
-        writeln!(writer, "annomine-checkpoint v1")?;
-        writeln!(
-            writer,
-            "thresholds {:?} {:?}",
-            self.config.thresholds.min_support, self.config.thresholds.min_confidence
-        )?;
-        writeln!(writer, "retention {:?}", self.config.retention)?;
-        writeln!(writer, "base_size {}", self.base_size)?;
-        writeln!(writer, "added_since {}", self.added_since)?;
-        writeln!(writer, "db_size {}", self.table.db_size())?;
+    /// Append the full maintenance state's binary encoding (module docs).
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        self.config.encode(out);
+        put_u64(out, self.base_size);
+        put_u64(out, self.added_since);
+        put_u64(out, self.table.db_size());
         let s = self.stats;
-        writeln!(
-            writer,
-            "stats {} {} {} {} {} {}",
+        for x in [
             s.full_remines,
             s.case1_batches,
             s.case2_batches,
             s.case3_batches,
             s.deletion_batches,
-            s.discovered_itemsets
-        )?;
+            s.discovered_itemsets,
+        ] {
+            put_u64(out, x);
+        }
         // Sorted for deterministic output.
-        for (itemset, count) in self.table.sorted() {
-            write!(writer, "itemset {count} ")?;
-            for (i, item) in itemset.items().iter().enumerate() {
-                if i > 0 {
-                    write!(writer, ",")?;
-                }
-                write!(writer, "{}", item.raw())?;
+        let sorted = self.table.sorted();
+        put_count(out, sorted.len());
+        for (itemset, count) in sorted {
+            put_u64(out, count);
+            put_count(out, itemset.len());
+            for item in itemset.items() {
+                put_u32(out, item.raw());
             }
-            writeln!(writer)?;
         }
-        writeln!(writer, "end")
     }
 
-    /// Render the checkpoint to a string.
-    pub fn checkpoint_to_string(&self) -> String {
-        let mut buf = Vec::new();
-        #[expect(clippy::expect_used, reason = "io::Write on Vec<u8> is infallible")]
-        self.write_checkpoint(&mut buf)
-            .expect("writing to Vec cannot fail");
-        #[expect(
-            clippy::expect_used,
-            reason = "the writer emits only ASCII framing and already-valid UTF-8 names"
-        )]
-        String::from_utf8(buf).expect("checkpoint text is UTF-8")
-    }
-
-    /// Restore a miner from a checkpoint; rules are re-derived from the
-    /// restored table.
-    pub fn read_checkpoint<R: BufRead>(reader: R) -> Result<IncrementalMiner, String> {
-        let mut lines = reader.lines();
-        let header = lines
-            .next()
-            .ok_or("empty checkpoint")?
-            .map_err(|e| e.to_string())?;
-        if header.trim() != "annomine-checkpoint v1" {
-            return Err(format!("unsupported checkpoint header {header:?}"));
-        }
-        let mut thresholds: Option<Thresholds> = None;
-        let mut retention: Option<f64> = None;
-        let mut base_size = 0u64;
-        let mut added_since = 0u64;
-        let mut db_size = 0u64;
-        let mut stats = MaintenanceStats::default();
-        let mut entries: Vec<(ItemSet, u64)> = Vec::new();
-        let mut saw_end = false;
-
-        for (lineno, line) in lines.enumerate() {
-            let line = line.map_err(|e| e.to_string())?;
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |msg: String| format!("line {}: {msg}", lineno + 2);
-            let mut parts = line.split(' ');
-            match parts.next() {
-                Some("thresholds") => {
-                    let sup: f64 = parse_next(&mut parts).map_err(&err)?;
-                    let conf: f64 = parse_next(&mut parts).map_err(&err)?;
-                    thresholds = Some(Thresholds::new(sup, conf));
-                }
-                Some("retention") => retention = Some(parse_next(&mut parts).map_err(&err)?),
-                Some("counting") => match parts.next() {
-                    Some("hash_tree" | "direct_scan" | "parallel_scan") => {}
-                    other => return Err(err(format!("unknown counting {other:?}"))),
-                },
-                Some("base_size") => base_size = parse_next(&mut parts).map_err(&err)?,
-                Some("added_since") => added_since = parse_next(&mut parts).map_err(&err)?,
-                Some("db_size") => db_size = parse_next(&mut parts).map_err(&err)?,
-                Some("stats") => {
-                    stats = MaintenanceStats {
-                        full_remines: parse_next(&mut parts).map_err(&err)?,
-                        case1_batches: parse_next(&mut parts).map_err(&err)?,
-                        case2_batches: parse_next(&mut parts).map_err(&err)?,
-                        case3_batches: parse_next(&mut parts).map_err(&err)?,
-                        deletion_batches: parse_next(&mut parts).map_err(&err)?,
-                        discovered_itemsets: parse_next(&mut parts).map_err(&err)?,
-                    };
-                }
-                Some("itemset") => {
-                    let count: u64 = parse_next(&mut parts).map_err(&err)?;
-                    let raws = parts.next().unwrap_or("");
-                    let mut items = Vec::new();
-                    for tok in raws.split(',').filter(|t| !t.is_empty()) {
-                        let raw: u32 = tok.parse().map_err(|e| err(format!("bad item: {e}")))?;
-                        items.push(Item::from_raw(raw));
-                    }
-                    if items.is_empty() {
-                        return Err(err("empty itemset".into()));
-                    }
-                    entries.push((ItemSet::from_unsorted(items), count));
-                }
-                Some("end") => {
-                    saw_end = true;
-                    break;
-                }
-                other => return Err(err(format!("unknown directive {other:?}"))),
-            }
-        }
-        if !saw_end {
-            return Err("checkpoint truncated: missing 'end'".into());
-        }
-        let thresholds = thresholds.ok_or("checkpoint missing 'thresholds'")?;
-        let retention = retention.ok_or("checkpoint missing 'retention'")?;
-
-        let mut table = FrequentItemsets::new(db_size);
-        for (itemset, count) in entries {
-            table.insert(itemset, count);
-        }
-        let config = IncrementalConfig {
-            thresholds,
-            retention,
+    /// Restore a miner [`IncrementalMiner::encode`] wrote; rules are
+    /// re-derived from the restored table.
+    pub fn decode(cur: &mut Cursor<'_>) -> Result<IncrementalMiner, String> {
+        let config = IncrementalConfig::decode(cur)?;
+        // Tuple ids are u32, so no tuple count exceeds u32::MAX; a larger
+        // one would overflow the evolution-budget arithmetic later.
+        let mut tuples = |what: &str| match cur.u64()? {
+            n if n <= u64::from(u32::MAX) => Ok(n),
+            n => Err(format!("{what} {n} exceeds any relation")),
         };
-        config.validate()?;
+        let base_size = tuples("base_size")?;
+        let added_since = tuples("added_since")?;
+        let mut table = FrequentItemsets::new(tuples("db_size")?);
+        let stats = MaintenanceStats {
+            full_remines: cur.u64()?,
+            case1_batches: cur.u64()?,
+            case2_batches: cur.u64()?,
+            case3_batches: cur.u64()?,
+            deletion_batches: cur.u64()?,
+            discovered_itemsets: cur.u64()?,
+        };
+        // An itemset is at least its count and its length.
+        for _ in 0..cur.count(12)? {
+            let count = cur.u64()?;
+            let items = cur.list(4, Cursor::item)?;
+            if items.is_empty() {
+                return Err("empty itemset".into());
+            }
+            table.insert(ItemSet::from_unsorted(items), count);
+        }
         let mut miner = IncrementalMiner {
             config,
             table,
@@ -185,11 +130,6 @@ impl IncrementalMiner {
         };
         miner.rederive();
         Ok(miner)
-    }
-
-    /// Restore from a string (see [`IncrementalMiner::read_checkpoint`]).
-    pub fn checkpoint_from_string(text: &str) -> Result<IncrementalMiner, String> {
-        IncrementalMiner::read_checkpoint(text.as_bytes())
     }
 
     /// Resume-time screen that this (typically just-restored) miner state
@@ -205,6 +145,15 @@ impl IncrementalMiner {
     /// stale"; [`IncrementalMiner::verify_against_remine`] is the
     /// exhaustive — and O(full mine) — check.
     pub fn validate_against(&self, relation: &anno_store::AnnotatedRelation) -> Result<(), String> {
+        let vocab = relation.vocab();
+        if let Some(item) = (self.table.iter())
+            .flat_map(|(itemset, _)| itemset.items())
+            .find(|&&item| !vocab.contains(item))
+        {
+            return Err(format!(
+                "checkpoint itemsets hold {item:?}, which the relation never interned"
+            ));
+        }
         let live = relation.len() as u64;
         if self.table.db_size() != live {
             return Err(format!(
@@ -227,20 +176,10 @@ impl IncrementalMiner {
     }
 }
 
-fn parse_next<'a, T: std::str::FromStr>(
-    parts: &mut impl Iterator<Item = &'a str>,
-) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    let tok = parts.next().ok_or("missing field")?;
-    tok.parse().map_err(|e| format!("bad field {tok:?}: {e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anno_store::{generate, random_annotation_batch, GeneratorConfig};
+    use anno_store::{generate, random_annotation_batch, GeneratorConfig, Item};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -257,11 +196,35 @@ mod tests {
         (rel, miner)
     }
 
+    fn encoded(miner: &IncrementalMiner) -> Vec<u8> {
+        let mut out = Vec::new();
+        miner.encode(&mut out);
+        out
+    }
+
+    fn decoded(bytes: &[u8]) -> Result<IncrementalMiner, String> {
+        let mut cur = Cursor::new(bytes);
+        let miner = IncrementalMiner::decode(&mut cur)?;
+        cur.finish()?;
+        Ok(miner)
+    }
+
+    /// The encoding of a miner with `config` and an empty table.
+    fn bare(support: f64, confidence: f64, retention: f64) -> Vec<u8> {
+        let mut out = Vec::new();
+        for x in [support, confidence, retention] {
+            put_u64(&mut out, x.to_bits());
+        }
+        out.extend_from_slice(&[0; 9 * 8]); // sizes and stats
+        put_count(&mut out, 0);
+        out
+    }
+
     #[test]
     fn checkpoint_roundtrips_state_exactly() {
         let (_, miner) = setup();
-        let text = miner.checkpoint_to_string();
-        let restored = IncrementalMiner::checkpoint_from_string(&text).unwrap();
+        let bytes = encoded(&miner);
+        let restored = decoded(&bytes).unwrap();
         assert!(restored.rules().identical_to(miner.rules()));
         assert!(restored
             .candidate_rules()
@@ -273,14 +236,13 @@ mod tests {
             miner.remaining_tuple_budget()
         );
         // Fixpoint on second round-trip.
-        assert_eq!(restored.checkpoint_to_string(), text);
+        assert_eq!(encoded(&restored), bytes);
     }
 
     #[test]
     fn restored_miner_continues_incremental_maintenance() {
         let (mut rel, mut miner) = setup();
-        let text = miner.checkpoint_to_string();
-        let mut restored = IncrementalMiner::checkpoint_from_string(&text).unwrap();
+        let mut restored = decoded(&encoded(&miner)).unwrap();
 
         // Apply the same workload to both miners on cloned relations.
         let mut rel2 = rel.clone();
@@ -295,8 +257,7 @@ mod tests {
     #[test]
     fn validate_against_detects_out_of_sync_relations() {
         let (mut rel, miner) = setup();
-        let restored =
-            IncrementalMiner::checkpoint_from_string(&miner.checkpoint_to_string()).unwrap();
+        let restored = decoded(&encoded(&miner)).unwrap();
         restored.validate_against(&rel).expect("matching pair");
 
         // Mutating the relation behind the miner's back must be caught:
@@ -327,39 +288,60 @@ mod tests {
     }
 
     #[test]
-    fn malformed_checkpoints_are_rejected() {
-        assert!(IncrementalMiner::checkpoint_from_string("").is_err());
-        assert!(IncrementalMiner::checkpoint_from_string("nope\nend\n").is_err());
-        let missing_end = "annomine-checkpoint v1\nthresholds 0.4 0.8\nretention 0.5\n";
-        assert!(IncrementalMiner::checkpoint_from_string(missing_end).is_err());
-        let bad_itemset =
-            "annomine-checkpoint v1\nthresholds 0.4 0.8\nretention 0.5\nitemset 3 \nend\n";
-        assert!(IncrementalMiner::checkpoint_from_string(bad_itemset).is_err());
-        let missing_thresholds = "annomine-checkpoint v1\nretention 0.5\nend\n";
-        assert!(IncrementalMiner::checkpoint_from_string(missing_thresholds).is_err());
+    fn validate_against_refuses_items_the_relation_never_interned() {
+        // A data item past the vocabulary would pass the annotation-count
+        // screen and panic the first name lookup of a rule that holds it.
+        let (rel, miner) = setup();
+        let mut restored = decoded(&encoded(&miner)).unwrap();
+        let stranger = Item::data(rel.vocab().count(anno_store::ItemKind::Data) as u32);
+        restored.table.insert(ItemSet::single(stranger), 1);
+        let err = restored.validate_against(&rel).unwrap_err();
+        assert!(err.contains("never interned"), "{err}");
     }
 
     #[test]
-    fn counting_line_of_older_checkpoints_is_read_and_not_rewritten() {
+    fn malformed_checkpoints_are_rejected() {
+        assert!(decoded(&[]).is_err());
         let (_, miner) = setup();
-        let text = miner.checkpoint_to_string();
-        assert!(!text.contains("counting"), "{text}");
-        // What builds before PR 19 wrote: the same text with a `counting`
-        // line after `retention`.
-        let with =
-            |value: &str| text.replacen("base_size", &format!("counting {value}\nbase_size"), 1);
-        for value in ["hash_tree", "direct_scan", "parallel_scan"] {
-            let restored = IncrementalMiner::checkpoint_from_string(&with(value)).unwrap();
-            assert_eq!(restored.checkpoint_to_string(), text, "counting {value}");
+        let bytes = encoded(&miner);
+        for len in 0..bytes.len() {
+            assert!(decoded(&bytes[..len]).is_err(), "truncated at {len}");
         }
-        let err = IncrementalMiner::checkpoint_from_string(&with("bogus")).unwrap_err();
-        assert!(err.contains("unknown counting"), "{err}");
+        let mut empty_itemset = bare(0.4, 0.8, 0.5);
+        let at = empty_itemset.len() - 4;
+        empty_itemset.truncate(at);
+        put_count(&mut empty_itemset, 1);
+        put_u64(&mut empty_itemset, 3);
+        put_count(&mut empty_itemset, 0);
+        assert!(decoded(&empty_itemset)
+            .unwrap_err()
+            .contains("empty itemset"));
+        let mut huge = bare(0.4, 0.8, 0.5);
+        huge[24..32].copy_from_slice(&u64::MAX.to_le_bytes()); // base_size
+        assert!(decoded(&huge).unwrap_err().contains("exceeds any relation"));
+    }
+
+    #[test]
+    fn out_of_range_thresholds_are_errors_not_panics() {
+        decoded(&bare(0.4, 0.8, 0.5)).expect("in range");
+        for (support, confidence, retention) in [
+            (5.0, 0.5, 0.5),
+            (f64::NAN, 0.5, 0.5),
+            (0.4, -0.1, 0.5),
+            (0.4, f64::INFINITY, 0.5),
+        ] {
+            let err = decoded(&bare(support, confidence, retention)).unwrap_err();
+            assert!(err.contains("out of range"), "{err}");
+        }
+        for retention in [0.0, f64::NAN, 1.5] {
+            let err = decoded(&bare(0.4, 0.8, retention)).unwrap_err();
+            assert!(err.contains("(0, 1]"), "{err}");
+        }
     }
 
     #[test]
     fn zero_retention_in_a_checkpoint_is_an_error_not_a_later_panic() {
-        let zero = "annomine-checkpoint v1\nthresholds 0.4 0.8\nretention 0.0\nend\n";
-        let err = IncrementalMiner::checkpoint_from_string(zero).unwrap_err();
+        let err = decoded(&bare(0.4, 0.8, 0.0)).unwrap_err();
         assert!(err.contains("(0, 1]"), "{err}");
     }
 
@@ -373,9 +355,9 @@ mod tests {
                 retention: 0.61803,
             },
         );
-        let restored =
-            IncrementalMiner::checkpoint_from_string(&miner.checkpoint_to_string()).unwrap();
+        let restored = decoded(&encoded(&miner)).unwrap();
         assert_eq!(restored.thresholds().min_support, 1.0 / 3.0);
         assert_eq!(restored.thresholds().min_confidence, 0.755);
+        assert_eq!(restored.config().retention, 0.61803);
     }
 }

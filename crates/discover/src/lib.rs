@@ -128,8 +128,8 @@ struct PairState {
 pub struct DiscoveryStats {
     /// Incremental refreshes applied (one per drained touch log).
     pub updates: u64,
-    /// Full rebuilds (initial mine, budget re-mines, checkpoint restore
-    /// without a persisted index).
+    /// Full rebuilds (initial mine, budget re-mines, and every checkpoint
+    /// restore — the index is derived state and is never persisted).
     pub rebuilds: u64,
     /// Items + pairs rescored across all incremental refreshes.
     pub rescored: u64,
@@ -378,102 +378,6 @@ impl DiscoveryIndex {
             stats: self.stats,
         }
     }
-
-    // -- persistence ----------------------------------------------------
-
-    /// Serialize the mirrored counts in a line-oriented text format
-    /// (`anno-discover v1`), for embedding in checkpoint payloads.
-    pub fn encode_to_string(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        out.push_str("anno-discover v1\n");
-        let s = self.stats;
-        let _ = writeln!(out, "stats {} {} {}", s.updates, s.rebuilds, s.rescored);
-        let mut singles: Vec<(Item, u64)> = self.singles.iter().map(|(&i, &c)| (i, c)).collect();
-        singles.sort_unstable();
-        for (item, count) in singles {
-            let _ = writeln!(out, "single {} {count}", item.raw());
-        }
-        let mut pairs: Vec<(Pair, u64)> = self.pairs.iter().map(|(&p, s)| (p, s.count)).collect();
-        pairs.sort_unstable();
-        for ((a, b), count) in pairs {
-            let _ = writeln!(out, "pair {} {} {count}", a.raw(), b.raw());
-        }
-        out.push_str("end\n");
-        out
-    }
-
-    /// Restore an index serialized by [`DiscoveryIndex::encode_to_string`];
-    /// the rank structures are re-derived from the stored counts.
-    pub fn decode_from_string(text: &str) -> Result<DiscoveryIndex, String> {
-        let mut lines = text.lines();
-        match lines.next() {
-            Some("anno-discover v1") => {}
-            other => return Err(format!("unsupported discovery header {other:?}")),
-        }
-        let mut index = DiscoveryIndex::new();
-        let mut found: Vec<(Pair, u64)> = Vec::new();
-        let mut saw_end = false;
-        for (lineno, line) in lines.enumerate() {
-            let line = line.trim();
-            if line.is_empty() {
-                continue;
-            }
-            let err = |msg: String| format!("discovery line {}: {msg}", lineno + 2);
-            let mut parts = line.split(' ');
-            match parts.next() {
-                Some("stats") => {
-                    index.stats = DiscoveryStats {
-                        updates: parse_next(&mut parts).map_err(&err)?,
-                        rebuilds: parse_next(&mut parts).map_err(&err)?,
-                        rescored: parse_next(&mut parts).map_err(&err)?,
-                    };
-                }
-                Some("single") => {
-                    let raw: u32 = parse_next(&mut parts).map_err(&err)?;
-                    let count: u64 = parse_next(&mut parts).map_err(&err)?;
-                    index.singles.insert(Item::from_raw(raw), count);
-                }
-                Some("pair") => {
-                    let ra: u32 = parse_next(&mut parts).map_err(&err)?;
-                    let rb: u32 = parse_next(&mut parts).map_err(&err)?;
-                    let count: u64 = parse_next(&mut parts).map_err(&err)?;
-                    found.push((ordered(Item::from_raw(ra), Item::from_raw(rb)), count));
-                }
-                Some("end") => {
-                    saw_end = true;
-                    break;
-                }
-                other => return Err(err(format!("unknown directive {other:?}"))),
-            }
-        }
-        if !saw_end {
-            return Err("discovery state truncated: missing 'end'".into());
-        }
-        for (pair, count) in found {
-            index.adjacency.entry(pair.0).or_default().push(pair.1);
-            index.adjacency.entry(pair.1).or_default().push(pair.0);
-            index.pairs.insert(
-                pair,
-                PairState {
-                    count,
-                    ranked_key: None,
-                },
-            );
-            index.rescore(pair);
-        }
-        Ok(index)
-    }
-}
-
-fn parse_next<'a, T: std::str::FromStr>(
-    parts: &mut impl Iterator<Item = &'a str>,
-) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    let tok = parts.next().ok_or("missing field")?;
-    tok.parse().map_err(|e| format!("bad field {tok:?}: {e}"))
 }
 
 /// One scored correlation in a published snapshot.
@@ -709,33 +613,6 @@ mod tests {
         };
         assert!(!by_name("A0").significant, "independent pair not flagged");
         assert!(by_name("A2").significant, "lopsided pair flagged");
-    }
-
-    #[test]
-    fn encode_decode_roundtrips_counts_and_rank() {
-        let index = DiscoveryIndex::rebuilt_from(&demo_table());
-        let text = index.encode_to_string();
-        let restored = DiscoveryIndex::decode_from_string(&text).unwrap();
-        assert_eq!(restored.pairs_tracked(), index.pairs_tracked());
-        assert_eq!(restored.ranked_pairs(true), index.ranked_pairs(true));
-        assert_eq!(restored.ranked_pairs(false), index.ranked_pairs(false));
-        assert_eq!(restored.stats(), index.stats());
-        // Fixpoint on the second round-trip.
-        assert_eq!(restored.encode_to_string(), text);
-    }
-
-    #[test]
-    fn malformed_encodings_are_rejected() {
-        assert!(DiscoveryIndex::decode_from_string("").is_err());
-        assert!(DiscoveryIndex::decode_from_string("nope\nend\n").is_err());
-        assert!(
-            DiscoveryIndex::decode_from_string("anno-discover v1\nsingle 1\n").is_err(),
-            "truncated field"
-        );
-        assert!(
-            DiscoveryIndex::decode_from_string("anno-discover v1\npair 1 2 3\n").is_err(),
-            "missing end"
-        );
     }
 
     #[test]

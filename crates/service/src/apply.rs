@@ -18,10 +18,7 @@
 use anno_discover::DiscoveryIndex;
 use anno_mine::{IncrementalConfig, IncrementalMiner};
 use anno_store::fxhash::FxHashSet;
-use anno_store::{
-    parse_tuple_line, snapshot_from_string, AnnotatedRelation, AnnotationUpdate, ItemKind, Tuple,
-    TupleId,
-};
+use anno_store::{parse_tuple_line, AnnotatedRelation, AnnotationUpdate, ItemKind, Tuple, TupleId};
 
 use crate::metrics::timed;
 use crate::queue::UpdateOp;
@@ -59,37 +56,28 @@ impl WriteState {
     }
 
     /// Rebuild the state a checkpoint payload froze, plus the publish
-    /// counter it was captured at. Errors read `<stage>: <cause>`.
+    /// counter it was captured at. The discovery index is not persisted:
+    /// it is rebuilt from the restored miner's table. Errors read
+    /// `<stage>: <cause>`.
     fn restore(payload: &[u8]) -> Result<(WriteState, u64), String> {
-        let err = |stage: &str, cause: String| format!("{stage}: {cause}");
-        let parts =
-            walcodec::decode_checkpoint(payload).map_err(|m| err("checkpoint payload", m))?;
-        let relation =
-            snapshot_from_string(&parts.snapshot).map_err(|m| err("checkpoint snapshot", m))?;
-        let miner = parts
-            .miner
-            .as_deref()
-            .map(IncrementalMiner::checkpoint_from_string)
-            .transpose()
-            .map_err(|m| err("miner checkpoint", m))?;
+        let (relation, miner, publish_seq) =
+            walcodec::decode_checkpoint(payload).map_err(|m| format!("checkpoint payload: {m}"))?;
         if let Some(m) = &miner {
             // The two halves of the checkpoint must be from the same
             // instant; continuing maintenance from a mismatched pair
             // would silently void exactness.
             m.validate_against(&relation)
-                .map_err(|m| err("checkpoint validation", m))?;
+                .map_err(|m| format!("checkpoint validation: {m}"))?;
         }
-        let discovery = (parts.discovery.as_deref())
-            .map(DiscoveryIndex::decode_from_string)
-            .transpose()
-            .map_err(|m| err("discovery checkpoint", m))?
+        let discovery = (miner.as_ref())
+            .map(|m| DiscoveryIndex::rebuilt_from(m.table()))
             .unwrap_or_default();
         let state = WriteState {
             relation,
             miner,
             discovery,
         };
-        Ok((state, parts.publish_seq))
+        Ok((state, publish_seq))
     }
 
     /// Fold what a walk of the log delivered into the state: rebuild it

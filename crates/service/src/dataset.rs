@@ -235,8 +235,9 @@ impl Dataset {
     }
 
     /// Open a **durable** dataset rooted at directory `dir`: restore the
-    /// latest checkpoint (relation snapshot + miner checkpoint, screened
-    /// with [`IncrementalMiner::validate_against`](anno_mine::IncrementalMiner::validate_against)),
+    /// latest checkpoint (relation + miner, screened with
+    /// [`IncrementalMiner::validate_against`](anno_mine::IncrementalMiner::validate_against);
+    /// the discovery index is rebuilt from the miner's table),
     /// replay the log tail through the same fold a follower's poll uses
     /// (an open is a follower that reads the whole log under the lock and
     /// takes over at once), then start the owner with every future drain
@@ -638,7 +639,7 @@ impl Dataset {
     }
 
     /// Take a durability checkpoint: drain the queue, persist the
-    /// relation snapshot and miner checkpoint at the current log
+    /// relation and miner state at the current log
     /// position, and truncate the sealed log segments behind it. Returns
     /// the checkpoint's log position and payload size in bytes.
     ///
@@ -1170,6 +1171,69 @@ mod tests {
         batch.reverse();
         let reversed = make(&batch);
         assert_eq!(forward, reversed, "apply order is canonical per batch");
+    }
+
+    #[test]
+    fn open_refuses_a_text_checkpoint_and_leaves_the_directory_untouched() {
+        use anno_store::codec::{put_str, put_u64};
+        let dir = test_dir("text-checkpoint");
+        let snapshot_text;
+        {
+            let ds = Dataset::open("db", config(), &dir).unwrap();
+            ds.enqueue(UpdateOp::InsertRows(
+                FIG4.iter().map(|s| s.to_string()).collect(),
+            ))
+            .unwrap();
+            ds.mine().unwrap();
+            ds.checkpoint().unwrap();
+            snapshot_text = snapshot_to_string(ds.snapshot().unwrap().relation());
+            ds.enqueue(UpdateOp::AnnotateNamed(vec![(
+                TupleId(3),
+                "Annot_1".into(),
+            )]))
+            .unwrap();
+            ds.flush().unwrap();
+        }
+        // The payload older builds framed: the snapshot text, the miner's
+        // checkpoint text, the publish sequence, the discovery text.
+        let position = anno_wal::checkpoint::read_checkpoint(&dir)
+            .unwrap()
+            .unwrap()
+            .position;
+        let mut old = Vec::new();
+        put_str(&mut old, &snapshot_text);
+        old.push(1);
+        put_str(
+            &mut old,
+            "annomine-checkpoint v1\nthresholds 0.4 0.7\nretention 0.5\nbase_size 5\n\
+             added_since 0\ndb_size 5\nstats 1 0 0 0 0 0\nitemset 4 0\nend\n",
+        );
+        put_u64(&mut old, 3);
+        old.push(1);
+        put_str(&mut old, "anno-discover v1\nstats 0 1 0\nend\n");
+        anno_wal::checkpoint::write_checkpoint(&dir, position, &old).unwrap();
+
+        let files = || {
+            let mut files = std::collections::BTreeMap::new();
+            for entry in std::fs::read_dir(&dir).unwrap() {
+                let path = entry.unwrap().path();
+                if path.file_name().unwrap() != anno_wal::LOCK_FILE {
+                    files.insert(path.clone(), std::fs::read(&path).unwrap());
+                }
+            }
+            files
+        };
+        let before = files();
+        assert!(before.keys().any(|p| p.extension().unwrap() == "seg"));
+        match Dataset::open("db", config(), &dir) {
+            Err(ServiceError::Durability(msg)) => {
+                assert!(msg.contains("text format"), "{msg}");
+                assert!(msg.contains("annodb-snapshot v1"), "{msg}");
+            }
+            other => panic!("expected a durability error, got {:?}", other.err()),
+        }
+        assert_eq!(files(), before, "a refused open changes no file");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -35,8 +35,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use anno_mine::IncrementalConfig;
-use anno_store::snapshot_to_string;
+use anno_mine::{IncrementalConfig, IncrementalMiner};
+use anno_store::AnnotatedRelation;
 use anno_wal::{
     checkpoint as wal_checkpoint, Checkpoint, CheckpointPolicy, DamagedTail, LogPosition,
     PreparedCheckpoint, SyncTicket, TailCursor, TailPoll, Wal, WalError, WalObserver,
@@ -98,10 +98,12 @@ impl Tail {
 
 /// The cheap half of a checkpoint: a clone of the state to persist (a
 /// persistent relation clone is O(#segments) pointer copies, the miner
-/// clone O(rule table) — never O(|D|)) plus the pinned log position.
-/// Owning everything lets the encode run while the owner keeps draining.
+/// clone O(rule table) — never O(|D|); the discovery index is derived and
+/// not persisted) plus the pinned log position. Owning everything lets
+/// the encode run while the owner keeps draining.
 struct CapturedCheckpoint {
-    state: WriteState,
+    relation: AnnotatedRelation,
+    miner: Option<IncrementalMiner>,
     publish_seq: u64,
     dir: PathBuf,
     position: LogPosition,
@@ -117,16 +119,7 @@ fn commit_checkpoint(metrics: &Metrics, cap: CapturedCheckpoint) -> Result<usize
         if let Some(stall) = cap.stall {
             std::thread::sleep(stall);
         }
-        let state = &cap.state;
-        let snap_text = snapshot_to_string(&state.relation);
-        let miner_text = state.miner.as_ref().map(|m| m.checkpoint_to_string());
-        let discovery_text = (state.miner.as_ref()).map(|_| state.discovery.encode_to_string());
-        walcodec::encode_checkpoint(
-            &snap_text,
-            miner_text.as_deref(),
-            cap.publish_seq,
-            discovery_text.as_deref(),
-        )
+        walcodec::encode_checkpoint(&cap.relation, cap.miner.as_ref(), cap.publish_seq)
     });
     metrics.record_checkpoint_encode(encode_nanos);
     wal_checkpoint::write_checkpoint(&cap.dir, cap.position, &payload)
@@ -612,7 +605,8 @@ impl Owner {
             .prepare_checkpoint()
             .map_err(|e| ServiceError::Durability(e.to_string()))?;
         let cap = CapturedCheckpoint {
-            state: self.state.clone(),
+            relation: self.state.relation.clone(),
+            miner: self.state.miner.clone(),
             publish_seq: self.publish_seq,
             dir: wal.dir().to_path_buf(),
             position: prepared.position(),

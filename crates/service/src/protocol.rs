@@ -1427,6 +1427,49 @@ mod tests {
     }
 
     #[test]
+    fn open_refuses_a_checkpoint_whose_tuples_name_uninterned_items() {
+        // Such a checkpoint once opened with `mined=true`, and the first
+        // `rules` then panicked the serving thread on a name lookup.
+        let dir = std::env::temp_dir().join(format!("anno-protocol-stray-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_tok = dir.to_str().unwrap().to_string();
+        let e = engine();
+        ok(&e, &format!("open db 0.4 0.7 dir {dir_tok}"));
+        ok(&e, "row db 28 85 Annot_1");
+        ok(&e, "checkpoint db");
+        ok(&e, "drop db");
+
+        // A CRC-valid checkpoint at the same position: the vocabulary
+        // interns the data value "28" only, the tuples also hold data 1.
+        let position = anno_wal::checkpoint::read_checkpoint(&dir)
+            .unwrap()
+            .unwrap()
+            .position;
+        let mut rel = anno_store::AnnotatedRelation::new("db");
+        let known = rel.vocab_mut().data("28");
+        let ann = rel.vocab_mut().annotation("Annot_1");
+        for _ in 0..3 {
+            rel.insert(anno_store::Tuple::new(
+                [known, anno_store::Item::data(1)],
+                [ann],
+            ));
+        }
+        let config = anno_mine::IncrementalConfig::default();
+        let miner = anno_mine::IncrementalMiner::mine_initial(&rel, config);
+        let payload = crate::walcodec::encode_checkpoint(&rel, Some(&miner), 1);
+        anno_wal::checkpoint::write_checkpoint(&dir, position, &payload).unwrap();
+
+        let reply = e.execute(&format!("open db dir {dir_tok}")).lines;
+        assert!(
+            reply[0].starts_with("ERR") && reply[0].contains("never interned"),
+            "{reply:?}"
+        );
+        assert!(e.execute("rules db").lines[0].starts_with("ERR"));
+        ok(&e, "ping");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn durable_open_checkpoint_and_reopen_flow() {
         let dir =
             std::env::temp_dir().join(format!("anno-protocol-durable-{}", std::process::id()));

@@ -9,22 +9,24 @@
 //! * a **mine record** — the `mine` command with its configuration, so a
 //!   recovered dataset re-derives its first rule set at the same point in
 //!   the op stream;
-//! * a **checkpoint payload** — the `annodb-snapshot` text plus the
-//!   miner's checkpoint text, reusing the existing exact persistence
-//!   formats of `anno_store::snapshot` and `anno_mine::checkpoint`.
+//! * a **checkpoint payload** — a magic and format version, the relation
+//!   (`AnnotatedRelation::encode`), the miner once mined
+//!   (`IncrementalMiner::encode`) and the publish sequence. The discovery
+//!   index is derived state: restore rebuilds it from the miner's table.
 //!
 //! Replay determinism: raw item ids are stable across recovery because
-//! the snapshot format preserves interning order, and every post-
+//! the relation encoding re-interns names in stored order, and every post-
 //! checkpoint interning happens inside a logged op that replays in the
 //! same order (the writer sorts within-batch updates identically on the
 //! live and replay paths — see `dataset::sort_for_segment_locality`).
 //!
-//! All integers are little-endian; strings are u32-length-prefixed UTF-8.
-//! Decoding is defensive — a hostile or bit-rotted payload yields an
-//! `Err`, never a panic or an unbounded allocation.
+//! Everything is written with `anno_store::codec`, so decoding is
+//! defensive — a hostile or bit-rotted payload yields an `Err`, never a
+//! panic or an unbounded allocation.
 
-use anno_mine::{IncrementalConfig, Thresholds};
-use anno_store::{AnnotationUpdate, Item, Tuple, TupleId};
+use anno_mine::{IncrementalConfig, IncrementalMiner};
+use anno_store::codec::{put_count, put_str, put_u32, put_u64, Cursor};
+use anno_store::{AnnotatedRelation, AnnotationUpdate, Tuple, TupleId};
 
 use crate::queue::UpdateOp;
 
@@ -50,9 +52,8 @@ const TAG_DELETE_TUPLES: u8 = 6;
 
 /// Serialize one drain record from the writer's coalesced batches.
 pub(crate) fn encode_drain(ops: &[UpdateOp]) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.push(KIND_DRAIN);
-    put_u32(&mut out, ops.len() as u32);
+    let mut out = vec![KIND_DRAIN];
+    put_count(&mut out, ops.len());
     for op in ops {
         encode_op(&mut out, op);
     }
@@ -63,11 +64,8 @@ pub(crate) fn encode_drain(ops: &[UpdateOp]) -> Vec<u8> {
 /// before PR 19 wrote a counting-strategy tag there (0, 1 or 2) and refuse
 /// a record without it, so it stays, as `0`.
 pub(crate) fn encode_mine(config: &IncrementalConfig) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.push(KIND_MINE);
-    put_u64(&mut out, config.thresholds.min_support.to_bits());
-    put_u64(&mut out, config.thresholds.min_confidence.to_bits());
-    put_u64(&mut out, config.retention.to_bits());
+    let mut out = vec![KIND_MINE];
+    config.encode(&mut out);
     out.push(0);
     out
 }
@@ -76,40 +74,17 @@ pub(crate) fn encode_mine(config: &IncrementalConfig) -> Vec<u8> {
 pub(crate) fn decode(bytes: &[u8]) -> Result<WalRecord, String> {
     let mut cur = Cursor::new(bytes);
     let record = match cur.u8()? {
-        KIND_DRAIN => {
-            let count = cur.u32()? as usize;
-            let mut ops = Vec::new();
-            for _ in 0..count {
-                ops.push(decode_op(&mut cur)?);
-            }
-            WalRecord::Drain(ops)
-        }
+        // An op is at least its tag and its element count.
+        KIND_DRAIN => WalRecord::Drain(cur.list(5, decode_op)?),
         KIND_MINE => {
-            // Range-check before constructing: `Thresholds::new` asserts
-            // its fractions and the miner its retention, so an
-            // out-of-range (or NaN) value from a CRC-coincident corruption
-            // or crafted file must surface as `Err`, never a panic.
-            let fraction = |x: f64, what: &str| {
-                if x.is_finite() && (0.0..=1.0).contains(&x) {
-                    Ok(x)
-                } else {
-                    Err(format!("mine record {what} out of range: {x}"))
-                }
-            };
-            let min_support = fraction(f64::from_bits(cur.u64()?), "min_support")?;
-            let min_confidence = fraction(f64::from_bits(cur.u64()?), "min_confidence")?;
-            let retention = f64::from_bits(cur.u64()?);
+            let config =
+                IncrementalConfig::decode(&mut cur).map_err(|m| format!("mine record {m}"))?;
             // The reserved byte: the three strategies old builds tagged
             // here produced identical tables, so the value is not kept.
             match cur.u8()? {
                 0..=2 => {}
                 other => return Err(format!("unknown counting strategy tag {other}")),
             }
-            let config = IncrementalConfig {
-                thresholds: Thresholds::new(min_support, min_confidence),
-                retention,
-            };
-            config.validate()?;
             WalRecord::Mine(config)
         }
         other => return Err(format!("unknown wal record kind {other}")),
@@ -118,83 +93,83 @@ pub(crate) fn decode(bytes: &[u8]) -> Result<WalRecord, String> {
     Ok(record)
 }
 
-/// Serialize a checkpoint payload: the relation snapshot text, the miner
-/// checkpoint text once mined, the dataset's publish sequence number at
-/// capture time — recovery seeds its own publish counter from it so a
-/// client comparing snapshot epochs never sees time run backwards across
-/// a restart — and the discovery-index text, so the incrementally
-/// maintained top-k recovers (and replicates) without a rescan.
+/// What a checkpoint payload starts with. The text-inside-frame payloads
+/// older builds wrote begin with a u32 length and `annodb-snapshot v1`.
+const CHECKPOINT_MAGIC: &[u8; 8] = b"annockpt";
+const CHECKPOINT_VERSION: u32 = 2;
+const TEXT_CHECKPOINT: &[u8] = b"annodb-snapshot v1";
+
+/// Serialize a checkpoint payload: the relation, the miner once mined,
+/// and the dataset's publish sequence number at capture time — recovery
+/// seeds its own publish counter from it so a client comparing snapshot
+/// epochs never sees time run backwards across a restart.
 pub(crate) fn encode_checkpoint(
-    snapshot: &str,
-    miner: Option<&str>,
+    relation: &AnnotatedRelation,
+    miner: Option<&IncrementalMiner>,
     publish_seq: u64,
-    discovery: Option<&str>,
 ) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_str(&mut out, snapshot);
+    let mut out = CHECKPOINT_MAGIC.to_vec();
+    put_u32(&mut out, CHECKPOINT_VERSION);
+    relation.encode(&mut out);
     match miner {
-        Some(text) => {
+        Some(miner) => {
             out.push(1);
-            put_str(&mut out, text);
+            miner.encode(&mut out);
         }
         None => out.push(0),
     }
     put_u64(&mut out, publish_seq);
-    match discovery {
-        Some(text) => {
-            out.push(1);
-            put_str(&mut out, text);
-        }
-        None => out.push(0),
-    }
     out
 }
 
-/// A decoded checkpoint payload. `miner` and `discovery` are `None`
-/// together, for a dataset checkpointed before its first `mine`.
-pub(crate) struct CheckpointParts {
-    pub snapshot: String,
-    pub miner: Option<String>,
-    pub publish_seq: u64,
-    pub discovery: Option<String>,
-}
-
-/// Deserialize a checkpoint payload back into its text documents and the
-/// captured publish sequence. Every field [`encode_checkpoint`] writes is
-/// required: a payload that ends early is an error, whichever field it
-/// ends in.
-pub(crate) fn decode_checkpoint(bytes: &[u8]) -> Result<CheckpointParts, String> {
-    let mut cur = Cursor::new(bytes);
-    let snapshot = cur.str()?;
-    let miner = cur.optional_str("miner")?;
-    let publish_seq = cur.u64()?;
-    let discovery = cur.optional_str("discovery")?;
-    cur.finish()?;
-    if miner.is_some() != discovery.is_some() {
-        return Err("miner and discovery index must be checkpointed together".to_string());
+/// Deserialize a checkpoint payload into the relation, the miner (`None`
+/// before the first `mine`) and the captured publish sequence. Every
+/// field [`encode_checkpoint`] writes is required, and nothing may follow
+/// them. A payload in the retired text format is refused by name.
+pub(crate) fn decode_checkpoint(
+    bytes: &[u8],
+) -> Result<(AnnotatedRelation, Option<IncrementalMiner>, u64), String> {
+    if bytes
+        .get(4..)
+        .is_some_and(|text| text.starts_with(TEXT_CHECKPOINT))
+    {
+        return Err("written in the retired text format (annodb-snapshot v1 + \
+                    annomine-checkpoint v1), which this build no longer reads"
+            .to_string());
     }
-    Ok(CheckpointParts {
-        snapshot,
-        miner,
-        publish_seq,
-        discovery,
-    })
+    let mut cur = Cursor::new(bytes);
+    if cur.take(CHECKPOINT_MAGIC.len())? != CHECKPOINT_MAGIC {
+        return Err("not a checkpoint payload".to_string());
+    }
+    match cur.u32()? {
+        CHECKPOINT_VERSION => {}
+        other => return Err(format!("unknown checkpoint format version {other}")),
+    }
+    let relation = AnnotatedRelation::decode(&mut cur).map_err(|m| format!("relation: {m}"))?;
+    let miner = match cur.u8()? {
+        0 => None,
+        1 => Some(IncrementalMiner::decode(&mut cur).map_err(|m| format!("miner: {m}"))?),
+        other => return Err(format!("bad miner-presence flag {other}")),
+    };
+    let publish_seq = cur.u64()?;
+    cur.finish()?;
+    Ok((relation, miner, publish_seq))
 }
 
 fn encode_op(out: &mut Vec<u8>, op: &UpdateOp) {
     match op {
         UpdateOp::InsertRows(lines) => {
             out.push(TAG_INSERT_ROWS);
-            put_u32(out, lines.len() as u32);
+            put_count(out, lines.len());
             for line in lines {
                 put_str(out, line);
             }
         }
         UpdateOp::InsertTuples(tuples) => {
             out.push(TAG_INSERT_TUPLES);
-            put_u32(out, tuples.len() as u32);
+            put_count(out, tuples.len());
             for tuple in tuples {
-                put_u32(out, tuple.items().len() as u32);
+                put_count(out, tuple.items().len());
                 for item in tuple.items() {
                     put_u32(out, item.raw());
                 }
@@ -218,7 +193,7 @@ fn encode_op(out: &mut Vec<u8>, op: &UpdateOp) {
         }
         UpdateOp::DeleteTuples(tids) => {
             out.push(TAG_DELETE_TUPLES);
-            put_u32(out, tids.len() as u32);
+            put_count(out, tids.len());
             for tid in tids {
                 put_u32(out, tid.0);
             }
@@ -227,166 +202,54 @@ fn encode_op(out: &mut Vec<u8>, op: &UpdateOp) {
 }
 
 fn decode_op(cur: &mut Cursor<'_>) -> Result<UpdateOp, String> {
-    let tag = cur.u8()?;
-    let count = cur.u32()? as usize;
-    Ok(match tag {
-        TAG_INSERT_ROWS => {
-            let mut lines = Vec::new();
-            for _ in 0..count {
-                lines.push(cur.str()?);
-            }
-            UpdateOp::InsertRows(lines)
-        }
-        TAG_INSERT_TUPLES => {
-            let mut tuples = Vec::new();
-            for _ in 0..count {
-                let items = cur.u32()? as usize;
-                let mut raw = Vec::new();
-                for _ in 0..items {
-                    raw.push(Item::from_raw(cur.u32()?));
-                }
-                tuples.push(Tuple::from_items(raw));
-            }
-            UpdateOp::InsertTuples(tuples)
-        }
-        TAG_ANNOTATE => UpdateOp::Annotate(decode_updates(cur, count)?),
-        TAG_ANNOTATE_NAMED => UpdateOp::AnnotateNamed(decode_named(cur, count)?),
-        TAG_REMOVE_ANNOTATIONS => UpdateOp::RemoveAnnotations(decode_updates(cur, count)?),
-        TAG_REMOVE_NAMED => UpdateOp::RemoveNamed(decode_named(cur, count)?),
-        TAG_DELETE_TUPLES => {
-            let mut tids = Vec::new();
-            for _ in 0..count {
-                tids.push(TupleId(cur.u32()?));
-            }
-            UpdateOp::DeleteTuples(tids)
-        }
+    // Every element an op counts takes at least four bytes.
+    const MIN: usize = 4;
+    Ok(match cur.u8()? {
+        TAG_INSERT_ROWS => UpdateOp::InsertRows(cur.list(MIN, Cursor::str)?),
+        TAG_INSERT_TUPLES => UpdateOp::InsertTuples(cur.list(MIN, |cur| {
+            Ok(Tuple::from_items(cur.list(MIN, Cursor::item)?))
+        })?),
+        TAG_ANNOTATE => UpdateOp::Annotate(cur.list(MIN, decode_update)?),
+        TAG_ANNOTATE_NAMED => UpdateOp::AnnotateNamed(cur.list(MIN, decode_named)?),
+        TAG_REMOVE_ANNOTATIONS => UpdateOp::RemoveAnnotations(cur.list(MIN, decode_update)?),
+        TAG_REMOVE_NAMED => UpdateOp::RemoveNamed(cur.list(MIN, decode_named)?),
+        TAG_DELETE_TUPLES => UpdateOp::DeleteTuples(cur.list(MIN, |cur| cur.u32().map(TupleId))?),
         other => return Err(format!("unknown update-op tag {other}")),
     })
 }
 
 fn encode_updates(out: &mut Vec<u8>, updates: &[AnnotationUpdate]) {
-    put_u32(out, updates.len() as u32);
+    put_count(out, updates.len());
     for u in updates {
         put_u32(out, u.tuple.0);
         put_u32(out, u.annotation.raw());
     }
 }
 
-fn decode_updates(cur: &mut Cursor<'_>, count: usize) -> Result<Vec<AnnotationUpdate>, String> {
-    let mut updates = Vec::new();
-    for _ in 0..count {
-        let tuple = TupleId(cur.u32()?);
-        let annotation = Item::from_raw(cur.u32()?);
-        updates.push(AnnotationUpdate { tuple, annotation });
-    }
-    Ok(updates)
+fn decode_update(cur: &mut Cursor<'_>) -> Result<AnnotationUpdate, String> {
+    let tuple = TupleId(cur.u32()?);
+    let annotation = cur.item()?;
+    Ok(AnnotationUpdate { tuple, annotation })
 }
 
 fn encode_named(out: &mut Vec<u8>, named: &[(TupleId, String)]) {
-    put_u32(out, named.len() as u32);
+    put_count(out, named.len());
     for (tid, name) in named {
         put_u32(out, tid.0);
         put_str(out, name);
     }
 }
 
-fn decode_named(cur: &mut Cursor<'_>, count: usize) -> Result<Vec<(TupleId, String)>, String> {
-    let mut named = Vec::new();
-    for _ in 0..count {
-        let tid = TupleId(cur.u32()?);
-        named.push((tid, cur.str()?));
-    }
-    Ok(named)
-}
-
-fn put_u32(out: &mut Vec<u8>, x: u32) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, x: u64) {
-    out.extend_from_slice(&x.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// Bounds-checked reader over a payload slice. Lengths are validated
-/// against the remaining bytes before any allocation, so a corrupted
-/// length cannot request gigabytes.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Cursor<'a> {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], String> {
-        if self.bytes.len() - self.pos < n {
-            return Err(format!(
-                "payload truncated: need {n} bytes at offset {}, have {}",
-                self.pos,
-                self.bytes.len() - self.pos
-            ));
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, String> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, String> {
-        let bytes: [u8; 4] = self
-            .take(4)?
-            .try_into()
-            .map_err(|_| "short u32 field".to_string())?;
-        Ok(u32::from_le_bytes(bytes))
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        let bytes: [u8; 8] = self
-            .take(8)?
-            .try_into()
-            .map_err(|_| "short u64 field".to_string())?;
-        Ok(u64::from_le_bytes(bytes))
-    }
-
-    fn str(&mut self) -> Result<String, String> {
-        let len = self.u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| format!("bad utf-8 in payload: {e}"))
-    }
-
-    /// A presence byte, then the string it announces.
-    fn optional_str(&mut self, what: &str) -> Result<Option<String>, String> {
-        match self.u8()? {
-            0 => Ok(None),
-            1 => self.str().map(Some),
-            other => Err(format!("bad {what}-presence flag {other}")),
-        }
-    }
-
-    fn finish(self) -> Result<(), String> {
-        if self.pos != self.bytes.len() {
-            return Err(format!(
-                "{} trailing bytes after record",
-                self.bytes.len() - self.pos
-            ));
-        }
-        Ok(())
-    }
+fn decode_named(cur: &mut Cursor<'_>) -> Result<(TupleId, String), String> {
+    let tid = TupleId(cur.u32()?);
+    Ok((tid, cur.str()?))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use anno_mine::Thresholds;
+    use anno_store::{snapshot_to_string, Item};
 
     fn sample_ops() -> Vec<UpdateOp> {
         vec![
@@ -478,52 +341,92 @@ mod tests {
         assert!(decode(&bytes).unwrap_err().contains("counting strategy"));
     }
 
+    /// Fig. 4's rows with one tuple deleted, mined at α = 0.4, β = 0.7.
+    fn mined_fig4() -> (AnnotatedRelation, IncrementalMiner) {
+        let mut rel = AnnotatedRelation::new("db");
+        for line in [
+            "28 85 Annot_1",
+            "28 85 Annot_1",
+            "28 85 Annot_1",
+            "28 85",
+            "17 99",
+        ] {
+            let tuple = anno_store::parse_tuple_line(rel.vocab_mut(), line).unwrap();
+            rel.insert(tuple);
+        }
+        rel.delete_tuple(TupleId(4));
+        let config = IncrementalConfig {
+            thresholds: Thresholds::new(0.4, 0.7),
+            retention: 0.5,
+        };
+        let miner = IncrementalMiner::mine_initial(&rel, config);
+        (rel, miner)
+    }
+
     #[test]
     fn checkpoint_payloads_roundtrip() {
-        let parts = decode_checkpoint(&encode_checkpoint(
-            "snapshot text",
-            Some("miner text"),
-            17,
-            Some("discovery text"),
-        ))
-        .unwrap();
-        assert_eq!(parts.snapshot, "snapshot text");
-        assert_eq!(parts.miner.as_deref(), Some("miner text"));
-        assert_eq!(parts.publish_seq, 17);
-        assert_eq!(parts.discovery.as_deref(), Some("discovery text"));
-        let parts = decode_checkpoint(&encode_checkpoint("pre-mine", None, 0, None)).unwrap();
-        assert_eq!(parts.snapshot, "pre-mine");
-        assert_eq!(parts.miner, None);
-        assert_eq!(parts.publish_seq, 0);
-        assert_eq!(parts.discovery, None);
+        let (rel, miner) = mined_fig4();
+        let bytes = encode_checkpoint(&rel, Some(&miner), 17);
+        let (back, back_miner, seq) = decode_checkpoint(&bytes).unwrap();
+        assert_eq!(snapshot_to_string(&back), snapshot_to_string(&rel));
+        let back_miner = back_miner.expect("mined");
+        assert_eq!(back_miner.table().sorted(), miner.table().sorted());
+        assert!(back_miner.rules().identical_to(miner.rules()));
+        assert_eq!(seq, 17);
+        assert_eq!(encode_checkpoint(&back, Some(&back_miner), 17), bytes);
+        let (back, back_miner, seq) = decode_checkpoint(&encode_checkpoint(&rel, None, 0)).unwrap();
+        assert_eq!(snapshot_to_string(&back), snapshot_to_string(&rel));
+        assert!(back_miner.is_none());
+        assert_eq!(seq, 0);
     }
 
     #[test]
     fn short_checkpoint_payloads_are_typed_errors() {
-        // Nothing writes the two shapes older builds did — ending right
-        // after the miner field, or right after the publish sequence —
-        // so both are truncation like any other.
-        let mut after_miner = Vec::new();
-        put_str(&mut after_miner, "old snapshot");
-        after_miner.push(1);
-        put_str(&mut after_miner, "old miner");
-        let err = decode_checkpoint(&after_miner).err().expect("short");
-        assert!(err.contains("truncated"), "{err}");
-        let mut after_sequence = Vec::new();
-        put_str(&mut after_sequence, "mid snapshot");
-        after_sequence.push(0);
-        put_u64(&mut after_sequence, 42);
-        let err = decode_checkpoint(&after_sequence).err().expect("short");
-        assert!(err.contains("truncated"), "{err}");
-        // A payload cut inside a field is the same error.
-        let mut torn = encode_checkpoint("s", None, 7, None);
-        torn.truncate(torn.len() - 3);
-        assert!(decode_checkpoint(&torn).is_err());
-        let mut torn = encode_checkpoint("s", Some("m"), 7, Some("d"));
-        torn.truncate(torn.len() - 1);
-        assert!(decode_checkpoint(&torn).is_err());
-        // A miner without its discovery index is no shape at all.
-        assert!(decode_checkpoint(&encode_checkpoint("s", Some("m"), 7, None)).is_err());
+        // Every field is required: a payload cut anywhere is an error,
+        // whichever field it ends in.
+        let (rel, miner) = mined_fig4();
+        for bytes in [
+            encode_checkpoint(&rel, Some(&miner), 7),
+            encode_checkpoint(&rel, None, 7),
+        ] {
+            for len in 0..bytes.len() {
+                assert!(decode_checkpoint(&bytes[..len]).is_err(), "cut at {len}");
+            }
+        }
+        let good = encode_checkpoint(&rel, None, 7);
+        let mut trailing = good.clone();
+        trailing.push(0);
+        assert!(decode_checkpoint(&trailing).is_err());
+        let mut version = good.clone();
+        version[CHECKPOINT_MAGIC.len()] = 9;
+        let err = decode_checkpoint(&version).unwrap_err();
+        assert!(err.contains("format version 9"), "{err}");
+        let mut flag = good;
+        let at = flag.len() - 9;
+        flag[at] = 2;
+        let err = decode_checkpoint(&flag).unwrap_err();
+        assert!(err.contains("miner-presence flag"), "{err}");
+    }
+
+    #[test]
+    fn text_checkpoint_payloads_are_refused_by_name() {
+        // The frame older builds wrote: the snapshot text, the miner
+        // checkpoint text, the publish sequence, the discovery text.
+        let (rel, _) = mined_fig4();
+        let mut old = Vec::new();
+        put_str(&mut old, &snapshot_to_string(&rel));
+        old.push(1);
+        put_str(
+            &mut old,
+            "annomine-checkpoint v1\nthresholds 0.4 0.7\nend\n",
+        );
+        put_u64(&mut old, 3);
+        old.push(1);
+        put_str(&mut old, "anno-discover v1\nend\n");
+        let err = decode_checkpoint(&old).unwrap_err();
+        assert!(err.contains("text format"), "{err}");
+        let err = decode_checkpoint(b"not a checkpoint payload").unwrap_err();
+        assert!(err.contains("not a checkpoint payload"), "{err}");
     }
 
     #[test]
@@ -541,6 +444,13 @@ mod tests {
         ok.push(0);
         assert!(decode(&ok).is_err());
         assert!(decode_checkpoint(&[2]).is_err());
+        // An item id with the fourth namespace tag is an Err, not a panic.
+        let mut tuples = encode_drain(&[UpdateOp::InsertTuples(vec![Tuple::from_items(vec![
+            Item::data(1),
+        ])])]);
+        let len = tuples.len();
+        tuples[len - 1] = 0xC0;
+        assert!(decode(&tuples).unwrap_err().contains("item tag"));
         // A mine record with out-of-range threshold bits (NaN here) must
         // be an Err, not an assert inside Thresholds::new.
         let mut mine = encode_mine(&IncrementalConfig::default());

@@ -144,9 +144,9 @@ fn discover_answers_survive_reopen_from_the_wal() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Durable reopen through a checkpoint: the persisted discovery section
-/// restores the index without a rebuild, the replayed tail re-applies
-/// on top, and the answers match the pre-restart snapshot.
+/// Durable reopen through a checkpoint: the index is rebuilt from the
+/// restored miner's table, the replayed tail re-applies on top, and the
+/// answers match the pre-restart snapshot.
 #[test]
 fn discover_answers_survive_reopen_from_a_checkpoint_plus_tail() {
     let dir = test_dir("reopen-ckpt");
@@ -214,7 +214,7 @@ fn follower_discover_matches_the_leader_committed_prefix_and_survives_promotion(
     assert_lock_step(&follower);
 
     // Leader checkpoints and compacts; the follower's cursor restarts
-    // from the shipped checkpoint — whose discovery section it decodes.
+    // from the shipped checkpoint, rebuilding discovery from its miner.
     for i in 0..10u32 {
         drain(
             &leader,

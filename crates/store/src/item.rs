@@ -94,6 +94,12 @@ impl Item {
         self.0
     }
 
+    /// Reconstruct from [`Item::raw`], or `None` if the tag names no
+    /// namespace — the check for raw ids read from outside.
+    pub fn try_from_raw(raw: u32) -> Option<Item> {
+        (raw >> TAG_SHIFT <= ItemKind::Label as u32).then_some(Item(raw))
+    }
+
     /// Reconstruct from [`Item::raw`].
     pub fn from_raw(raw: u32) -> Item {
         let item = Item(raw);

@@ -23,8 +23,10 @@
 //! * [`generalize`] — concept taxonomies and the extended annotated
 //!   database of §4.1 (Figs. 8–10), including multi-level hierarchies;
 //! * [`textio`] — the paper's text formats (Fig. 4 datasets, Fig. 14
-//!   annotation batches) — and [`snapshot`], the exact persistence format
-//!   (tombstones, labels, and interning order preserved);
+//!   annotation batches) for import and export;
+//! * [`snapshot`] — the exact binary encoding of a relation (tombstones,
+//!   labels, and interning order preserved) and its readable text dump,
+//!   written and read with [`codec`], the workspace's one byte codec;
 //! * [`generate`] — reproducible synthetic workloads with planted ground
 //!   truth, standing in for the paper's unpublished ≈8000-tuple dataset;
 //! * [`algebra`] — provenance-propagating relational algebra over any
@@ -49,6 +51,7 @@
 
 pub mod algebra;
 pub mod bitset;
+pub mod codec;
 pub mod fxhash;
 pub mod generalize;
 pub mod generate;
@@ -74,7 +77,7 @@ pub use index::AnnotationIndex;
 pub use item::{Item, ItemKind};
 pub use relation::{AnnotatedRelation, AnnotationDelta, AnnotationUpdate};
 pub use segment::{Segment, SegmentStore, SEGMENT_BITS, SEGMENT_CAP};
-pub use snapshot::{read_snapshot, snapshot_from_string, snapshot_to_string, write_snapshot};
+pub use snapshot::snapshot_to_string;
 pub use textio::{
     dataset_to_string, format_annotation_batch, format_tuple, line_has_items,
     parse_annotation_batch, parse_dataset, parse_tuple_line, read_dataset, token_kind,

@@ -1,32 +1,46 @@
-//! Exact database snapshots.
+//! Exact relation persistence: the binary encoding a checkpoint stores,
+//! and a readable text dump of the same state.
 //!
 //! The paper's Fig. 4 text format is lossy for a *live* system: it drops
 //! tuple-id stability (tombstones), the label namespace, and interning
-//! order. This module defines a complete line-oriented snapshot format so
-//! an annotated database can be persisted and restored byte-exactly —
-//! one half of the paper's "integrate into an actual DBMS" future work
-//! (the other half, miner-state checkpoints, lives in `anno-mine`).
+//! order. [`AnnotatedRelation::encode`] keeps all three, so a decoded
+//! relation is the same relation — one half of the paper's "integrate
+//! into an actual DBMS" future work (the other half, the miner's state,
+//! lives in `anno-mine`). Written with [`crate::codec`]:
+//!
+//! ```text
+//! name   str
+//! epoch  u64                               mutation counter
+//! vocab  3 × [count u32, count × str]      data, annotation, label; intern order
+//! slots  count u32, then per slot:         0 = tombstone,
+//!                                          1, item count u32, raw items u32…
+//! ```
+//!
+//! Ids are dense per namespace in intern order, so re-interning the names
+//! in stored order reproduces every raw item id — and the interner's chunk
+//! boundaries — and stored tuples need no translation. The epoch is stored
+//! explicitly: decoding replays inserts and tombstone deletes, which would
+//! otherwise fabricate one, and serving layers key snapshot staleness off
+//! that counter.
+//!
+//! [`snapshot_to_string`] renders the same state as text, names
+//! percent-escaped so they may contain whitespace and `#`. Nothing reads
+//! it back: it is the readable oracle tests compare states with.
 //!
 //! ```text
 //! annodb-snapshot v1
 //! name <escaped>
-//! epoch <mutation-counter>         # optional for back-compat reading
+//! epoch <mutation-counter>
 //! vocab <d|a|l> <escaped-name>     # one per interned name, intern order
 //! slots <total-slot-count>
 //! tuple <tid> <raw-item> ...       # live tuples only, ascending tid
 //! end
 //! ```
-//!
-//! The mutation epoch is persisted explicitly: restoring replays inserts
-//! and tombstone deletes, which would otherwise fabricate an epoch from
-//! the reconstruction order — and serving layers key snapshot staleness
-//! off that counter, so it must survive a save/load cycle exactly.
-//!
-//! Names are percent-escaped so they may contain whitespace and `#`.
 
-use std::io::{self, BufRead, Write};
+use std::fmt::{self, Write};
 
-use crate::item::{Item, ItemKind};
+use crate::codec::{put_count, put_str, put_u32, put_u64, Cursor};
+use crate::item::ItemKind;
 use crate::relation::AnnotatedRelation;
 use crate::tuple::{Tuple, TupleId};
 
@@ -74,162 +88,102 @@ fn kind_tag(kind: ItemKind) -> char {
     }
 }
 
-fn tag_kind(tag: &str) -> Result<ItemKind, String> {
-    match tag {
-        "d" => Ok(ItemKind::Data),
-        "a" => Ok(ItemKind::Annotation),
-        "l" => Ok(ItemKind::Label),
-        other => Err(format!("unknown vocab tag {other:?}")),
-    }
+/// Render `rel` as readable text (module docs). Nothing reads it back.
+pub fn snapshot_to_string(rel: &AnnotatedRelation) -> String {
+    let mut out = String::new();
+    // `fmt::Write` for `String` cannot fail.
+    let _ = write_text(rel, &mut out);
+    out
 }
 
-/// Write a complete snapshot of `rel`.
-pub fn write_snapshot<W: Write>(rel: &AnnotatedRelation, writer: &mut W) -> io::Result<()> {
-    writeln!(writer, "annodb-snapshot v1")?;
-    writeln!(writer, "name {}", escape_name(rel.name()))?;
-    writeln!(writer, "epoch {}", rel.epoch())?;
+fn write_text(rel: &AnnotatedRelation, out: &mut String) -> fmt::Result {
+    writeln!(out, "annodb-snapshot v1")?;
+    writeln!(out, "name {}", escape_name(rel.name()))?;
+    writeln!(out, "epoch {}", rel.epoch())?;
     for kind in ItemKind::ALL {
         for item in rel.vocab().items(kind) {
-            writeln!(
-                writer,
-                "vocab {} {}",
-                kind_tag(kind),
-                escape_name(rel.vocab().name(item))
-            )?;
+            let name = escape_name(rel.vocab().name(item));
+            writeln!(out, "vocab {} {name}", kind_tag(kind))?;
         }
     }
-    writeln!(writer, "slots {}", rel.slot_count())?;
+    writeln!(out, "slots {}", rel.slot_count())?;
     for (tid, tuple) in rel.iter() {
-        write!(writer, "tuple {}", tid.0)?;
+        write!(out, "tuple {}", tid.0)?;
         for item in tuple.items() {
-            write!(writer, " {}", item.raw())?;
+            write!(out, " {}", item.raw())?;
         }
-        writeln!(writer)?;
+        writeln!(out)?;
     }
-    writeln!(writer, "end")
+    writeln!(out, "end")
 }
 
-/// Render a snapshot to a string.
-pub fn snapshot_to_string(rel: &AnnotatedRelation) -> String {
-    let mut buf = Vec::new();
-    #[expect(clippy::expect_used, reason = "io::Write on Vec<u8> is infallible")]
-    write_snapshot(rel, &mut buf).expect("writing to Vec cannot fail");
-    #[expect(
-        clippy::expect_used,
-        reason = "the writer emits only ASCII framing and already-valid UTF-8 names"
-    )]
-    String::from_utf8(buf).expect("snapshot text is UTF-8")
-}
-
-/// Restore a relation from a snapshot, preserving tuple ids (tombstoned
-/// slots are reconstructed as deleted).
-pub fn read_snapshot<R: BufRead>(reader: R) -> Result<AnnotatedRelation, String> {
-    let mut lines = reader.lines();
-    let header = lines
-        .next()
-        .ok_or("empty snapshot")?
-        .map_err(|e| e.to_string())?;
-    if header.trim() != "annodb-snapshot v1" {
-        return Err(format!("unsupported snapshot header {header:?}"));
-    }
-    let mut rel = AnnotatedRelation::new("");
-    let mut epoch: Option<u64> = None;
-    let mut slots: Option<usize> = None;
-    let mut live: Vec<(TupleId, Vec<Item>)> = Vec::new();
-    let mut saw_end = false;
-    for (lineno, line) in lines.enumerate() {
-        let line = line.map_err(|e| e.to_string())?;
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
+impl AnnotatedRelation {
+    /// Append this relation's binary encoding (module docs) to `out`.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        put_str(out, self.name());
+        put_u64(out, self.epoch());
+        for kind in ItemKind::ALL {
+            put_count(out, self.vocab().count(kind));
+            for item in self.vocab().items(kind) {
+                put_str(out, self.vocab().name(item));
+            }
         }
-        let err = |msg: String| format!("line {}: {msg}", lineno + 2);
-        let mut parts = line.split(' ');
-        match parts.next() {
-            Some("name") => {
-                let name = unescape_name(parts.next().unwrap_or("")).map_err(&err)?;
-                rel = AnnotatedRelation::new(name);
-            }
-            Some("epoch") => {
-                let e: u64 = parts
-                    .next()
-                    .unwrap_or("")
-                    .parse()
-                    .map_err(|e| err(format!("bad epoch: {e}")))?;
-                epoch = Some(e);
-            }
-            Some("vocab") => {
-                let kind = tag_kind(parts.next().unwrap_or("")).map_err(&err)?;
-                let name = unescape_name(parts.next().unwrap_or("")).map_err(&err)?;
-                rel.vocab_mut().intern(kind, &name);
-            }
-            Some("slots") => {
-                let n: usize = parts
-                    .next()
-                    .unwrap_or("")
-                    .parse()
-                    .map_err(|e| err(format!("bad slot count: {e}")))?;
-                slots = Some(n);
-            }
-            Some("tuple") => {
-                let tid: u32 = parts
-                    .next()
-                    .unwrap_or("")
-                    .parse()
-                    .map_err(|e| err(format!("bad tuple id: {e}")))?;
-                let mut items = Vec::new();
-                for tok in parts {
-                    let raw: u32 = tok.parse().map_err(|e| err(format!("bad item: {e}")))?;
-                    items.push(Item::from_raw(raw));
+        put_count(out, self.slot_count());
+        for slot in 0..self.slot_count() as u32 {
+            match self.tuple(TupleId(slot)) {
+                None => out.push(0),
+                Some(tuple) => {
+                    out.push(1);
+                    put_count(out, tuple.items().len());
+                    for item in tuple.items() {
+                        put_u32(out, item.raw());
+                    }
                 }
-                live.push((TupleId(tid), items));
-            }
-            Some("end") => {
-                saw_end = true;
-                break;
-            }
-            other => return Err(err(format!("unknown directive {other:?}"))),
-        }
-    }
-    if !saw_end {
-        return Err("snapshot truncated: missing 'end'".into());
-    }
-    let slots = slots.ok_or("snapshot missing 'slots'")?;
-
-    // Rebuild slot-exactly: live tuples at their ids, tombstones elsewhere.
-    live.sort_by_key(|&(tid, _)| tid);
-    let mut by_tid = live.into_iter().peekable();
-    for slot in 0..slots {
-        match by_tid.next_if(|(tid, _)| tid.0 as usize == slot) {
-            Some((_, items)) => {
-                rel.insert(Tuple::from_items(items));
-            }
-            None => {
-                let tid = rel.insert(Tuple::from_items(Vec::new()));
-                rel.delete_tuple(tid);
             }
         }
     }
-    if let Some((tid, _)) = by_tid.next() {
-        return Err(format!("tuple id {tid} out of declared slot range"));
-    }
-    // Reconstruction replayed inserts/deletes, fabricating an epoch;
-    // restore the persisted one (pre-epoch v1 files keep the replay value,
-    // which is at least monotone in the relation's contents).
-    if let Some(e) = epoch {
-        rel.set_epoch(e);
-    }
-    Ok(rel)
-}
 
-/// Restore from a string (see [`read_snapshot`]).
-pub fn snapshot_from_string(text: &str) -> Result<AnnotatedRelation, String> {
-    read_snapshot(text.as_bytes())
+    /// Read back what [`AnnotatedRelation::encode`] wrote: the same names
+    /// at the same ids, live tuples at their ids, tombstones between.
+    /// A name interned twice, or a tuple item the vocabulary never
+    /// interned, is an `Err` — either would break id stability or a later
+    /// name lookup.
+    pub fn decode(cur: &mut Cursor<'_>) -> Result<AnnotatedRelation, String> {
+        let mut rel = AnnotatedRelation::new(cur.str()?);
+        let epoch = cur.u64()?;
+        for kind in ItemKind::ALL {
+            for (index, name) in cur.list(4, Cursor::str)?.iter().enumerate() {
+                if rel.vocab_mut().intern(kind, name).index() as usize != index {
+                    return Err(format!("vocabulary interns {kind:?} {name:?} twice"));
+                }
+            }
+        }
+        for slot in 0..cur.count(1)? {
+            match cur.u8()? {
+                0 => {
+                    let tid = rel.insert(Tuple::default());
+                    rel.delete_tuple(tid);
+                }
+                1 => {
+                    let items = cur.list(4, Cursor::item)?;
+                    if let Some(item) = items.iter().find(|&&i| !rel.vocab().contains(i)) {
+                        return Err(format!(
+                            "tuple {slot} holds {item:?}, which the vocabulary never interned"
+                        ));
+                    }
+                    rel.insert(Tuple::from_items(items));
+                }
+                flag => return Err(format!("bad liveness flag {flag} for slot {slot}")),
+            }
+        }
+        rel.set_epoch(epoch);
+        Ok(rel)
+    }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::item::Item;
 
     fn sample() -> AnnotatedRelation {
         let mut rel = AnnotatedRelation::new("weird name # with % tricks");
@@ -241,6 +195,19 @@ mod tests {
         rel.insert(Tuple::new([x], [spaced]));
         rel.delete_tuple(dead);
         rel
+    }
+
+    fn encoded(rel: &AnnotatedRelation) -> Vec<u8> {
+        let mut out = Vec::new();
+        rel.encode(&mut out);
+        out
+    }
+
+    fn decoded(bytes: &[u8]) -> Result<AnnotatedRelation, String> {
+        let mut cur = Cursor::new(bytes);
+        let rel = AnnotatedRelation::decode(&mut cur)?;
+        cur.finish()?;
+        Ok(rel)
     }
 
     #[test]
@@ -259,8 +226,8 @@ mod tests {
     #[test]
     fn snapshot_roundtrips_exactly() {
         let rel = sample();
-        let text = snapshot_to_string(&rel);
-        let restored = snapshot_from_string(&text).unwrap();
+        let bytes = encoded(&rel);
+        let restored = decoded(&bytes).unwrap();
         assert_eq!(restored.name(), rel.name());
         assert_eq!(
             restored.epoch(),
@@ -289,14 +256,15 @@ mod tests {
             rel.vocab().get(ItemKind::Label, "Invalidation"),
         );
         restored.check_consistency().unwrap();
+        assert_eq!(snapshot_to_string(&restored), snapshot_to_string(&rel));
         // Second round-trip is a fixpoint.
-        assert_eq!(snapshot_to_string(&restored), text);
+        assert_eq!(encoded(&restored), bytes);
     }
 
     #[test]
     fn snapshot_preserves_index_queries() {
         let rel = sample();
-        let restored = snapshot_from_string(&snapshot_to_string(&rel)).unwrap();
+        let restored = decoded(&encoded(&rel)).unwrap();
         let ann = rel
             .vocab()
             .get(ItemKind::Annotation, "looks wrong to me")
@@ -306,37 +274,78 @@ mod tests {
 
     #[test]
     fn malformed_snapshots_are_rejected() {
-        assert!(snapshot_from_string("").is_err());
-        assert!(snapshot_from_string("wrong header\nend\n").is_err());
-        assert!(
-            snapshot_from_string("annodb-snapshot v1\nslots 0\n").is_err(),
-            "missing end"
-        );
-        assert!(
-            snapshot_from_string("annodb-snapshot v1\nbogus x\nend\n").is_err(),
-            "unknown directive"
-        );
-        assert!(
-            snapshot_from_string("annodb-snapshot v1\nslots 1\ntuple 5 0\nend\n").is_err(),
-            "tuple beyond slots"
-        );
+        assert!(decoded(&[]).is_err());
+        let bytes = encoded(&sample());
+        for len in 0..bytes.len() {
+            assert!(decoded(&bytes[..len]).is_err(), "truncated at {len}");
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(decoded(&trailing).is_err(), "trailing bytes");
+        // Slot flags other than 0/1, and a tuple id-space past u32 counts.
+        let mut one_slot = Vec::new();
+        put_str(&mut one_slot, "r");
+        put_u64(&mut one_slot, 0);
+        one_slot.extend_from_slice(&[0; 12]); // three empty namespaces
+        put_count(&mut one_slot, 1);
+        let mut bad_flag = one_slot.clone();
+        bad_flag.push(2);
+        assert!(decoded(&bad_flag).unwrap_err().contains("liveness flag"));
+        let mut tag3 = one_slot;
+        tag3.push(1);
+        put_count(&mut tag3, 1);
+        put_u32(&mut tag3, 3 << 30);
+        assert!(decoded(&tag3).unwrap_err().contains("item tag"));
+    }
+
+    #[test]
+    fn names_interned_twice_are_rejected() {
+        let mut bytes = Vec::new();
+        put_str(&mut bytes, "r");
+        put_u64(&mut bytes, 0);
+        put_count(&mut bytes, 2);
+        put_str(&mut bytes, "28");
+        put_str(&mut bytes, "28");
+        bytes.extend_from_slice(&[0; 8]); // no annotations, no labels
+        put_count(&mut bytes, 0);
+        assert!(decoded(&bytes).unwrap_err().contains("twice"));
+    }
+
+    #[test]
+    fn tuple_items_outside_the_vocabulary_are_rejected() {
+        // One data name interned; the tuple names data item 1 — a CRC-valid
+        // checkpoint like this once decoded and later panicked a name lookup.
+        let mut bytes = Vec::new();
+        put_str(&mut bytes, "r");
+        put_u64(&mut bytes, 1);
+        put_count(&mut bytes, 1);
+        put_str(&mut bytes, "28");
+        bytes.extend_from_slice(&[0; 8]);
+        put_count(&mut bytes, 1);
+        bytes.push(1);
+        put_count(&mut bytes, 2);
+        put_u32(&mut bytes, Item::data(0).raw());
+        put_u32(&mut bytes, Item::data(1).raw());
+        let err = decoded(&bytes).unwrap_err();
+        assert!(err.contains("never interned"), "{err}");
     }
 
     #[test]
     fn empty_relation_roundtrips() {
         let rel = AnnotatedRelation::new("empty");
-        let restored = snapshot_from_string(&snapshot_to_string(&rel)).unwrap();
+        let restored = decoded(&encoded(&rel)).unwrap();
         assert_eq!(restored.len(), 0);
         assert_eq!(restored.slot_count(), 0);
         assert_eq!(restored.epoch(), 0);
     }
 
-    /// A snapshot file written by the pre-persistent-interner code
-    /// (monolithic `Vec<String>` + hash-map `Vocabulary`). The format
-    /// carries names in intern order and raw item ids in tuples; the
-    /// chunked interner must re-intern to *identical* ids — and therefore
-    /// identical chunk boundaries — or WAL replay (which re-runs the same
-    /// interning sequence) would rebind every item after a restart.
+    /// The state the pre-persistent-interner code (monolithic
+    /// `Vec<String>` + hash-map `Vocabulary`) persisted, as its text dump.
+    /// The encoding carries names in intern order and raw item ids in
+    /// tuples; the chunked interner must re-intern to *identical* ids —
+    /// and therefore identical chunk boundaries — or WAL replay (which
+    /// re-runs the same interning sequence) would rebind every item after
+    /// a restart.
     const PRE_INTERNER_FIXTURE: &str = "\
 annodb-snapshot v1
 name fixture
@@ -352,11 +361,47 @@ tuple 2 1 1073741825 2147483648
 end
 ";
 
+    /// [`PRE_INTERNER_FIXTURE`] in the binary encoding, field by field.
+    fn pre_interner_fixture_bytes() -> Vec<u8> {
+        let mut out = Vec::new();
+        put_str(&mut out, "fixture");
+        put_u64(&mut out, 3);
+        for names in [
+            &["28", "85"][..],
+            &["Annot_1", "looks wrong"],
+            &["Invalidation"],
+        ] {
+            put_count(&mut out, names.len());
+            for name in names {
+                put_str(&mut out, name);
+            }
+        }
+        put_count(&mut out, 3);
+        for slot in [
+            Some(&[0u32, 1, 1 << 30][..]),
+            None,
+            Some(&[1, (1 << 30) | 1, 2 << 30]),
+        ] {
+            match slot {
+                None => out.push(0),
+                Some(raws) => {
+                    out.push(1);
+                    put_count(&mut out, raws.len());
+                    for &raw in raws {
+                        put_u32(&mut out, raw);
+                    }
+                }
+            }
+        }
+        out
+    }
+
     #[test]
     fn pre_interner_fixture_reinterns_to_identical_ids() {
-        let rel = snapshot_from_string(PRE_INTERNER_FIXTURE).unwrap();
+        let fixture = pre_interner_fixture_bytes();
+        let rel = decoded(&fixture).unwrap();
         // Raw ids are the monolithic interner's: dense per namespace in
-        // file order, tag in the top bits.
+        // stored order, tag in the top bits.
         assert_eq!(rel.vocab().get(ItemKind::Data, "28").unwrap().raw(), 0);
         assert_eq!(rel.vocab().get(ItemKind::Data, "85").unwrap().raw(), 1);
         assert_eq!(
@@ -383,8 +428,10 @@ end
         assert_eq!(rel.epoch(), 3);
         assert_eq!(rel.slot_count(), 3);
         assert!(rel.tuple(TupleId(1)).is_none(), "slot 1 is a tombstone");
-        // Re-serialising is byte-identical: intern order, ids, and (with
-        // them) chunk boundaries are all deterministic.
+        // Re-encoding is byte-identical, and so is the readable dump:
+        // intern order, ids, and (with them) chunk boundaries are all
+        // deterministic.
+        assert_eq!(encoded(&rel), fixture);
         assert_eq!(snapshot_to_string(&rel), PRE_INTERNER_FIXTURE);
         // Interning continues densely after the reload, exactly where the
         // pre-change interner would have.
@@ -404,8 +451,8 @@ end
             let a = rel.vocab_mut().annotation(&format!("Ann_{i}"));
             rel.insert(Tuple::new([d], [a]));
         }
-        let text = snapshot_to_string(&rel);
-        let restored = snapshot_from_string(&text).unwrap();
+        let bytes = encoded(&rel);
+        let restored = decoded(&bytes).unwrap();
         for kind in ItemKind::ALL {
             assert_eq!(restored.vocab().count(kind), rel.vocab().count(kind));
             assert_eq!(
@@ -418,15 +465,6 @@ end
             }
         }
         // Fixpoint: a second round-trip changes nothing.
-        assert_eq!(snapshot_to_string(&restored), text);
-    }
-
-    #[test]
-    fn pre_epoch_snapshots_still_load() {
-        // A v1 file written before the epoch directive existed.
-        let restored =
-            snapshot_from_string("annodb-snapshot v1\nname r\nslots 1\ntuple 0 0\nend\n").unwrap();
-        assert_eq!(restored.len(), 1);
-        assert!(snapshot_from_string("annodb-snapshot v1\nepoch x\nend\n").is_err());
+        assert_eq!(encoded(&restored), bytes);
     }
 }

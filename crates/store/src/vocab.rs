@@ -32,9 +32,9 @@
 //! difference; `BENCH_vocab.json` records it.
 //!
 //! Item ids are still assigned densely in interning order, so the
-//! `annodb-snapshot` text format (which persists names in intern order)
-//! re-interns to byte-identical [`Item`] ids — and with them, identical
-//! chunk boundaries — across save/load and WAL replay.
+//! relation's binary encoding (which persists names in intern order,
+//! `snapshot.rs`) re-interns to byte-identical [`Item`] ids — and with
+//! them, identical chunk boundaries — across save/load and WAL replay.
 
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -436,6 +436,12 @@ impl Vocabulary {
             .arena
             .get(item.index())
             .expect("item index beyond this vocabulary")
+    }
+
+    /// `true` iff `item` was interned here, so [`Vocabulary::name`]
+    /// resolves it.
+    pub fn contains(&self, item: Item) -> bool {
+        (item.index() as usize) < self.count(item.kind())
     }
 
     /// Number of interned names in a namespace.

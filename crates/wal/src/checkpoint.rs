@@ -1,7 +1,7 @@
 //! Checkpoint persistence: one atomically replaced file.
 //!
-//! A checkpoint binds an opaque payload (the serving layer stores its
-//! `annodb-snapshot` and miner checkpoint there) to a log position: "the
+//! A checkpoint binds an opaque payload (the serving layer stores the
+//! binary encoding of its relation and miner there) to a log position: "the
 //! payload captures every record strictly before this position". Recovery
 //! restores the payload and replays only the log tail at and after it.
 //!

@@ -27,10 +27,10 @@ use annomine::mine::{
     rules_to_string, RuleSet, Thresholds,
 };
 use annomine::mine::{IncrementalConfig, IncrementalMiner};
+use annomine::store::codec::Cursor;
 use annomine::store::{
     dataset_to_string, format_annotation_batch, generate, parse_annotation_batch, parse_dataset,
-    snapshot_from_string, snapshot_to_string, taxonomy_from_rules, AnnotatedRelation,
-    GeneratorConfig,
+    taxonomy_from_rules, AnnotatedRelation, GeneratorConfig,
 };
 
 fn main() -> ExitCode {
@@ -58,6 +58,28 @@ fn thresholds(sup: &str, conf: &str) -> Result<Thresholds, String> {
     Ok(Thresholds::new(s, c))
 }
 
+/// Persist the database and the miner as one binary state file.
+fn save_state(path: &str, rel: &AnnotatedRelation, miner: &IncrementalMiner) -> Result<(), String> {
+    let mut bytes = Vec::new();
+    rel.encode(&mut bytes);
+    miner.encode(&mut bytes);
+    fs::write(path, bytes).map_err(|e| format!("{path}: {e}"))
+}
+
+/// Read back what [`save_state`] wrote, screened as a matching pair.
+fn load_state(path: &str) -> Result<(AnnotatedRelation, IncrementalMiner), String> {
+    let bytes = fs::read(path).map_err(|e| format!("{path}: {e}"))?;
+    let decode = || -> Result<_, String> {
+        let mut cur = Cursor::new(&bytes);
+        let rel = AnnotatedRelation::decode(&mut cur)?;
+        let miner = IncrementalMiner::decode(&mut cur)?;
+        cur.finish()?;
+        miner.validate_against(&rel)?;
+        Ok((rel, miner))
+    };
+    decode().map_err(|e| format!("{path}: {e}"))
+}
+
 fn emit(rules: &RuleSet, rel: &AnnotatedRelation, out: Option<&String>) -> Result<(), String> {
     let text = rules_to_string(rules, rel.vocab());
     match out {
@@ -81,7 +103,7 @@ subcommands (the paper's menu options):
   annotate    <dataset> <batch_file> <out_dataset>       option 4: apply 'tuple: Annot' lines
   recommend   <dataset> <min_sup> <min_conf>             section 5: missing-annotation suggestions
   generalize  <dataset> <rules_file> <min_sup> <min_conf> section 4.1: mine with generalization
-  checkpoint  <dataset> <min_sup> <min_conf> <out_prefix> persist DB snapshot + miner state
+  checkpoint  <dataset> <min_sup> <min_conf> <out_prefix> persist DB + miner state to <out_prefix>.state
   resume      <prefix> <batch_file>                       restore, apply Fig. 14 batch, persist";
 
     match args {
@@ -188,33 +210,23 @@ subcommands (the paper's menu options):
                         ..Default::default()
                     },
                 );
-                fs::write(format!("{prefix}.snap"), snapshot_to_string(&rel))
-                    .map_err(|e| e.to_string())?;
-                fs::write(format!("{prefix}.ckpt"), miner.checkpoint_to_string())
-                    .map_err(|e| e.to_string())?;
+                save_state(&format!("{prefix}.state"), &rel, &miner)?;
                 println!(
-                    "mined {} rules; state persisted to {prefix}.snap + {prefix}.ckpt",
+                    "mined {} rules; state persisted to {prefix}.state",
                     miner.rules().len()
                 );
                 Ok(())
             }
             ("resume", [prefix, batch_file]) => {
-                let snap = fs::read_to_string(format!("{prefix}.snap"))
-                    .map_err(|e| format!("{prefix}.snap: {e}"))?;
-                let mut rel = snapshot_from_string(&snap)?;
-                let ckpt = fs::read_to_string(format!("{prefix}.ckpt"))
-                    .map_err(|e| format!("{prefix}.ckpt: {e}"))?;
-                let mut miner = IncrementalMiner::checkpoint_from_string(&ckpt)?;
+                let path = format!("{prefix}.state");
+                let (mut rel, mut miner) = load_state(&path)?;
                 let before = miner.rules().len();
                 let text =
                     fs::read_to_string(batch_file).map_err(|e| format!("{batch_file}: {e}"))?;
                 let updates =
                     parse_annotation_batch(rel.vocab_mut(), &text).map_err(|e| e.to_string())?;
                 let delta = miner.apply_annotations(&mut rel, updates);
-                fs::write(format!("{prefix}.snap"), snapshot_to_string(&rel))
-                    .map_err(|e| e.to_string())?;
-                fs::write(format!("{prefix}.ckpt"), miner.checkpoint_to_string())
-                    .map_err(|e| e.to_string())?;
+                save_state(&path, &rel, &miner)?;
                 println!(
                     "applied {} updates incrementally: {} rules -> {} rules (verified: {}); state re-persisted",
                     delta.len(),
