@@ -6,6 +6,7 @@
 //! single incremental-maintenance passes.
 
 use anno_bench::{paper_thresholds, paper_workload};
+use anno_service::query::top_k_for_tuple;
 use anno_service::queue::UpdateOp;
 use anno_service::{Service, ServiceConfig};
 use anno_store::{dataset_to_string, random_annotation_batch, AnnotationUpdate};
@@ -48,10 +49,10 @@ fn service_paths(c: &mut Criterion) {
         b.iter(|| dataset.snapshot().expect("published"))
     });
     group.bench_function("rules_unfiltered", |b| {
-        b.iter(|| snap.rules_with_antecedent(&[]).len())
+        b.iter(|| snap.index().rules_with_antecedent(&[]).len())
     });
     group.bench_function("recommend_tuple_top10", |b| {
-        b.iter(|| snap.recommend_for_tuple(probe, 10))
+        b.iter(|| top_k_for_tuple(&snap, probe, 10))
     });
 
     let mut rng = StdRng::seed_from_u64(0x5EEE);

@@ -16,9 +16,9 @@ use std::time::Instant;
 
 use anno_bench::{paper_thresholds, paper_workload, sized_workload, time_ms};
 use anno_mine::{
-    apriori, eclat, mine_generalized, mine_rules, recommend_missing, rules_to_string,
-    score_recommendations, transactions_of, IncrementalConfig, IncrementalMiner, ItemSet,
-    MiningMode, RuleKind, Thresholds,
+    apriori, eclat, mine_generalized, mine_rules, recommend_missing, score_recommendations,
+    transactions_of, IncrementalConfig, IncrementalMiner, ItemSet, MiningMode, RuleKind,
+    Thresholds,
 };
 use anno_store::{
     generate, hide_annotations, keyword_rule, random_annotated_tuples, random_annotation_batch,
@@ -383,7 +383,7 @@ fn e5_rule_output() {
         ds.relation.len(),
         rules.len()
     );
-    for line in rules_to_string(&rules, ds.relation.vocab()).lines().take(8) {
+    for line in rules.render(ds.relation.vocab()).lines().take(8) {
         println!("      {line}");
     }
     let pruned = rules.without_redundant();

@@ -19,8 +19,9 @@
 //!   adding un-annotated tuples, and adding annotations to existing tuples
 //!   (Figs. 12–13) — plus annotation/tuple deletion, the paper's stated
 //!   future work.
-//! * **Exploitation** (§5): missing-annotation recommendations and insert
-//!   triggers in [`recommend`] and [`triggers`].
+//! * **Exploitation** (§5): the database scan for missing annotations and
+//!   the insert trigger, both through one antecedent-bucketed
+//!   [`RuleIndex`], in [`recommend`].
 //!
 //! # Quickstart
 //!
@@ -77,7 +78,6 @@ pub mod recommend;
 pub mod report;
 pub mod rules;
 pub mod summary;
-pub mod triggers;
 
 pub use apriori::{apriori, generate_candidates};
 pub use eclat::eclat;
@@ -91,14 +91,13 @@ pub use mine::{
 };
 pub use recommend::{
     recommend_for_tuples, recommend_missing, score_recommendations, PredictionQuality,
-    Recommendation,
+    Recommendation, RuleIndex,
 };
-pub use report::{parse_rules_file, rules_to_string, write_rules, ParsedRule};
+pub use report::{parse_rules_file, ParsedRule};
 pub use rules::{
     derive_rules, derive_rules_partitioned, AssociationRule, RuleKind, RuleSet, Thresholds,
 };
 pub use summary::{MetricSummary, RuleSetSummary};
-pub use triggers::CurationSession;
 
 /// Commonly used items, for glob import in examples and tests.
 pub mod prelude {
@@ -107,5 +106,4 @@ pub mod prelude {
     pub use crate::mine::{mine_generalized, mine_rules, mine_with};
     pub use crate::recommend::{recommend_missing, score_recommendations};
     pub use crate::rules::{AssociationRule, RuleKind, RuleSet, Thresholds};
-    pub use crate::triggers::CurationSession;
 }

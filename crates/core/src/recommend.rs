@@ -1,6 +1,8 @@
 //! Exploitation of correlations (paper §5, Fig. 17).
 //!
-//! Two curation aids are built on the discovered rules:
+//! Both of the paper's curation aids run through one [`RuleIndex`]: the
+//! discovered rules bucketed by antecedent item, so a tuple probes only the
+//! rules that hold one of its items.
 //!
 //! 1. **Missing-annotation discovery** — [`recommend_missing`] scans the
 //!    database; wherever a rule's LHS pattern is present in a tuple but its
@@ -8,13 +10,15 @@
 //!    together with the supporting rule and its support/confidence (the
 //!    paper insists recommendations stay recommendations: "it is up to the
 //!    curators to make the final decision").
-//! 2. **New-tuple prediction** — the same logic replayed by a trigger when
-//!    tuples are inserted; see [`crate::triggers`].
+//! 2. **New-tuple prediction** — the insert trigger: the same lookup over
+//!    the tuples an insert returned, [`recommend_for_tuples`]. The serving
+//!    layer answers its `recommend` verb from the same index.
 //!
 //! [`score_recommendations`] evaluates prediction quality against hidden
 //! ground truth (precision / recall / F1), which EXPERIMENTS.md reports as
 //! experiment E7.
 
+use anno_store::fxhash::{FxHashMap, FxHashSet};
 use anno_store::{AnnotatedRelation, AnnotationUpdate, Item, TupleId, Vocabulary};
 
 use crate::rules::{AssociationRule, RuleSet};
@@ -43,57 +47,138 @@ impl Recommendation {
     }
 }
 
-/// Deduplicate (keep the highest-confidence supporting rule per
-/// `(tuple, annotation)`) and order by descending confidence, then support.
-fn finalize(mut recs: Vec<Recommendation>) -> Vec<Recommendation> {
-    recs.sort_by(|a, b| {
-        (a.tuple, a.annotation)
-            .cmp(&(b.tuple, b.annotation))
-            .then(b.rule.confidence().total_cmp(&a.rule.confidence()))
-    });
-    recs.dedup_by(|a, b| a.tuple == b.tuple && a.annotation == b.annotation);
-    recs.sort_by(|a, b| {
+/// A rule set bucketed by antecedent item: a rule can only fire for an
+/// item set that holds one of its antecedent items, so lookups probe only
+/// those buckets.
+#[derive(Debug, Clone, Default)]
+pub struct RuleIndex {
+    rules: RuleSet,
+    /// LHS item → indices into `rules.rules()`.
+    by_lhs_item: FxHashMap<Item, Vec<u32>>,
+}
+
+impl RuleIndex {
+    /// Index `rules` by antecedent item.
+    pub fn new(rules: RuleSet) -> RuleIndex {
+        let mut by_lhs_item: FxHashMap<Item, Vec<u32>> = FxHashMap::default();
+        for (idx, rule) in (0u32..).zip(rules.rules()) {
+            for &item in rule.lhs.items() {
+                by_lhs_item.entry(item).or_default().push(idx);
+            }
+        }
+        RuleIndex { rules, by_lhs_item }
+    }
+
+    /// The indexed rules.
+    pub fn rules(&self) -> &RuleSet {
+        &self.rules
+    }
+
+    fn bucket(&self, item: Item) -> &[u32] {
+        self.by_lhs_item.get(&item).map_or(&[], Vec::as_slice)
+    }
+
+    /// Rules whose antecedent contains **all** of `items`. `items` need
+    /// not be sorted. An empty slice returns every rule.
+    pub fn rules_with_antecedent(&self, items: &[Item]) -> Vec<&AssociationRule> {
+        let all = self.rules.rules();
+        // Probe the smallest bucket, then verify the full containment.
+        let Some(bucket) = items
+            .iter()
+            .map(|&i| self.bucket(i))
+            .min_by_key(|b| b.len())
+        else {
+            return all.iter().collect();
+        };
+        bucket
+            .iter()
+            .map(|&idx| &all[idx as usize])
+            .filter(|r| items.iter().all(|&i| r.lhs.contains(i)))
+            .collect()
+    }
+
+    /// Missing-annotation recommendations for the item set `present`
+    /// (need not be sorted): every rule whose antecedent is contained in
+    /// `present` and whose consequent is absent fires. Per consequent the
+    /// rule with the largest (confidence, support) wins, the first seen on
+    /// ties; the winners are ordered by descending confidence, then
+    /// support, then annotation, and the first `k` returned.
+    pub fn recommend(&self, present: &[Item], k: usize) -> Vec<(Item, &AssociationRule)> {
+        let mut sorted: Vec<Item> = present.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+
+        let all = self.rules.rules();
+        let mut seen: FxHashSet<u32> = FxHashSet::default();
+        let mut best: FxHashMap<Item, &AssociationRule> = FxHashMap::default();
+        for &item in &sorted {
+            for &idx in self.bucket(item) {
+                if !seen.insert(idx) {
+                    continue;
+                }
+                let rule = &all[idx as usize];
+                if sorted.binary_search(&rule.rhs).is_ok() || !rule.lhs.is_subset_of(&sorted) {
+                    continue;
+                }
+                let replace = best.get(&rule.rhs).is_none_or(|cur| {
+                    (rule.confidence(), rule.support()) > (cur.confidence(), cur.support())
+                });
+                if replace {
+                    best.insert(rule.rhs, rule);
+                }
+            }
+        }
+        let mut out: Vec<(Item, &AssociationRule)> = best.into_iter().collect();
+        out.sort_by(|(ann_a, a), (ann_b, b)| {
+            b.confidence()
+                .total_cmp(&a.confidence())
+                .then(b.support().total_cmp(&a.support()))
+                .then(ann_a.cmp(ann_b))
+        });
+        out.truncate(k);
+        out
+    }
+}
+
+/// Recommendations for specific tuples (the insert trigger; the scanner
+/// passes every tuple). Dead tuples are skipped, repeated ones answered
+/// once. Ordered by descending confidence, then support, then
+/// `(tuple, annotation)`.
+pub fn recommend_for_tuples<'a>(
+    relation: &AnnotatedRelation,
+    rules: &RuleSet,
+    tuples: impl IntoIterator<Item = TupleId> + 'a,
+) -> Vec<Recommendation> {
+    let index = RuleIndex::new(rules.clone());
+    let mut tids: Vec<TupleId> = tuples.into_iter().collect();
+    tids.sort_unstable();
+    tids.dedup();
+    let mut out = Vec::new();
+    for tid in tids {
+        let Some(tuple) = relation.tuple(tid) else {
+            continue;
+        };
+        for (annotation, rule) in index.recommend(tuple.items(), usize::MAX) {
+            out.push(Recommendation {
+                tuple: tid,
+                annotation,
+                rule: rule.clone(),
+            });
+        }
+    }
+    out.sort_by(|a, b| {
         b.rule
             .confidence()
             .total_cmp(&a.rule.confidence())
             .then(b.rule.support().total_cmp(&a.rule.support()))
             .then((a.tuple, a.annotation).cmp(&(b.tuple, b.annotation)))
     });
-    recs
-}
-
-/// Scan specific tuples against the rules (shared by the scanner and the
-/// insert trigger).
-pub fn recommend_for_tuples<'a>(
-    relation: &AnnotatedRelation,
-    rules: &RuleSet,
-    tuples: impl IntoIterator<Item = TupleId> + 'a,
-) -> Vec<Recommendation> {
-    let mut out = Vec::new();
-    for tid in tuples {
-        let Some(tuple) = relation.tuple(tid) else {
-            continue;
-        };
-        for rule in rules.rules() {
-            if !tuple.contains(rule.rhs) && rule.lhs.matches(tuple) {
-                out.push(Recommendation {
-                    tuple: tid,
-                    annotation: rule.rhs,
-                    rule: rule.clone(),
-                });
-            }
-        }
-    }
-    finalize(out)
+    out
 }
 
 /// §5 Case 1: scan the whole database for missing annotations.
 pub fn recommend_missing(relation: &AnnotatedRelation, rules: &RuleSet) -> Vec<Recommendation> {
-    recommend_for_tuples(
-        relation,
-        rules,
-        relation.iter().map(|(tid, _)| tid).collect::<Vec<_>>(),
-    )
+    recommend_for_tuples(relation, rules, relation.iter().map(|(tid, _)| tid))
 }
 
 /// Prediction quality against hidden ground truth.

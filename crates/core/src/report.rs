@@ -7,32 +7,16 @@
 //! 28, 85 -> Annot_1 (conf=0.9659, sup=0.4194)
 //! ```
 //!
-//! [`write_rules`] reproduces that format (rules sorted by descending
-//! confidence, as in the figure); [`parse_rules_file`] reads it back for
-//! round-trip tests and external tooling. Parsed rules reconstruct
-//! fractional support/confidence only — the text format does not carry raw
-//! counts — so round-trips compare identities and fractions, not counts.
-
-use std::io::{self, Write};
+//! [`RuleSet::render`](crate::rules::RuleSet::render) writes that format
+//! (rules sorted by descending confidence, as in the figure);
+//! [`parse_rules_file`] reads it back for round-trip tests and external
+//! tooling. Parsed rules reconstruct fractional support/confidence only —
+//! the text format does not carry raw counts — so round-trips compare
+//! identities and fractions, not counts.
 
 use anno_store::{ItemKind, Vocabulary};
 
 use crate::itemset::ItemSet;
-use crate::rules::RuleSet;
-
-/// Write `rules` in Fig. 7 format.
-pub fn write_rules<W: Write>(
-    rules: &RuleSet,
-    vocab: &Vocabulary,
-    writer: &mut W,
-) -> io::Result<()> {
-    writer.write_all(rules.render(vocab).as_bytes())
-}
-
-/// Render `rules` in Fig. 7 format to a string.
-pub fn rules_to_string(rules: &RuleSet, vocab: &Vocabulary) -> String {
-    rules.render(vocab)
-}
 
 /// A rule as recovered from a Fig. 7 file: identity plus fractions.
 #[derive(Debug, Clone, PartialEq)]
@@ -138,7 +122,7 @@ mod tests {
             db_size: 10000,
         };
         let rules = RuleSet::from_rules(vec![weak, strong]);
-        let text = rules_to_string(&rules, &vocab);
+        let text = rules.render(&vocab);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[0], "28, 85 -> Annot_1 (conf=0.9659, sup=0.4194)");
@@ -159,7 +143,7 @@ mod tests {
             db_size: 10,
         };
         let rules = RuleSet::from_rules(vec![rule.clone()]);
-        let text = rules_to_string(&rules, &vocab);
+        let text = rules.render(&vocab);
         let parsed = parse_rules_file(&mut vocab, &text).unwrap();
         assert_eq!(parsed.len(), 1);
         assert_eq!(parsed[0].lhs, rule.lhs);
@@ -178,14 +162,5 @@ mod tests {
         assert!(parse_rules_file(&mut vocab, "28 -> A (conf=x, sup=0.1)").is_err());
         let err = parse_rules_file(&mut vocab, "28 -> A (conf=0.5, sup=0.1)\nbad").unwrap_err();
         assert!(err.contains("line 2"));
-    }
-
-    #[test]
-    fn write_rules_streams_to_writer() {
-        let vocab = Vocabulary::new();
-        let rules = RuleSet::new();
-        let mut buf = Vec::new();
-        write_rules(&rules, &vocab, &mut buf).unwrap();
-        assert!(buf.is_empty());
     }
 }

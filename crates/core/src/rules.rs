@@ -256,23 +256,6 @@ impl RuleSet {
         RuleSet::from_rules(kept)
     }
 
-    /// The `k` rules maximising an arbitrary measure, descending.
-    pub fn top_by<F: Fn(&AssociationRule) -> f64>(
-        &self,
-        measure: F,
-        k: usize,
-    ) -> Vec<&AssociationRule> {
-        let mut order: Vec<&AssociationRule> = self.rules.iter().collect();
-        order.sort_by(|a, b| {
-            measure(b)
-                .partial_cmp(&measure(a))
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| (&a.lhs, a.rhs).cmp(&(&b.lhs, b.rhs)))
-        });
-        order.truncate(k);
-        order
-    }
-
     /// Render every rule in Fig. 7 format, one per line, sorted by
     /// descending confidence then support (ties by identity order).
     pub fn render(&self, vocab: &Vocabulary) -> String {
@@ -507,16 +490,6 @@ mod tests {
         let r = rules.get(&set(&[d(1), d(2)]), a(1)).unwrap();
         assert_eq!(r.rhs_count, 6); // count({A}) in demo_table
         assert!(r.lift() > 1.0, "planted correlation must lift above 1");
-    }
-
-    #[test]
-    fn top_by_ranks_by_measure() {
-        let rules = derive_rules(&demo_table(), &Thresholds::new(0.3, 0.5));
-        let top = rules.top_by(|r| r.lift(), 3);
-        assert!(top.len() <= 3);
-        for w in top.windows(2) {
-            assert!(w[0].lift() >= w[1].lift());
-        }
     }
 
     #[test]

@@ -844,7 +844,7 @@ impl Engine {
                     "tuples={} rules={} candidates={} epoch={} relation_epoch={}",
                     snap.db_size(),
                     snap.rules().len(),
-                    snap.candidates().len(),
+                    snap.candidate_count(),
                     snap.epoch(),
                     snap.relation_epoch(),
                 ));

@@ -2,7 +2,8 @@
 //!
 //! The protocol layer parses commands into these types; library users can
 //! build them directly. Everything here borrows from a snapshot the caller
-//! already holds, so queries are pure functions — no locks, no I/O.
+//! already holds and asks its [`RuleIndex`](anno_mine::RuleIndex), so
+//! queries are pure functions — no locks, no I/O.
 
 use anno_mine::{AssociationRule, RuleKind};
 use anno_store::Item;
@@ -50,6 +51,7 @@ impl RuleFilter {
     /// Run the filter against a snapshot.
     pub fn apply<'s>(&self, snapshot: &'s RuleSnapshot) -> Vec<&'s AssociationRule> {
         let mut out: Vec<&AssociationRule> = snapshot
+            .index()
             .rules_with_antecedent(&self.antecedent)
             .into_iter()
             .filter(|r| self.kind.is_none_or(|k| r.kind() == k))
@@ -90,7 +92,7 @@ pub fn top_k_for_items(
     present: &[Item],
     k: usize,
 ) -> Vec<TopRecommendation> {
-    render(snapshot, snapshot.recommend_for_items(present, k))
+    render(snapshot, snapshot.index().recommend(present, k))
 }
 
 /// Top-k recommendations for a live tuple; `None` if the tuple is dead in
@@ -100,7 +102,11 @@ pub fn top_k_for_tuple(
     tid: anno_store::TupleId,
     k: usize,
 ) -> Option<Vec<TopRecommendation>> {
-    Some(render(snapshot, snapshot.recommend_for_tuple(tid, k)?))
+    let tuple = snapshot.relation().tuple(tid)?;
+    Some(render(
+        snapshot,
+        snapshot.index().recommend(tuple.items(), k),
+    ))
 }
 
 fn render(snapshot: &RuleSnapshot, picks: Vec<(Item, &AssociationRule)>) -> Vec<TopRecommendation> {

@@ -16,6 +16,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use anno_mine::Thresholds;
+use anno_service::query::top_k_for_tuple;
 use anno_service::{Service, ServiceConfig, UpdateOp};
 use anno_store::{dataset_to_string, generate, random_annotation_batch, GeneratorConfig, TupleId};
 use rand::rngs::StdRng;
@@ -123,12 +124,12 @@ fn readers_never_block_or_see_torn_state_while_writer_streams() {
                         .check_consistency()
                         .expect("frozen relation consistent");
                     // Exercise the read API itself.
-                    let listed = snap.rules_with_antecedent(&[]).len();
+                    let listed = snap.index().rules_with_antecedent(&[]).len();
                     assert_eq!(listed, snap.rules().len());
                     if let Some((tid, tuple)) = snap.relation().iter().next() {
                         let k = tuple.items().len().min(3);
-                        let _ = snap.recommend_for_items(&tuple.items()[..k], 5);
-                        let _ = snap.recommend_for_tuple(tid, 5);
+                        let _ = snap.index().recommend(&tuple.items()[..k], 5);
+                        let _ = top_k_for_tuple(&snap, tid, 5);
                     }
                     reads.fetch_add(1, Ordering::Relaxed);
                 }

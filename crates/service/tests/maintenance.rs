@@ -14,7 +14,9 @@
 //! * a within-batch duplicate `(tuple, annotation)` pair is logged once,
 //!   not twice (the regression the batch dedupe fixes);
 //! * an unloggable `mine` fences the dataset exactly like an unloggable
-//!   drain does.
+//!   drain does;
+//! * a served `recommend` answer equals the offline §5 scan's, for every
+//!   tuple after maintenance drains and for the tuples an insert adds.
 //!
 //! Property cases respect the `PROPTEST_CASES` cap for CI bounding.
 
@@ -23,14 +25,23 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use anno_mine::{IncrementalConfig, Thresholds};
-use anno_service::{
-    CheckpointPolicy, Dataset, DurabilityOptions, GroupCommitter, ServiceError, SyncPolicy,
-    UpdateOp,
+use anno_mine::{
+    mine_rules, recommend_for_tuples, recommend_missing, IncrementalConfig, Recommendation,
+    Thresholds,
 };
-use anno_store::{snapshot_to_string, TupleId};
+use anno_service::query::top_k_for_tuple;
+use anno_service::{
+    CheckpointPolicy, Dataset, DurabilityOptions, GroupCommitter, RuleSnapshot, ServiceError,
+    SyncPolicy, UpdateOp,
+};
+use anno_store::{
+    dataset_to_string, generate, hide_annotations, snapshot_to_string, GeneratorConfig, Item,
+    TupleId,
+};
 use anno_wal::WalOptions;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -514,6 +525,105 @@ fn shutdown_fails_parked_control_requests_instead_of_blocking() {
     assert_eq!(ds.wal_stats().unwrap().replayed_records, 1);
     drop(ds);
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// (annotation, confidence, support) per recommendation, as served.
+fn served(snap: &RuleSnapshot, tid: TupleId) -> Vec<(Item, f64, f64)> {
+    top_k_for_tuple(snap, tid, usize::MAX)
+        .unwrap()
+        .into_iter()
+        .map(|r| (r.annotation, r.confidence, r.support))
+        .collect()
+}
+
+/// The same triples for `tid`'s entries of an offline recommendation list.
+fn offline(recs: &[Recommendation], tid: TupleId) -> Vec<(Item, f64, f64)> {
+    recs.iter()
+        .filter(|r| r.tuple == tid)
+        .map(|r| (r.annotation, r.rule.confidence(), r.rule.support()))
+        .collect()
+}
+
+/// §5 served from the snapshot's rule index equals the offline scan over
+/// a from-scratch re-mine: for every live tuple after Case 1, Case 3 and
+/// deletion drains, and for the tuples a later insert adds (the insert
+/// trigger of Fig. 17, answered from the maintained rules).
+#[test]
+fn served_recommendations_equal_offline_ones() {
+    let config = IncrementalConfig {
+        thresholds: Thresholds::new(0.1, 0.5),
+        ..Default::default()
+    };
+    for seed in 1..=3 {
+        let truth = generate(&GeneratorConfig::tiny(seed)).relation;
+        let (damaged, hidden) = hide_annotations(&truth, &mut StdRng::seed_from_u64(seed), 0.2);
+        let lines: Vec<String> = dataset_to_string(&damaged)
+            .lines()
+            .map(str::to_string)
+            .collect();
+        // Rows load in order, so tuple ids agree with `truth`'s.
+        let name = |item| truth.vocab().name(item).to_string();
+        let ds = Dataset::spawn("served", config).unwrap();
+        drain(&ds, UpdateOp::InsertRows(lines[..150].to_vec()));
+        ds.mine().unwrap();
+        drain(&ds, UpdateOp::InsertRows(lines[150..].to_vec()));
+        let restored = hidden.iter().step_by(2);
+        drain(
+            &ds,
+            UpdateOp::AnnotateNamed(restored.map(|u| (u.tuple, name(u.annotation))).collect()),
+        );
+        let removed = damaged.iter().step_by(7).filter_map(|(tid, t)| {
+            let &ann = t.annotations().first()?;
+            Some((tid, name(ann)))
+        });
+        drain(&ds, UpdateOp::RemoveNamed(removed.collect()));
+        drain(&ds, UpdateOp::DeleteTuples(vec![TupleId(5), TupleId(77)]));
+
+        let snap = ds.snapshot().unwrap();
+        let rel = snap.relation();
+        let scan = recommend_missing(rel, &mine_rules(rel, &config.thresholds));
+        assert!(
+            !scan.is_empty(),
+            "seed {seed}: the scan recommends something"
+        );
+        for (tid, _) in rel.iter() {
+            assert_eq!(
+                served(&snap, tid),
+                offline(&scan, tid),
+                "seed {seed}, {tid}"
+            );
+        }
+
+        // The insert trigger: annotated tuples' data arrives bare.
+        let before = rel.slot_count() as u32;
+        let bare = truth
+            .iter()
+            .filter(|(_, t)| !t.is_unannotated())
+            .take(10)
+            .map(|(_, t)| {
+                t.data()
+                    .iter()
+                    .map(|&d| name(d))
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            });
+        drain(&ds, UpdateOp::InsertRows(bare.collect()));
+        let snap = ds.snapshot().unwrap();
+        let added: Vec<TupleId> = (before..snap.relation().slot_count() as u32)
+            .map(TupleId)
+            .collect();
+        assert_eq!(added.len(), 10);
+        let trigger = recommend_for_tuples(snap.relation(), snap.rules(), added.iter().copied());
+        assert!(!trigger.is_empty(), "seed {seed}: the trigger fires");
+        for &tid in &added {
+            assert_eq!(
+                served(&snap, tid),
+                offline(&trigger, tid),
+                "seed {seed}, {tid}"
+            );
+        }
+        assert!(ds.verify().unwrap());
+    }
 }
 
 proptest! {

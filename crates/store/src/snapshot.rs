@@ -59,27 +59,6 @@ pub fn escape_name(name: &str) -> String {
     out
 }
 
-/// Inverse of [`escape_name`].
-pub fn unescape_name(escaped: &str) -> Result<String, String> {
-    let bytes = escaped.as_bytes();
-    let mut out = Vec::with_capacity(bytes.len());
-    let mut i = 0;
-    while i < bytes.len() {
-        if bytes[i] == b'%' {
-            let hex = bytes
-                .get(i + 1..i + 3)
-                .ok_or_else(|| format!("truncated escape in {escaped:?}"))?;
-            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-            out.push(u8::from_str_radix(hex, 16).map_err(|e| e.to_string())?);
-            i += 3;
-        } else {
-            out.push(bytes[i]);
-            i += 1;
-        }
-    }
-    String::from_utf8(out).map_err(|e| e.to_string())
-}
-
 fn kind_tag(kind: ItemKind) -> char {
     match kind {
         ItemKind::Data => 'd',
@@ -212,15 +191,15 @@ mod tests {
 
     #[test]
     fn escape_roundtrips_hostile_names() {
-        for name in ["plain", "with space", "100% #done\ttab", "%", ""] {
-            assert_eq!(unescape_name(&escape_name(name)).unwrap(), name);
+        for (name, escaped) in [
+            ("plain", "plain"),
+            ("with space", "with%20space"),
+            ("100% #done\ttab", "100%25%20%23done%09tab"),
+            ("%", "%25"),
+            ("", ""),
+        ] {
+            assert_eq!(escape_name(name), escaped);
         }
-    }
-
-    #[test]
-    fn unescape_rejects_truncated_escapes() {
-        assert!(unescape_name("abc%2").is_err());
-        assert!(unescape_name("abc%zz").is_err());
     }
 
     #[test]

@@ -23,8 +23,8 @@ use std::fs;
 use std::process::ExitCode;
 
 use annomine::mine::{
-    mine_annotation_to_annotation, mine_data_to_annotation, mine_rules, recommend_missing,
-    rules_to_string, RuleSet, Thresholds,
+    mine_annotation_to_annotation, mine_data_to_annotation, mine_rules, recommend_missing, RuleSet,
+    Thresholds,
 };
 use annomine::mine::{IncrementalConfig, IncrementalMiner};
 use annomine::store::codec::Cursor;
@@ -81,7 +81,7 @@ fn load_state(path: &str) -> Result<(AnnotatedRelation, IncrementalMiner), Strin
 }
 
 fn emit(rules: &RuleSet, rel: &AnnotatedRelation, out: Option<&String>) -> Result<(), String> {
-    let text = rules_to_string(rules, rel.vocab());
+    let text = rules.render(rel.vocab());
     match out {
         Some(path) => {
             fs::write(path, &text).map_err(|e| format!("{path}: {e}"))?;
@@ -198,7 +198,7 @@ subcommands (the paper's menu options):
                 let tax = taxonomy_from_rules(&text, rel.vocab_mut())?;
                 let (extended, rules) =
                     annomine::mine::mine_generalized(&rel, &tax, &thresholds(sup, conf)?);
-                print!("{}", rules_to_string(&rules, extended.vocab()));
+                print!("{}", rules.render(extended.vocab()));
                 Ok(())
             }
             ("checkpoint", [dataset, sup, conf, prefix]) => {

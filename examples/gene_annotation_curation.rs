@@ -8,17 +8,20 @@
 //!    (§4.1);
 //! 3. a fraction of annotations is hidden and the recommendation engine
 //!    (§5) is scored on recovering them;
-//! 4. a curation session replays the insert trigger (Fig. 17).
+//! 4. the insert trigger (Fig. 17): new tuples are maintained into the
+//!    rules and checked against them.
 //!
 //! ```text
 //! cargo run --example gene_annotation_curation
 //! ```
 
 use annomine::mine::{
-    mine_generalized, mine_rules, recommend_missing, score_recommendations, CurationSession,
-    IncrementalConfig, Thresholds,
+    mine_generalized, mine_rules, recommend_for_tuples, recommend_missing, score_recommendations,
+    IncrementalConfig, IncrementalMiner, Thresholds,
 };
-use annomine::store::{hide_annotations, keyword_rule, AnnotatedRelation, Taxonomy, Tuple};
+use annomine::store::{
+    hide_annotations, keyword_rule, AnnotatedRelation, AnnotationUpdate, ItemKind, Taxonomy, Tuple,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -109,15 +112,15 @@ fn main() {
     let recs = recommend_missing(&damaged_ext, &rules);
     // Lift the hidden raw annotations to their concepts, keeping only the
     // ones whose concept really disappeared from the damaged tuple.
-    let hidden_concepts: Vec<annomine::store::AnnotationUpdate> = hidden
+    let hidden_concepts: Vec<AnnotationUpdate> = hidden
         .iter()
         .flat_map(|u| {
-            tax.ancestors(u.annotation).into_iter().map(move |label| {
-                annomine::store::AnnotationUpdate {
+            tax.ancestors(u.annotation)
+                .into_iter()
+                .map(move |label| AnnotationUpdate {
                     tuple: u.tuple,
                     annotation: label,
-                }
-            })
+                })
         })
         .filter(|u| {
             !damaged_ext
@@ -127,7 +130,7 @@ fn main() {
         .collect();
     let concept_recs: Vec<_> = recs
         .iter()
-        .filter(|r| r.annotation.kind() == annomine::store::ItemKind::Label)
+        .filter(|r| r.annotation.kind() == ItemKind::Label)
         .cloned()
         .collect();
     let quality = score_recommendations(&concept_recs, &hidden_concepts);
@@ -144,34 +147,39 @@ fn main() {
     // --- Step 4: the insert trigger (Fig. 17). New p53/rnaseq genes arrive
     // un-flagged; the trigger predicts the concept annotations they are
     // probably missing, and the curator accepts the first suggestion.
-    let mut session = CurationSession::open(
-        extended,
+    let mut curated = extended;
+    let mut miner = IncrementalMiner::mine_initial(
+        &curated,
         IncrementalConfig {
             thresholds,
             ..Default::default()
         },
     );
-    let p = session
-        .relation()
-        .vocab()
-        .get(annomine::store::ItemKind::Data, "pathway:p53");
-    let a = session
-        .relation()
-        .vocab()
-        .get(annomine::store::ItemKind::Data, "assay:rnaseq");
+    let p = curated.vocab().get(ItemKind::Data, "pathway:p53");
+    let a = curated.vocab().get(ItemKind::Data, "assay:rnaseq");
     let (p, a) = (p.unwrap(), a.unwrap());
-    session.insert_tuples(vec![Tuple::new([p, a], []), Tuple::new([p, a], [])]);
+    let tids = miner.add_unannotated_tuples(
+        &mut curated,
+        vec![Tuple::new([p, a], []), Tuple::new([p, a], [])],
+    );
+    let pending = recommend_for_tuples(&curated, miner.rules(), tids);
     println!(
         "\ninsert trigger queued {} predictions for 2 new genes:",
-        session.pending().len()
+        pending.len()
     );
-    for rec in session.pending().iter().take(4) {
-        println!("    {}", rec.render(session.relation().vocab()));
+    for rec in pending.iter().take(4) {
+        println!("    {}", rec.render(curated.vocab()));
     }
-    let accepted = session.accept(0);
+    let accepted = pending.first().is_some_and(|top| {
+        let update = AnnotationUpdate {
+            tuple: top.tuple,
+            annotation: top.annotation,
+        };
+        !miner.apply_annotations(&mut curated, [update]).is_empty()
+    });
     println!(
         "curator accepted the top suggestion (applied through Case-3 maintenance): {accepted}"
     );
-    assert!(session.miner().verify_against_remine(session.relation()));
+    assert!(miner.verify_against_remine(&curated));
     println!("rule state verified identical to a from-scratch mine. Done.");
 }

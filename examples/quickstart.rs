@@ -5,7 +5,7 @@
 //! cargo run --example quickstart [min_support] [min_confidence]
 //! ```
 
-use annomine::mine::{mine_rules, rules_to_string, RuleKind, Thresholds};
+use annomine::mine::{mine_rules, RuleKind, Thresholds};
 use annomine::store::parse_dataset;
 
 /// A miniature of the paper's running dataset (Fig. 4): numeric data-value
@@ -60,5 +60,5 @@ fn main() {
     println!("  {d2a} data-to-annotation, {a2a} annotation-to-annotation\n");
 
     // The Fig. 7 output format, sorted by confidence.
-    print!("{}", rules_to_string(&rules, relation.vocab()));
+    print!("{}", rules.render(relation.vocab()));
 }

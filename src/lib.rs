@@ -20,7 +20,8 @@
 //!   the tests' independent cross-check), the
 //!   [`IncrementalMiner`](mine::IncrementalMiner) covering all three
 //!   evolution cases of §4.3 (plus deletion, the paper's future work), and
-//!   the §5 recommendation/trigger layer.
+//!   §5 recommendation — the database scan and the insert trigger — through
+//!   one rule index bucketed by antecedent item.
 //! * [`service`] — the serving subsystem: a concurrent, multi-tenant
 //!   [`Service`](service::Service) registry of datasets with snapshot-based
 //!   reads, a coalescing batched write queue over the incremental miner,

@@ -5,7 +5,7 @@
 
 use annomine::mine::{
     mine_annotation_to_annotation, mine_data_to_annotation, mine_rules, parse_rules_file,
-    rules_to_string, IncrementalConfig, IncrementalMiner, RuleKind, Thresholds,
+    IncrementalConfig, IncrementalMiner, RuleKind, Thresholds,
 };
 use annomine::store::{
     dataset_to_string, format_annotation_batch, parse_annotation_batch, parse_dataset,
@@ -77,7 +77,7 @@ fn rule_file_roundtrips_through_fig7_format() {
     let rel = parse_dataset("db", &paper_like_dataset()).unwrap();
     let rules = mine_rules(&rel, &Thresholds::new(0.3, 0.8));
     assert!(!rules.is_empty());
-    let text = rules_to_string(&rules, rel.vocab());
+    let text = rules.render(rel.vocab());
     let mut vocab = rel.vocab().clone();
     let parsed = parse_rules_file(&mut vocab, &text).unwrap();
     assert_eq!(parsed.len(), rules.len());
