@@ -5,15 +5,16 @@
 //!   live owner runs *encode + append + `apply`*.
 //! * [`WriteState::replay`] folds what a walk of a log directory
 //!   delivered — a checkpoint payload to restart from, then records —
-//!   into the state. Opening a durable dataset, a follower's poll and a
-//!   promotion are all this one fold over the one walk
+//!   into the state. A follower's poll and a take-over of the log (a
+//!   promotion, or the recovery that opening a durable dataset runs on a
+//!   fresh cursor) are this one fold over the one walk
 //!   ([`anno_wal::TailCursor`]); they differ only in who holds the lock.
 //!
 //! One operator each is what keeps a leader, its restart and its replica
 //! bit-identical — name-interning order, and with it every raw item id.
 //! Whoever is about to publish the state brings the discovery index up to
 //! date first ([`WriteState::sync_discovery`]): per drain live, per
-//! record on a follower, once at the end of an open.
+//! record on a follower, once at the end of a take-over.
 
 use anno_discover::DiscoveryIndex;
 use anno_mine::{IncrementalConfig, IncrementalMiner};
@@ -26,8 +27,8 @@ use crate::walcodec::{self, WalRecord};
 
 /// The grouped-sync ack pipeline depth: how many applied-and-published
 /// drains may wait on an open sync window before the owner stops to
-/// retire the oldest. Recovery adds it to the publish seed as slack (see
-/// `Dataset::open_with`).
+/// retire the oldest. A take-over of the log adds it to the publish
+/// counter as slack (see `Owner::take_over`).
 pub(crate) const MAX_PIPELINED_ACKS: usize = 32;
 
 /// Everything a dataset's owner thread mutates.

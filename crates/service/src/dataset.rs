@@ -51,12 +51,12 @@ use anno_discover::DiscoverySnapshot;
 use anno_metrics::{Event, EventJournal};
 use anno_mine::IncrementalConfig;
 use anno_store::ItemKind;
-use anno_wal::{CheckpointPolicy, LogPosition, SyncPolicy, TailCursor, Wal, WalOptions, WalStats};
+use anno_wal::{CheckpointPolicy, LogPosition, SyncPolicy, WalOptions, WalStats};
 
-use crate::apply::{WriteState, MAX_PIPELINED_ACKS};
+use crate::apply::MAX_PIPELINED_ACKS;
 use crate::error::ServiceError;
 use crate::metrics::{DatasetObs, Metrics, MetricsReport};
-use crate::owner::{record_takeover, Mode, Owner, Tail};
+use crate::owner::{Mode, Owner, Tail};
 use crate::queue::{QosClass, QueueState, UpdateOp};
 use crate::snapshot::RuleSnapshot;
 use crate::Unpoisoned;
@@ -226,22 +226,21 @@ pub struct Dataset {
 impl Dataset {
     /// Create an empty, purely in-memory dataset and start its owner
     /// thread. Errs (instead of panicking) if the OS refuses a new
-    /// thread, so a registry holding its lock across creation survives
-    /// resource exhaustion.
+    /// thread, so a registry survives resource exhaustion.
     pub fn spawn(name: &str, config: IncrementalConfig) -> Result<Dataset, ServiceError> {
-        let options = DurabilityOptions::default();
-        let state = WriteState::empty(name);
-        Dataset::boot(name, config, state, Mode::Leader(None), 0, &options)
+        Dataset::boot(name, config, Mode::Leader(None), None)
     }
 
-    /// Open a **durable** dataset rooted at directory `dir`: restore the
-    /// latest checkpoint (relation + miner, screened with
-    /// [`IncrementalMiner::validate_against`](anno_mine::IncrementalMiner::validate_against);
-    /// the discovery index is rebuilt from the miner's table),
-    /// replay the log tail through the same fold a follower's poll uses
-    /// (an open is a follower that reads the whole log under the lock and
-    /// takes over at once), then start the owner with every future drain
-    /// logged before it is applied.
+    /// Open a **durable** dataset rooted at directory `dir`: a fresh
+    /// follower of the directory that takes over at once — the same
+    /// take-over [`Dataset::promote`] runs, on the caller's thread before
+    /// the owner thread starts. It takes `wal.lock`, restores the latest
+    /// checkpoint (relation + miner; the discovery index is rebuilt from
+    /// the miner's table), replays the log tail through the fold a
+    /// follower's poll uses, screens the result with
+    /// [`IncrementalMiner::validate_against`](anno_mine::IncrementalMiner::validate_against),
+    /// then starts the owner with every future drain logged before it is
+    /// applied.
     ///
     /// A torn or bit-rotted log tail is recovered to the last intact
     /// record and reported to stderr, never fatal. `config` only applies
@@ -265,52 +264,19 @@ impl Dataset {
         dir: &Path,
         options: DurabilityOptions,
     ) -> Result<Dataset, ServiceError> {
-        let dur = |msg: String| ServiceError::Durability(format!("dataset {name:?} {msg}"));
-        let (wal, found, damaged) = Wal::take_over(&mut TailCursor::new(dir), options.wal.clone())
-            .map_err(|e| ServiceError::Durability(e.to_string()))?;
-        let mut state = WriteState::empty(name);
-        let checkpoint = found.restart.as_ref().map(|ck| ck.payload.as_slice());
-        let restored_seq = state.replay(checkpoint, &found.records).map_err(dur)?;
-        if let Some(m) = &state.miner {
-            // Cheap resume screen over the fully replayed state; the
-            // exhaustive check stays on demand (`Dataset::verify`).
-            m.validate_against(&state.relation)
-                .map_err(|m| dur(format!("post-replay validation: {m}")))?;
-        }
-        // Publish epochs must never regress across a restart. Seed the
-        // publish counter past anything the dead process can have handed
-        // out: the checkpoint stores the counter at capture time, and
-        // every logged record after it published at most one snapshot.
-        // Under grouped sync a pipelined drain can be published *before*
-        // its record is durable, so a power loss (page cache gone, unlike
-        // the process-kill case where the OS still has the bytes) may
-        // recover fewer records than were published — the owner caps
-        // that overhang at its ack pipeline depth plus the one drain in
-        // flight, so that slack is added unconditionally.
-        let publish_seed =
-            restored_seq.unwrap_or(0) + found.records.len() as u64 + MAX_PIPELINED_ACKS as u64 + 1;
-        // A restored miner's configuration wins over the caller's: the
-        // maintained table is only exact under the thresholds it was
-        // built with.
-        let config = state.mined_config().unwrap_or(config);
-        let mode = Mode::Leader(Some(wal));
-        let ds = Dataset::boot(name, config, state, mode, publish_seed, &options)?;
-        record_takeover(&ds.inner, "recovery", &found, damaged);
-        Ok(ds)
+        // The tail is never polled: the take-over reads the whole log.
+        let mode = Mode::Follower(Tail::new(dir, Duration::ZERO));
+        Dataset::boot(name, config, mode, Some(options))
     }
 
-    /// Shared constructor: publish recovered state (if mined) and start
-    /// the owner thread. A configuration the miner would refuse is refused
-    /// here, before there is an owner thread for a later `mine` to panic.
+    /// Shared constructor: an owner in `mode`, taken over onto its log
+    /// first when `take_over` says how to run it, then its thread.
     fn boot(
         name: &str,
         config: IncrementalConfig,
-        state: WriteState,
         mode: Mode,
-        publish_seed: u64,
-        options: &DurabilityOptions,
+        take_over: Option<DurabilityOptions>,
     ) -> Result<Dataset, ServiceError> {
-        config.validate().map_err(ServiceError::BadCommand)?;
         let inner = Arc::new(Inner {
             name: name.to_string(),
             queue: Mutex::new(QueueState::default()),
@@ -320,22 +286,13 @@ impl Dataset {
             metrics: Arc::new(Metrics::new()),
             journal: Arc::new(EventJournal::new(JOURNAL_CAPACITY)),
         });
-        let owner = Owner::new(
-            Arc::clone(&inner),
-            state,
-            config,
-            mode,
-            publish_seed,
-            options.auto_checkpoint,
-            options.encode_stall_for_tests,
-        );
-        let worker = std::thread::Builder::new()
-            .name(format!("annod-writer-{name}"))
-            .spawn(move || owner.owner_loop())
-            .map_err(|e| ServiceError::Io(format!("cannot spawn writer thread: {e}")))?;
+        let mut owner = Owner::new(Arc::clone(&inner), config, mode);
+        if let Some(options) = take_over {
+            owner.take_over("recovery", options)?;
+        }
         Ok(Dataset {
             inner,
-            worker: Mutex::new(Some(worker)),
+            worker: Mutex::new(Some(owner.start()?)),
         })
     }
 
@@ -786,10 +743,7 @@ impl Dataset {
         dir: &Path,
         poll: Duration,
     ) -> Result<Dataset, ServiceError> {
-        let options = DurabilityOptions::default();
-        let state = WriteState::empty(name);
-        let mode = Mode::Follower(Tail::new(dir, poll));
-        let ds = Dataset::boot(name, config, state, mode, 0, &options)?;
+        let ds = Dataset::boot(name, config, Mode::Follower(Tail::new(dir, poll)), None)?;
         ds.inner
             .journal
             .record("attach", format!("dir={}", dir.display()));
@@ -820,7 +774,10 @@ impl Dataset {
     /// writes on top of the state the follower already has. A caught-up
     /// follower replays nothing; only if the dead leader left a
     /// checkpoint other than the one this follower last adopted does it
-    /// restart from that checkpoint, as a cold open would.
+    /// restart from that checkpoint, as a cold open would. It is the
+    /// take-over [`Dataset::open`] runs on a fresh cursor, resume screen
+    /// included: whatever the promotion folded in is checked with
+    /// [`IncrementalMiner::validate_against`](anno_mine::IncrementalMiner::validate_against).
     ///
     /// A promotion refused by the lock or by an undecodable checkpoint
     /// releases the lock again and leaves the dataset a follower, still

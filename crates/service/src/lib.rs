@@ -35,8 +35,9 @@
 //!   process restarts by restoring the latest checkpoint and replaying
 //!   the log tail. Concurrent durable tenants share one
 //!   [`GroupCommitter`]'s sync windows ([`SyncPolicy::Grouped`], the
-//!   [`Service::open_durable`](service::Service::open_durable) default),
-//!   paying amortized fsyncs instead of one each per drain.
+//!   [`Service::open_durable`](service::Service::open_durable) default
+//!   and what the protocol's `promote` promotes with), paying amortized
+//!   fsyncs instead of one each per drain.
 //!
 //! See the workspace `README.md` for the `annod` protocol reference and
 //! `examples/annod_session.rs` for an end-to-end walkthrough.
@@ -52,8 +53,7 @@
 //!
 //! | held | then taken | where |
 //! |---|---|---|
-//! | `opening` | `datasets` | `Service::{create, open_durable_with, attach_follower}`: the name check and the insert |
-//! | `opening`, `datasets` | the new dataset's `published` | `Service::create`: `Dataset::spawn` publishes before the dataset is registered |
+//! | `opening` | `datasets` | `Service::register` (behind `create`, `open_durable_with` and `attach_follower`): the name check and the insert |
 //! | `datasets` | a dataset's `published` | `Service::list`, and `Service`'s `Debug` |
 //! | `datasets` | a dataset's `queue`, then its `worker` | `Service`'s `Drop`, through `Dataset::shutdown` |
 //! | a dataset's `queue` | its journal | the owner thread's exit guard (`owner.rs`), after a panic |

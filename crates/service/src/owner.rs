@@ -12,11 +12,13 @@
 //!   ([`WriteState::replay`]) record by record, publishing at each
 //!   boundary — so every snapshot is a drain prefix of the leader's.
 //!
-//! `promote` is a request like any other, and one more poll: the owner
-//! takes the log over where its cursor stands ([`Wal::take_over`], the
-//! fence), folds the suffix it had not seen yet, and switches mode — or,
-//! if the lock or the directory's checkpoint refuses, drops the `Wal`
-//! again and keeps tailing as if nothing had been tried.
+//! Leadership of a log directory has one way in, [`Owner::take_over`]:
+//! one more poll that takes the log over where the cursor stands
+//! ([`Wal::take_over`], the fence), folds the suffix it had not seen yet,
+//! and switches mode — or, if the lock or the directory's checkpoint
+//! refuses, drops the `Wal` again and keeps tailing as if nothing had been
+//! tried. `promote` is a request that runs it on the owner thread; opening
+//! a durable dataset runs it on a fresh cursor before the thread starts.
 //!
 //! Checkpoints follow one protocol, manual or automatic: the owner
 //! captures the state and pins the log position, a transient encoder
@@ -189,29 +191,18 @@ pub(crate) struct Owner {
 }
 
 impl Owner {
-    /// Take ownership of recovered (or empty) state and publish it, so a
-    /// restart serves the pre-crash snapshot before the thread even runs.
-    pub(crate) fn new(
-        inner: Arc<Inner>,
-        state: WriteState,
-        config: IncrementalConfig,
-        mut mode: Mode,
-        publish_seed: u64,
-        auto_checkpoint: CheckpointPolicy,
-        encode_stall: Option<Duration>,
-    ) -> Owner {
-        if let Mode::Leader(Some(wal)) = &mut mode {
-            adopt_log(&inner.metrics, wal);
-        }
+    /// An owner over an empty state, published at once so the dataset's
+    /// getters answer before the thread runs.
+    pub(crate) fn new(inner: Arc<Inner>, config: IncrementalConfig, mode: Mode) -> Owner {
         let mut owner = Owner {
             current: Arc::default(),
+            state: WriteState::empty(&inner.name),
             inner,
-            state,
             config,
             mode,
-            publish_seq: publish_seed,
-            auto_checkpoint,
-            encode_stall,
+            publish_seq: 0,
+            auto_checkpoint: CheckpointPolicy::default(),
+            encode_stall: None,
             unacked: VecDeque::new(),
             checkpoint: None,
             parked: VecDeque::new(),
@@ -221,8 +212,18 @@ impl Owner {
         owner
     }
 
+    /// Start the thread. A configuration the miner would refuse is
+    /// refused here, before there is a thread for a later `mine` to panic.
+    pub(crate) fn start(self) -> Result<JoinHandle<()>, ServiceError> {
+        self.config.validate().map_err(ServiceError::BadCommand)?;
+        std::thread::Builder::new()
+            .name(format!("annod-writer-{}", self.inner.name))
+            .spawn(move || self.owner_loop())
+            .map_err(|e| ServiceError::Io(format!("cannot spawn writer thread: {e}")))
+    }
+
     /// The thread body: serve the mailbox until shutdown or a fence.
-    pub(crate) fn owner_loop(mut self) {
+    fn owner_loop(mut self) {
         let inner = Arc::clone(&self.inner);
         let _close = CloseMailbox(&inner);
         while !self.fenced {
@@ -536,7 +537,7 @@ impl Owner {
                 let _ = reply.send(self.catchup());
             }
             Request::Promote(options, reply) => {
-                let _ = reply.send(self.promote(options));
+                let _ = reply.send(self.take_over("promote", options));
             }
         }
     }
@@ -776,6 +777,10 @@ impl Owner {
     /// record — where the leader did: a long catch-up serves growing prefixes.
     fn replay_poll(&mut self, polled: &TailPoll) -> Result<(), String> {
         self.replay(polled.restart.as_ref(), &[])?;
+        if let Some(ck) = &polled.restart {
+            let event = format!("position={}", ck.position);
+            self.inner.journal.record("follower_restart", event);
+        }
         self.publish(polled.restart.is_some());
         polled.records.chunks(1).try_for_each(|one| {
             self.replay(None, one)?;
@@ -793,13 +798,10 @@ impl Owner {
         // A restored miner, like a replayed `mine`, carries the
         // configuration the leader's table is exact under.
         self.config = self.state.mined_config().unwrap_or(self.config);
-        if let (Some(ck), Some(seq)) = (restart, replayed?) {
+        if let Some(seq) = replayed? {
             // Keep handed-out snapshot epochs monotone past the leader's
             // checkpointed publish counter.
             self.publish_seq = self.publish_seq.max(seq);
-            self.inner
-                .journal
-                .record("follower_restart", format!("position={}", ck.position));
         }
         Ok(())
     }
@@ -836,14 +838,25 @@ impl Owner {
         tail.next_poll = Instant::now() + tail.poll;
     }
 
-    /// See [`Dataset::promote_with`](crate::dataset::Dataset::promote_with).
+    /// Take the log over and become its leader: a promotion (`kind` is
+    /// `promote`, see
+    /// [`Dataset::promote_with`](crate::dataset::Dataset::promote_with)),
+    /// or the recovery a durable open runs on a fresh cursor before the
+    /// thread starts (`recovery`, see
+    /// [`Dataset::open_with`](crate::dataset::Dataset::open_with)).
+    ///
     /// The take-over runs on a copy of the cursor, committed once the
     /// lock, the walk, the repair and the restore of a checkpoint this
     /// follower had not adopted have all succeeded. A failure before
     /// that drops the `Wal` again (releasing `wal.lock`) with cursor,
     /// state and status as they were; after it, a record that cannot be
-    /// applied stops the tailing just as it would in a poll.
-    fn promote(&mut self, options: DurabilityOptions) -> Result<(), ServiceError> {
+    /// applied, or a folded state that fails the resume screen, stops the
+    /// tailing just as it would in a poll.
+    pub(crate) fn take_over(
+        &mut self,
+        kind: &'static str,
+        options: DurabilityOptions,
+    ) -> Result<(), ServiceError> {
         let inner = Arc::clone(&self.inner);
         let dur = |msg: String| ServiceError::Durability(format!("dataset {:?} {msg}", inner.name));
         let Mode::Follower(tail) = &self.mode else {
@@ -860,16 +873,38 @@ impl Owner {
         if let Mode::Follower(tail) = &mut self.mode {
             tail.cursor = cursor;
         }
-        if let Err(why) = self.replay(None, &polled.records) {
+        let folded = self.replay(None, &polled.records).and_then(|()| {
+            // Cheap resume screen over what this take-over folded in (a
+            // caught-up promote folded nothing and pays nothing); the
+            // exhaustive check stays on demand (`Dataset::verify`).
+            let moved = polled.restart.is_some() || !polled.records.is_empty();
+            match &self.state.miner {
+                Some(m) if moved => m
+                    .validate_against(&self.state.relation)
+                    .map_err(|m| format!("post-replay validation: {m}")),
+                _ => Ok(()),
+            }
+        });
+        if let Err(why) = folded {
             self.polled(Err(why.clone()));
             self.publish(true);
             return Err(dur(why));
         }
-        adopt_log(&inner.metrics, &mut wal);
-        record_takeover(&inner, "promote", &polled, damaged);
-        // Past anything the dead leader can have handed out — the
-        // arithmetic of `Dataset::open_with`, on a counter that is
-        // already at or past the adopted checkpoint's.
+        // Point the log's own fsync reports (per-append syncs, segment
+        // seals) at this dataset's histograms; grouped-sync fsyncs belong
+        // to the shared committer and are observed at the service level.
+        wal.set_observer(Arc::new(FsyncObserver(Arc::clone(&inner.metrics))));
+        record_takeover(&inner, kind, &polled, damaged);
+        // Publish epochs must never regress across a take-over. Move the
+        // counter (already at or past the restored checkpoint's) past
+        // anything the dead leader can have handed out: every record it
+        // logged after that checkpoint published at most one snapshot.
+        // Under grouped sync a pipelined drain can be published *before*
+        // its record is durable, so a power loss (page cache gone, unlike
+        // the process-kill case where the OS still has the bytes) may
+        // recover fewer records than were published — the owner caps
+        // that overhang at its ack pipeline depth plus the one drain in
+        // flight, so that slack is added unconditionally.
         self.publish_seq += wal.stats().since_checkpoint_records + MAX_PIPELINED_ACKS as u64 + 1;
         self.auto_checkpoint = options.auto_checkpoint;
         self.encode_stall = options.encode_stall_for_tests;
@@ -879,17 +914,10 @@ impl Owner {
     }
 }
 
-/// Point a freshly opened log's fsync reports (per-append syncs, segment
-/// seals) at this dataset's histograms; grouped-sync fsyncs belong to the
-/// shared committer and are observed at the service level instead.
-fn adopt_log(metrics: &Arc<Metrics>, wal: &mut Wal) {
-    wal.set_observer(Arc::new(FsyncObserver(Arc::clone(metrics))));
-}
-
 /// Journal what taking a log over found (`kind` is `recovery` for an
 /// open, `promote` for a promotion): whether a checkpoint was restored,
 /// how many records were replayed on top, and any damage repaired.
-pub(crate) fn record_takeover(
+fn record_takeover(
     inner: &Inner,
     kind: &'static str,
     replayed: &TailPoll,

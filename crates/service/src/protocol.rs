@@ -150,14 +150,14 @@ static VERBS: &[Verb] = &[
     Verb::new("datasets", &[], Direct(Engine::datasets)),
     Verb::new(
         "open <ds> [<alpha> <beta> [<retention>]] [dir <path>] \
-         [auto_checkpoint <bytes=N|records=N|secs=N>...] [sync grouped|per_append]",
+         [auto_checkpoint <bytes=N|records=N|secs=N>...]",
         &[
             "alpha and beta in [0, 1], retention in (0, 1];",
-            "dir makes the dataset durable: drains are write-ahead logged and",
-            "existing state under <path> is recovered before serving;",
+            "dir makes the dataset durable: drains are write-ahead logged,",
+            "fsyncs batched across durable datasets through the shared",
+            "committer, and existing state under <path> is recovered first;",
             "auto_checkpoint makes the writer checkpoint itself once the log",
-            "grows past a threshold; sync grouped (the default) batches fsyncs",
-            "across all grouped datasets through the shared committer",
+            "grows past a threshold",
         ],
         Direct(Engine::open),
     ),
@@ -271,7 +271,8 @@ static VERBS: &[Verb] = &[
         &["follower -> leader: take the wal lock, catch up, accept writes"],
         Direct(|e, verb, args| {
             let (name, ds) = e.tenant(verb, args)?;
-            ds.promote()?;
+            // The promoted leader syncs like any `open … dir`.
+            ds.promote_with(e.service.grouped_durability())?;
             Ok(Reply::ok(format!(
                 "promoted {name} role={} tuples={} mined={}",
                 ds.role().label(),
@@ -445,7 +446,7 @@ impl Engine {
 
     fn open(&self, verb: &Verb, args: &[&str]) -> Result<Reply, ServiceError> {
         let (name, rest) = args.split_first().ok_or_else(|| verb.misuse())?;
-        let mut clauses = Clauses::new(verb, rest, &["dir", "auto_checkpoint", "sync"]);
+        let mut clauses = Clauses::new(verb, rest, &["dir", "auto_checkpoint"]);
         // Positional thresholds first, then keyword clauses to the end.
         let mut config = ServiceConfig::default();
         match clauses.run() {
@@ -465,7 +466,6 @@ impl Engine {
 
         let mut dir: Option<&str> = None;
         let mut policy = anno_wal::CheckpointPolicy::default();
-        let mut per_append: Option<bool> = None;
         while let Some(key) = clauses.next_key()? {
             match key {
                 "dir" => dir = Some(clauses.value()?),
@@ -482,21 +482,14 @@ impl Engine {
                         }
                     }
                 }
-                "sync" => {
-                    per_append = Some(match clauses.value()?.to_ascii_lowercase().as_str() {
-                        "grouped" => false,
-                        "per_append" => true,
-                        other => return Err(bad(format!("unknown sync mode {other:?}"))),
-                    })
-                }
                 _ => return Err(verb.misuse()),
             }
         }
 
         let Some(path) = dir else {
-            if policy.is_enabled() || per_append.is_some() {
+            if policy.is_enabled() {
                 return Err(bad(
-                    "auto_checkpoint and sync apply to durable datasets; add `dir <path>`",
+                    "auto_checkpoint applies to durable datasets; add `dir <path>`",
                 ));
             }
             self.service.create(name, config)?;
@@ -506,20 +499,9 @@ impl Engine {
             )));
         };
 
-        // Grouped sync through the registry's shared committer is the
-        // default for protocol opens; `sync per_append` opts back into
-        // one inline fsync per drain.
-        let sync = match per_append {
-            Some(true) => anno_wal::SyncPolicy::PerAppend,
-            _ => anno_wal::SyncPolicy::Grouped(self.service.group_committer()),
-        };
         let options = crate::dataset::DurabilityOptions {
-            wal: anno_wal::WalOptions {
-                sync,
-                ..anno_wal::WalOptions::default()
-            },
             auto_checkpoint: policy,
-            ..Default::default()
+            ..self.service.grouped_durability()
         };
         let ds =
             self.service
@@ -535,7 +517,7 @@ impl Engine {
             cfg.retention,
             ds.live_tuples(),
             ds.is_mined(),
-            ds.sync_policy_label().unwrap_or("per_append"),
+            ds.sync_policy_label().unwrap_or_default(),
             render_policy(&policy),
         )))
     }
@@ -1529,17 +1511,12 @@ mod tests {
 
         // Maintenance clauses demand a durable dataset.
         assert!(e.execute("open db auto_checkpoint records=4").lines[0].starts_with("ERR"));
-        assert!(e.execute("open db sync grouped").lines[0].starts_with("ERR"));
         assert!(e
             .execute(&format!("open db dir {dir_tok} auto_checkpoint"))
             .lines[0]
             .starts_with("ERR"));
         assert!(e
             .execute(&format!("open db dir {dir_tok} auto_checkpoint banana=1"))
-            .lines[0]
-            .starts_with("ERR"));
-        assert!(e
-            .execute(&format!("open db dir {dir_tok} sync sometimes"))
             .lines[0]
             .starts_with("ERR"));
 
@@ -1596,10 +1573,10 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
 
-        // Reopen with per-append sync: clauses parse, recovery holds.
+        // Reopen without clauses: recovery holds, the policy is not kept.
         ok(&e, "drop db");
-        let reopened = ok(&e, &format!("open db dir {dir_tok} sync per_append"));
-        assert!(reopened[0].contains("sync=per_append"), "{reopened:?}");
+        let reopened = ok(&e, &format!("open db dir {dir_tok}"));
+        assert!(reopened[0].contains("sync=grouped"), "{reopened:?}");
         assert!(reopened[0].contains("mined=true"), "{reopened:?}");
         assert!(reopened[0].contains("auto_checkpoint=off"), "{reopened:?}");
         let verify = ok(&e, "verify db");
@@ -1696,11 +1673,8 @@ mod tests {
         let dir_tok = dir.to_str().unwrap().to_string();
         let e = engine();
 
-        // Leader: durable, per-append sync (every record durable at ack).
-        ok(
-            &e,
-            &format!("open db 0.4 0.7 dir {dir_tok} sync per_append"),
-        );
+        // Leader: durable (every record durable at ack).
+        ok(&e, &format!("open db 0.4 0.7 dir {dir_tok}"));
         for row in ["28 85 Annot_1", "28 85 Annot_1", "28 85 Annot_1", "28 85"] {
             ok(&e, &format!("row db {row}"));
         }
@@ -1771,6 +1745,47 @@ mod tests {
         // Re-promote and catchup are now client errors.
         assert!(e.execute("promote f").lines[0].starts_with("ERR"));
         assert!(e.execute("catchup f").lines[0].starts_with("ERR"));
+
+        ok(&e, "drop f");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A failover keeps the promoted leader in the service's shared group
+    /// commit, exactly as an `open … dir` of the directory would.
+    #[test]
+    fn promote_joins_the_shared_group_committer() {
+        let dir =
+            std::env::temp_dir().join(format!("anno-protocol-failover-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_tok = dir.to_str().unwrap().to_string();
+        let e = engine();
+        ok(&e, &format!("open db 0.4 0.7 dir {dir_tok}"));
+        for row in ["28 85 Annot_1", "28 85 Annot_1", "28 85 Annot_1", "28 85"] {
+            ok(&e, &format!("row db {row}"));
+        }
+        ok(&e, "mine db");
+        ok(&e, "flush db");
+        ok(&e, &format!("attach f dir {dir_tok} poll_ms 10"));
+        ok(&e, "drop db");
+        ok(&e, "promote f");
+
+        let submitted = |stats: &[String]| -> u64 {
+            let line = stats.iter().find(|l| l.contains("grouped_submitted="));
+            let line = line.unwrap_or_else(|| panic!("no committer line: {stats:?}"));
+            let value = line.split("grouped_submitted=").nth(1).unwrap();
+            value.split_whitespace().next().unwrap().parse().unwrap()
+        };
+        let stats = ok(&e, "stats f");
+        assert!(
+            stats.iter().any(|l| l.contains("wal_sync=grouped")),
+            "{stats:?}"
+        );
+        let before = submitted(&stats);
+        ok(&e, "annotate f 3 Annot_1");
+        ok(&e, "flush f");
+        let after = submitted(&ok(&e, "stats f"));
+        assert!(after > before, "{before} -> {after}");
+        assert!(ok(&e, "verify f")[0].contains("exact=true"));
 
         ok(&e, "drop f");
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1865,10 +1880,6 @@ mod tests {
         twice(
             &format!("open d2 dir {a_tok} auto_checkpoint records=4 auto_checkpoint bytes=9"),
             "auto_checkpoint",
-        );
-        twice(
-            &format!("open d2 dir {a_tok} sync grouped sync per_append"),
-            "sync",
         );
         twice(&format!("attach f dir {a_tok} dir {b_tok}"), "dir");
         twice(

@@ -68,11 +68,11 @@ pub struct Service {
     /// `Arc`-shared with the background sampler thread, which walks the
     /// registry on its own schedule without borrowing from `Service`.
     datasets: Arc<Registry>,
-    /// Names with a durable open in flight. Recovery (checkpoint restore
+    /// Names with a registration in flight. Recovery (checkpoint restore
     /// plus log replay) can take seconds; reserving the name here lets
-    /// [`Service::open_durable`] run it *without* holding the registry
-    /// lock, so reads against other datasets never stall behind it.
-    /// Lock order: `opening` before `datasets`, never the reverse (the
+    /// every registration build its dataset *without* holding the
+    /// registry lock, so reads against other datasets never stall behind
+    /// it. Lock order: `opening` before `datasets`, never the reverse (the
     /// crate docs' "Lock order" lists every nesting).
     opening: Mutex<BTreeSet<String>>,
     /// One group committer shared by every durable tenant this registry
@@ -281,17 +281,41 @@ impl Service {
 
     /// Register a new dataset and start its writer thread.
     pub fn create(&self, name: &str, config: ServiceConfig) -> Result<Arc<Dataset>, ServiceError> {
-        let opening = self.opening.lock().unpoisoned("opening lock");
-        if opening.contains(name) {
-            return Err(ServiceError::DatasetExists(name.to_string()));
+        self.register(name, || Dataset::spawn(name, config))
+    }
+
+    /// The one way a dataset joins the registry: reserve `name`, `build`
+    /// the dataset with no registry lock held, then release the
+    /// reservation and (on success) insert it — atomically with respect
+    /// to every other registration of the name. Two sessions racing on
+    /// one name cannot both build it (and two names over one directory
+    /// are refused by the wal's own lock file).
+    fn register(
+        &self,
+        name: &str,
+        build: impl FnOnce() -> Result<Dataset, ServiceError>,
+    ) -> Result<Arc<Dataset>, ServiceError> {
+        {
+            let mut opening = self.opening.lock().unpoisoned("opening lock");
+            if opening.contains(name)
+                || self
+                    .datasets
+                    .read()
+                    .unpoisoned("registry lock")
+                    .contains_key(name)
+            {
+                return Err(ServiceError::DatasetExists(name.to_string()));
+            }
+            opening.insert(name.to_string());
         }
-        let mut map = self.datasets.write().unpoisoned("registry lock");
-        if map.contains_key(name) {
-            return Err(ServiceError::DatasetExists(name.to_string()));
-        }
-        let ds = Arc::new(Dataset::spawn(name, config)?);
-        map.insert(name.into(), Arc::clone(&ds));
-        drop(map);
+        let built = build();
+        let mut opening = self.opening.lock().unpoisoned("opening lock");
+        opening.remove(name);
+        let ds = Arc::new(built?);
+        self.datasets
+            .write()
+            .unpoisoned("registry lock")
+            .insert(name.into(), Arc::clone(&ds));
         drop(opening);
         self.ensure_sampler();
         Ok(ds)
@@ -313,6 +337,20 @@ impl Service {
         }))
     }
 
+    /// What every durable leader this registry makes runs with: syncs
+    /// through the shared [group committer](Service::group_committer),
+    /// automatic checkpoints off. [`Service::open_durable`] opens with it,
+    /// and the protocol's `promote` promotes with it.
+    pub(crate) fn grouped_durability(&self) -> DurabilityOptions {
+        DurabilityOptions {
+            wal: WalOptions {
+                sync: SyncPolicy::Grouped(self.group_committer()),
+                ..WalOptions::default()
+            },
+            ..DurabilityOptions::default()
+        }
+    }
+
     /// Register a **durable** dataset rooted at `dir`, recovering any
     /// state already persisted there (checkpoint restore + write-ahead-log
     /// tail replay) before serving. `config` applies only if the
@@ -323,29 +361,18 @@ impl Service {
     /// once their shared sync window closes, so concurrent durable
     /// tenants pay amortized fsyncs instead of one each per drain.
     /// Automatic checkpoints are off; use [`Service::open_durable_with`]
-    /// to set a [`anno_wal::CheckpointPolicy`] or opt back into
-    /// per-append sync.
+    /// to set a [`anno_wal::CheckpointPolicy`].
     ///
     /// Recovery can take a while on a large directory, so it runs with
     /// only the *name* reserved — never the registry lock — and queries
-    /// against other datasets proceed undisturbed. Two sessions racing to
-    /// open the same name still cannot both replay the same directory
-    /// (and two names over one directory are refused by the wal's own
-    /// lock file).
+    /// against other datasets proceed undisturbed.
     pub fn open_durable(
         &self,
         name: &str,
         config: ServiceConfig,
         dir: &std::path::Path,
     ) -> Result<Arc<Dataset>, ServiceError> {
-        let options = DurabilityOptions {
-            wal: WalOptions {
-                sync: SyncPolicy::Grouped(self.group_committer()),
-                ..WalOptions::default()
-            },
-            ..DurabilityOptions::default()
-        };
-        self.open_durable_with(name, config, dir, options)
+        self.open_durable_with(name, config, dir, self.grouped_durability())
     }
 
     /// [`Service::open_durable`] with explicit [`DurabilityOptions`]
@@ -357,38 +384,14 @@ impl Service {
         dir: &std::path::Path,
         options: DurabilityOptions,
     ) -> Result<Arc<Dataset>, ServiceError> {
-        {
-            let mut opening = self.opening.lock().unpoisoned("opening lock");
-            if opening.contains(name)
-                || self
-                    .datasets
-                    .read()
-                    .unpoisoned("registry lock")
-                    .contains_key(name)
-            {
-                return Err(ServiceError::DatasetExists(name.to_string()));
-            }
-            opening.insert(name.to_string());
-        }
-        let opened = Dataset::open_with(name, config, dir, options);
-        // Release the reservation and (on success) publish, atomically
-        // with respect to other create/open calls on this name.
-        let mut opening = self.opening.lock().unpoisoned("opening lock");
-        opening.remove(name);
-        let ds = Arc::new(opened?);
-        self.datasets
-            .write()
-            .unpoisoned("registry lock")
-            .insert(name.into(), Arc::clone(&ds));
-        self.ensure_sampler();
-        Ok(ds)
+        self.register(name, || Dataset::open_with(name, config, dir, options))
     }
 
     /// Register a **follower** replica of the leader log directory `dir`
     /// (see [`Dataset::follow`]): read-only, tailing the directory every
     /// `poll`, promotable with [`Dataset::promote`]. The name is reserved
-    /// through the same protocol as a durable open, so a racing `open` or
-    /// `attach` on it is refused.
+    /// like any other registration, so a racing `open` or `attach` on it
+    /// is refused.
     pub fn attach_follower(
         &self,
         name: &str,
@@ -396,29 +399,7 @@ impl Service {
         dir: &std::path::Path,
         poll: Duration,
     ) -> Result<Arc<Dataset>, ServiceError> {
-        {
-            let mut opening = self.opening.lock().unpoisoned("opening lock");
-            if opening.contains(name)
-                || self
-                    .datasets
-                    .read()
-                    .unpoisoned("registry lock")
-                    .contains_key(name)
-            {
-                return Err(ServiceError::DatasetExists(name.to_string()));
-            }
-            opening.insert(name.to_string());
-        }
-        let attached = Dataset::follow(name, config, dir, poll);
-        let mut opening = self.opening.lock().unpoisoned("opening lock");
-        opening.remove(name);
-        let ds = Arc::new(attached?);
-        self.datasets
-            .write()
-            .unpoisoned("registry lock")
-            .insert(name.into(), Arc::clone(&ds));
-        self.ensure_sampler();
-        Ok(ds)
+        self.register(name, || Dataset::follow(name, config, dir, poll))
     }
 
     /// Look up a dataset by name.

@@ -153,10 +153,7 @@ fn promote_zeroes_every_replication_series() {
     let dir = test_dir("promote");
     let dir_tok = dir.to_str().unwrap();
     let e = engine();
-    ok(
-        &e,
-        &format!("open db 0.4 0.7 dir {dir_tok} sync per_append"),
-    );
+    ok(&e, &format!("open db 0.4 0.7 dir {dir_tok}"));
     ok(&e, "row db 28 85 Annot_1");
     ok(&e, "mine db");
     ok(&e, &format!("attach f dir {dir_tok} poll_ms 10"));
@@ -190,10 +187,7 @@ fn promote_zeroes_every_replication_series() {
 fn observability_levels_equal_what_stats_prints() {
     let dir = test_dir("levels");
     let e = engine();
-    ok(
-        &e,
-        &format!("open db 0.4 0.7 dir {} sync per_append", dir.display()),
-    );
+    ok(&e, &format!("open db 0.4 0.7 dir {}", dir.display()));
     for row in ["28 85 Annot_1", "28 85 Annot_1", "17 99"] {
         ok(&e, &format!("row db {row}"));
     }

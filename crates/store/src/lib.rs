@@ -80,8 +80,7 @@ pub use segment::{Segment, SegmentStore, SEGMENT_BITS, SEGMENT_CAP};
 pub use snapshot::snapshot_to_string;
 pub use textio::{
     dataset_to_string, format_annotation_batch, format_tuple, line_has_items,
-    parse_annotation_batch, parse_dataset, parse_tuple_line, read_dataset, token_kind,
-    write_dataset, ParseError,
+    parse_annotation_batch, parse_dataset, parse_tuple_line, token_kind, ParseError,
 };
 pub use tuple::{Tuple, TupleId};
 pub use vocab::{Vocabulary, VOCAB_CHUNK_BITS, VOCAB_CHUNK_CAP};

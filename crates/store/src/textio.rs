@@ -12,10 +12,7 @@
 //!   [`crate::generalize::parse_rules`].
 //!
 //! Parsers take `&str` and a [`Vocabulary`]; writers emit deterministic,
-//! diff-friendly output (buffered, per the perf-book I/O guidance, when
-//! writing through the `io::Write` adapters).
-
-use std::io::{self, BufRead, Write};
+//! diff-friendly output.
 
 use crate::item::{Item, ItemKind};
 use crate::relation::{AnnotatedRelation, AnnotationUpdate};
@@ -104,19 +101,6 @@ pub fn parse_dataset(name: &str, text: &str) -> Result<AnnotatedRelation, ParseE
     Ok(rel)
 }
 
-/// Read a dataset from any buffered reader (for large files).
-pub fn read_dataset<R: BufRead>(name: &str, mut reader: R) -> io::Result<AnnotatedRelation> {
-    let mut rel = AnnotatedRelation::new(name);
-    let mut line = String::new();
-    while reader.read_line(&mut line)? != 0 {
-        if let Some(tuple) = parse_tuple_line(rel.vocab_mut(), &line) {
-            rel.insert(tuple);
-        }
-        line.clear();
-    }
-    Ok(rel)
-}
-
 /// Render one tuple as a Fig. 4 dataset line.
 pub fn format_tuple(vocab: &Vocabulary, tuple: &Tuple) -> String {
     let mut out = String::new();
@@ -129,25 +113,15 @@ pub fn format_tuple(vocab: &Vocabulary, tuple: &Tuple) -> String {
     out
 }
 
-/// Write a whole relation in Fig. 4 dataset format (live tuples only, in id
-/// order).
-pub fn write_dataset<W: Write>(rel: &AnnotatedRelation, writer: &mut W) -> io::Result<()> {
-    for (_, tuple) in rel.iter() {
-        writeln!(writer, "{}", format_tuple(rel.vocab(), tuple))?;
-    }
-    Ok(())
-}
-
-/// Render a whole relation to a string (see [`write_dataset`]).
+/// Render a whole relation in Fig. 4 dataset format (live tuples only, in
+/// id order), one line per tuple.
 pub fn dataset_to_string(rel: &AnnotatedRelation) -> String {
-    let mut buf = Vec::new();
-    #[expect(clippy::expect_used, reason = "io::Write on Vec<u8> is infallible")]
-    write_dataset(rel, &mut buf).expect("writing to Vec cannot fail");
-    #[expect(
-        clippy::expect_used,
-        reason = "the writer emits only ASCII framing and already-valid UTF-8 names"
-    )]
-    String::from_utf8(buf).expect("dataset text is UTF-8")
+    let mut out = String::new();
+    for (_, tuple) in rel.iter() {
+        out.push_str(&format_tuple(rel.vocab(), tuple));
+        out.push('\n');
+    }
+    out
 }
 
 /// Parse a Fig. 14 annotation batch (`150: Annot_3` per line) against a
@@ -253,12 +227,6 @@ mod tests {
             b.sort_unstable();
             assert_eq!(a, b, "tuple {tid} differs after round-trip");
         }
-    }
-
-    #[test]
-    fn read_dataset_streams_from_bufread() {
-        let rel = read_dataset("R", SAMPLE.as_bytes()).unwrap();
-        assert_eq!(rel.len(), 3);
     }
 
     #[test]

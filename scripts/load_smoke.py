@@ -6,7 +6,10 @@ Usage: load_smoke.py [path-to-annod] [protocol-addr] [metrics-addr]
 Boots the daemon with an explicit shard count, drives one full protocol
 session over a real TCP socket (including the `class` QoS verb), checks
 the admission families on the Prometheus metrics listener and that the
-`metrics` verb declares the same families, walks `help` (every usage
+`metrics` verb declares the same families, runs a durable failover in a
+temp directory (`open … dir`, `attach`, `drop` the leader, `promote` the
+follower, which must come up syncing through the shared group
+committer, take writes and verify exact), walks `help` (every usage
 line's verb, sent bare, is dispatched; `quit` and `exit` close the
 session), and shuts the process down. This is the out-of-process
 complement to the in-process `serve` bench: it proves the shipped binary
@@ -16,6 +19,7 @@ actually serves the sharded front end, not just the library.
 import socket
 import subprocess
 import sys
+import tempfile
 import time
 import urllib.request
 
@@ -117,6 +121,28 @@ def main(argv):
                 f"scrape only: {sorted(set(types(scrape)) - set(types(verb)))}"
             )
 
+        # Failover: a durable leader, a follower tailing its directory, the
+        # leader dropped, the follower promoted. The new leader must sync
+        # through the shared group committer, as `open … dir` does.
+        with tempfile.TemporaryDirectory(prefix="annod-smoke-") as wal_dir:
+            session.cmd(f"open lead 0.4 0.7 dir {wal_dir}", "OK open lead")
+            for _ in range(3):
+                session.cmd("row lead 28 85 Annot_1", "OK queued")
+            session.cmd("row lead 28 85", "OK queued")
+            session.cmd("mine lead", "OK mined rules=")
+            session.cmd(f"attach mirror dir {wal_dir} poll_ms 20", "OK attach mirror")
+            session.cmd("catchup mirror", "OK catchup mirror")
+            session.cmd("drop lead", "OK dropped lead")
+            session.cmd("promote mirror", "OK promoted mirror role=leader")
+            stats = session.cmd_block("stats mirror", "OK")
+            for needle in ("role=leader", "wal_sync=grouped", "grouped_submitted="):
+                if needle not in stats:
+                    raise SystemExit(f"promoted stats lack {needle!r}:\n{stats}")
+            session.cmd("annotate mirror 3 Annot_1", "OK queued")
+            session.cmd("flush mirror", "OK flushed")
+            session.cmd("verify mirror", "OK exact=true")
+            session.cmd("drop mirror", "OK dropped mirror")
+
         # `help` is printed from the verb table: every usage line (the ones
         # at the margin; notes are indented) must start with a verb the
         # shipped binary dispatches. Sent bare, it answers OK or the
@@ -144,7 +170,10 @@ def main(argv):
                 raise SystemExit(f"{closer!r} did not close the session")
 
         session.cmd("quit", "OK bye")
-        print("load-smoke: OK (sharded serve, class verb, admission metrics, metrics verb, help walk)")
+        print(
+            "load-smoke: OK (sharded serve, class verb, admission metrics, metrics verb, "
+            "durable failover, help walk)"
+        )
         return 0
     finally:
         proc.terminate()
