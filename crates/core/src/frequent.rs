@@ -125,52 +125,6 @@ impl FrequentItemsets {
         self.counts.iter().map(|(s, &c)| (s, c))
     }
 
-    /// Mutable iteration over counts.
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = (&ItemSet, &mut u64)> + '_ {
-        self.counts.iter_mut()
-    }
-
-    /// The stored itemsets whose count meets the fraction-`alpha` threshold.
-    pub fn frequent_at(&self, alpha: f64) -> impl Iterator<Item = (&ItemSet, u64)> + '_ {
-        let min = support_count_threshold(alpha, self.db_size);
-        self.iter().filter(move |&(_, c)| c >= min)
-    }
-
-    /// The *closed* itemsets: those with no stored superset of equal count.
-    /// Closed itemsets losslessly compress the table — every stored
-    /// itemset's count equals the count of its smallest closed superset.
-    pub fn closed(&self) -> Vec<(ItemSet, u64)> {
-        let mut out: Vec<(ItemSet, u64)> = self
-            .iter()
-            .filter(|(s, c)| {
-                !self.iter().any(|(t, ct)| {
-                    ct == *c && t.len() > s.len() && s.items().iter().all(|i| t.contains(*i))
-                })
-            })
-            .map(|(s, c)| (s.clone(), c))
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
-    /// The *maximal* itemsets at the fraction-`alpha` level: frequent
-    /// itemsets with no frequent strict superset (the positive border).
-    pub fn maximal_at(&self, alpha: f64) -> Vec<(ItemSet, u64)> {
-        let min = support_count_threshold(alpha, self.db_size);
-        let frequent: Vec<(&ItemSet, u64)> = self.iter().filter(|&(_, c)| c >= min).collect();
-        let mut out: Vec<(ItemSet, u64)> = frequent
-            .iter()
-            .filter(|(s, _)| {
-                !frequent
-                    .iter()
-                    .any(|(t, _)| t.len() > s.len() && s.items().iter().all(|i| t.contains(*i)))
-            })
-            .map(|&(s, c)| (s.clone(), c))
-            .collect();
-        out.sort_unstable();
-        out
-    }
-
     /// A canonical sorted snapshot, for equality assertions in tests.
     pub fn sorted(&self) -> Vec<(ItemSet, u64)> {
         let mut v: Vec<(ItemSet, u64)> = self.iter().map(|(s, c)| (s.clone(), c)).collect();
@@ -227,50 +181,8 @@ mod tests {
         f.insert(set(&[1]), 6);
         f.insert(set(&[2]), 3);
         f.insert(set(&[3]), 1);
-        assert_eq!(f.frequent_at(0.5).count(), 1);
-        assert_eq!(f.frequent_at(0.3).count(), 2);
         f.prune_below(3);
         assert_eq!(f.len(), 2);
-    }
-
-    #[test]
-    fn closed_itemsets_compress_losslessly() {
-        // {1}:5, {2}:5, {1,2}:5 → only {1,2} is closed.
-        // {3}:4 has no equal-count superset → closed.
-        let mut f = FrequentItemsets::new(10);
-        f.insert(set(&[1]), 5);
-        f.insert(set(&[2]), 5);
-        f.insert(set(&[1, 2]), 5);
-        f.insert(set(&[3]), 4);
-        let closed = f.closed();
-        assert_eq!(closed.len(), 2);
-        assert!(closed.contains(&(set(&[1, 2]), 5)));
-        assert!(closed.contains(&(set(&[3]), 4)));
-        // Lossless: every itemset's count is recoverable from its smallest
-        // closed superset.
-        for (s, c) in f.iter() {
-            let recovered = closed
-                .iter()
-                .filter(|(t, _)| s.items().iter().all(|i| t.contains(*i)))
-                .map(|&(_, ct)| ct)
-                .max()
-                .unwrap();
-            assert_eq!(recovered, c);
-        }
-    }
-
-    #[test]
-    fn maximal_itemsets_form_the_positive_border() {
-        let mut f = FrequentItemsets::new(10);
-        f.insert(set(&[1]), 8);
-        f.insert(set(&[2]), 7);
-        f.insert(set(&[1, 2]), 6);
-        f.insert(set(&[3]), 3);
-        let maximal = f.maximal_at(0.5);
-        assert_eq!(maximal, vec![(set(&[1, 2]), 6)]);
-        // At a lower bar, {3} joins the border.
-        let maximal = f.maximal_at(0.3);
-        assert_eq!(maximal.len(), 2);
     }
 
     #[test]

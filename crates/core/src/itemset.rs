@@ -68,12 +68,6 @@ impl ItemSet {
         ItemSet(Box::from([item]))
     }
 
-    /// Build from an already-sorted, deduplicated slice (checked in debug).
-    pub fn from_sorted(items: Vec<Item>) -> ItemSet {
-        debug_assert!(items.windows(2).all(|w| w[0] < w[1]), "not sorted/dedup");
-        ItemSet(items.into_boxed_slice())
-    }
-
     /// Build from arbitrary items (sorts and deduplicates).
     pub fn from_unsorted(mut items: Vec<Item>) -> ItemSet {
         items.sort_unstable();

@@ -6,7 +6,7 @@
 //! substrate:
 //!
 //! * **Discovery** (paper §3–4): the Apriori algorithm with annotation-
-//!   aware pruning ([`apriori`]) is the one full-mine path; [`eclat`] is
+//!   aware pruning ([`apriori()`]) is the one full-mine path; [`eclat()`] is
 //!   the independent vertical miner the tests cross-check it against. Rule
 //!   derivation for the paper's two shapes — data-to-annotation
 //!   (`x1 … xk ⇒ a`) and annotation-to-annotation (`a1 … ak ⇒ a`) — is in
@@ -14,7 +14,7 @@
 //!   Generalization-based correlations (§4.1) mine the taxonomy-extended
 //!   database via [`mine::mine_generalized`].
 //! * **Incremental maintenance** (§4.3, the paper's main focus): the
-//!   [`IncrementalMiner`](incremental::IncrementalMiner) maintains exact
+//!   [`IncrementalMiner`] maintains exact
 //!   rule sets under all three evolution cases — adding annotated tuples,
 //!   adding un-annotated tuples, and adding annotations to existing tuples
 //!   (Figs. 12–13) — plus annotation/tuple deletion, the paper's stated

@@ -10,7 +10,7 @@
 //!   and to nothing else — no lock guards them because no other thread
 //!   can name them. Everything that needs that state is a message in
 //!   the mailbox the thread drains: queued [`UpdateOp`]s, and the
-//!   [`Request`]s behind `mine`, `verify`, `checkpoint`,
+//!   `Request`s behind `mine`, `verify`, `checkpoint`,
 //!   `quiesce_maintenance`, `catchup_now` and `promote`. Requests are
 //!   served after the ops queued before them, so each still means
 //!   "flush, then …".
@@ -34,7 +34,7 @@
 //!   rules are exactly what a from-scratch mine would produce
 //!   ([`Dataset::verify`] checks this on demand).
 //!
-//! The locks that remain on [`Inner`] are the mailbox (`queue` +
+//! The locks that remain on `Inner` are the mailbox (`queue` +
 //! `queue_cv`), `published`, and the `name_cache`. The crate docs'
 //! "Lock order" lists every place one is held while another is taken.
 
@@ -137,7 +137,7 @@ pub const DISCOVERY_TOPK_CAP: usize = 64;
 /// What readers see: swapped as one pointer by the owner, so the rule
 /// snapshot, the discovery top-k (same epoch — a reader pairing the two
 /// verbs sees one instant) and the status block can never disagree.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub(crate) struct Published {
     pub rules: Option<Arc<RuleSnapshot>>,
     pub discovery: Option<Arc<DiscoverySnapshot>>,
@@ -146,7 +146,7 @@ pub(crate) struct Published {
 
 /// The small facts the `stats`-side getters report, copied out of the
 /// owner's state at publish time.
-#[derive(Default)]
+#[derive(Debug, Default)]
 pub(crate) struct Status {
     pub config: IncrementalConfig,
     /// Live tuple count.
@@ -167,6 +167,7 @@ pub(crate) struct Status {
     pub replication: Option<ReplicationStatus>,
 }
 
+#[derive(Debug)]
 pub(crate) struct WalStatus {
     pub stats: WalStats,
     pub sync: SyncPolicy,
@@ -635,52 +636,28 @@ impl Dataset {
 
     /// Everything this dataset reports, frozen once: the queue's levels
     /// (one lock, released before anything else is touched), what the
-    /// owner last published (one pointer clone), then the counters and
-    /// histogram snapshots. `stats`, `metrics` and `GET /metrics` are
-    /// renderings of this value.
+    /// owner last published (one pointer clone, kept in the view), then
+    /// the counters and histogram snapshots. `stats`, `datasets`,
+    /// `metrics` and `GET /metrics` are renderings of this value.
     pub fn observability(&self) -> DatasetObs {
-        self.freeze().0
-    }
-
-    /// [`Dataset::observability`], plus the publication its levels were
-    /// read from — for `stats <ds>`, which also prints facts that are
-    /// not metrics (thresholds, miner cases, the log position) and must
-    /// print them from the same instant.
-    pub(crate) fn freeze(&self) -> (DatasetObs, Arc<Published>) {
-        let (queue_depth, unacked_drains, queue_cap, class) = {
+        let (queue_depth, unacked_drains, queue_cap, qos_class) = {
             let q = self.inner.queue.lock().unpoisoned("queue lock");
             (q.pending_updates, q.unacked, q.cap_updates, q.class)
         };
         let published = self.published();
         let status = &published.status;
-        let wal_backlog_bytes = (status.wal.as_ref()).map_or(0, |w| w.stats.since_checkpoint_bytes);
-        // A leader has no tailing progress, whatever it was before.
-        let lag = status.replication.as_ref();
-        let discovery = published.discovery.as_deref();
-        let obs = DatasetObs {
+        DatasetObs {
             events_total: self.events_total(),
             queue_depth: queue_depth as u64,
             unacked_drains: unacked_drains as u64,
             queue_cap: queue_cap as u64,
-            qos_bulk: class == QosClass::Bulk,
-            mined: published.rules.is_some(),
-            live_tuples: status.tuples as u64,
+            qos_class,
             segments: status.segments as u64,
             vocab_chunks: status.vocab_chunks as u64,
-            wal_backlog_bytes,
-            discover_pairs_tracked: discovery.map_or(0, |d| d.pairs_tracked),
-            discover_topk_cross: discovery.map_or(0, |d| d.cross.len() as u64),
-            discover_topk_within: discovery.map_or(0, |d| d.within.len() as u64),
-            discover_last_update_ns: status.discover_last_update_ns,
-            follower: lag.is_some(),
-            repl_applied_seq: lag.map_or(0, |r| r.applied_seq),
-            repl_leader_seq: lag.map_or(0, |r| r.leader_seq),
-            repl_bytes_behind: lag.map_or(0, |r| r.bytes_behind),
-            repl_records_applied: lag.map_or(0, |r| r.records_applied),
-            repl_restarts: lag.map_or(0, |r| r.restarts),
+            wal_backlog_bytes: (status.wal.as_ref()).map_or(0, |w| w.stats.since_checkpoint_bytes),
+            published,
             ..self.inner.metrics.observe()
-        };
-        (obs, published)
+        }
     }
 
     /// The most recent `n` maintenance events, oldest first.
@@ -705,11 +682,11 @@ impl Dataset {
         self.published().status.tuples
     }
 
-    /// Number of coalesced drains the owner has taken off the queue — the
-    /// `M` the publish-cost model amortizes over (stress suites pin
-    /// readers across a minimum drain count with this).
+    /// Number of completed drains — the `M` the publish-cost model
+    /// amortizes over (stress suites pin readers across a minimum drain
+    /// count with this).
     pub fn drains(&self) -> u64 {
-        self.inner.queue.lock().unpoisoned("queue lock").drains
+        self.inner.metrics.report().drains
     }
 
     /// Which side of replication this dataset is on right now.

@@ -1,8 +1,9 @@
-//! Prometheus text exposition: the frozen [`ServiceView`] written out in
+//! Prometheus text exposition: the frozen `ServiceView` written out in
 //! the `text/plain; version=0.0.4` format any Prometheus-compatible
-//! scraper ingests. This is one of the two writers over the metric table
-//! in `metrics.rs` (the other is `stats`' `key=value` line): it knows the
-//! format, the table knows the metrics.
+//! scraper ingests. This is one of the three writers over the metric
+//! tables in `metrics.rs` (the others are `stats` with the `datasets`
+//! listing, and the role line): it knows the format, the tables know the
+//! metrics, and it prints every row that has a family.
 //!
 //! Rendering is **metric-major**: one `# HELP`/`# TYPE` header per
 //! family, then one series line per dataset (`{dataset="…"}`), which is
@@ -18,7 +19,9 @@ use std::fmt::{Display, Write as _};
 
 use anno_metrics::HistogramSnapshot;
 
-use crate::metrics::{COUNTERS, HISTOGRAMS, LEVELS, RATES};
+use crate::metrics::{
+    DatasetObs, Num, Row, COUNTERS, HISTOGRAMS, LEVELS, RATES, SERVICE, SERVICE_HISTOGRAMS,
+};
 use crate::service::{Service, ServiceView};
 
 /// Render the whole service in Prometheus text exposition format.
@@ -28,112 +31,51 @@ pub fn render_prometheus(service: &Service) -> String {
 
 fn write_exposition(service: &ServiceView) -> String {
     let mut out = String::with_capacity(16 * 1024);
-    let labels: Vec<String> = (service.datasets.iter())
-        .map(|ds| format!("dataset=\"{}\"", escape_label(&ds.name)))
+    let datasets: Vec<(&DatasetObs, String)> = (service.datasets.iter())
+        .map(|(name, obs)| (obs, format!("dataset=\"{}\"", escape_label(name))))
         .collect();
-    let datasets = || service.datasets.iter().zip(&labels);
 
-    for row in COUNTERS {
-        let Some(name) = row.family else { continue };
-        family(&mut out, name, row.help, "counter");
-        for (ds, labels) in datasets() {
-            series(&mut out, name, labels, (row.get)(&ds.obs.report));
-        }
-    }
-    for row in LEVELS {
-        family(&mut out, row.family, row.help, row.typ);
-        for (ds, labels) in datasets() {
-            let value = (row.get)(&ds.obs);
-            if row.by_class {
-                let class = ds.obs.qos_class().label();
-                let labels = format!("{labels},class=\"{class}\"");
-                series(&mut out, row.family, &labels, value);
-            } else {
-                series(&mut out, row.family, labels, value);
-            }
-        }
-    }
+    dataset_rows(&mut out, COUNTERS, &datasets);
+    dataset_rows(&mut out, LEVELS, &datasets);
     for row in HISTOGRAMS {
-        let snapshots: Vec<_> = datasets()
-            .map(|(ds, labels)| (labels.as_str(), (row.get)(&ds.obs)))
+        let snapshots: Vec<_> = (datasets.iter())
+            .map(|(obs, labels)| (labels.as_str(), (row.get)(obs)))
             .collect();
         histogram(&mut out, row.family, row.help, &snapshots);
     }
-    // Windowed rates from the time-series ring (0 until two samples of
-    // the dataset land in the window).
-    for row in RATES {
-        family(&mut out, row.family, row.help, "gauge");
-        for (ds, labels) in datasets() {
-            let rate = ds.windowed.as_ref().map_or(0.0, row.get);
-            series(&mut out, row.family, labels, rate);
+    dataset_rows(&mut out, RATES, &datasets);
+
+    // Service-level: a family whose section is absent (no committer yet,
+    // fewer than two samples) is left out.
+    for row in SERVICE {
+        let (Some(f), Some(value)) = (row.family, service.read(row.read)) else {
+            continue;
+        };
+        family(&mut out, f.name, f.help, f.typ());
+        series(&mut out, f.name, "", value);
+    }
+    for row in SERVICE_HISTOGRAMS {
+        histogram(&mut out, row.family, row.help, &[("", (row.get)(service))]);
+    }
+    out
+}
+
+/// One family per row of `rows` that has one, one series per dataset; an
+/// absent section reads as 0.
+fn dataset_rows(out: &mut String, rows: &[Row], datasets: &[(&DatasetObs, String)]) {
+    for row in rows {
+        let Some(f) = row.family else { continue };
+        family(out, f.name, f.help, f.typ());
+        for (obs, labels) in datasets {
+            let value = obs.read(row.read).unwrap_or(Num::Count(0));
+            if f.by_class {
+                let class = obs.qos_class.label();
+                series(out, f.name, &format!("{labels},class=\"{class}\""), value);
+            } else {
+                series(out, f.name, labels, value);
+            }
         }
     }
-
-    // Service-level: registry size, the service journal, the shared
-    // committer and its fsync latency, and service-wide windowed rates.
-    let mut scalar = |name: &str, help: &str, typ: &str, value: &dyn Display| {
-        family(&mut out, name, help, typ);
-        series(&mut out, name, "", value);
-    };
-    scalar(
-        "anno_datasets",
-        "Registered datasets.",
-        "gauge",
-        &service.datasets.len(),
-    );
-    scalar(
-        "anno_service_events_total",
-        "Service-level journal events recorded (group-commit windows).",
-        "counter",
-        &service.events_total,
-    );
-    if let Some(gc) = &service.committer {
-        scalar(
-            "anno_grouped_submitted_total",
-            "Appends submitted to the shared group committer.",
-            "counter",
-            &gc.submitted,
-        );
-        scalar(
-            "anno_grouped_syncs_total",
-            "fsyncs the shared committer issued.",
-            "counter",
-            &gc.syncs,
-        );
-        scalar(
-            "anno_grouped_windows_total",
-            "Sync windows the shared committer closed.",
-            "counter",
-            &gc.windows,
-        );
-    }
-    if let Some(w) = &service.windowed {
-        scalar(
-            "anno_service_drains_per_sec",
-            "Drains per second across all datasets.",
-            "gauge",
-            &w.drains_per_sec,
-        );
-        scalar(
-            "anno_service_queries_per_sec",
-            "Queries per second across all datasets.",
-            "gauge",
-            &w.queries_per_sec,
-        );
-        scalar(
-            "anno_service_fsyncs_per_drain",
-            "All fsyncs (committer + per-dataset) per drain.",
-            "gauge",
-            &w.fsyncs_per_drain,
-        );
-    }
-    histogram(
-        &mut out,
-        "anno_service_fsync_latency_ns",
-        "Shared group committer fsync latency.",
-        &[("", &service.fsync_latency)],
-    );
-    out
 }
 
 /// Write a family's `# HELP` / `# TYPE` header.
@@ -279,26 +221,40 @@ mod tests {
         assert!(qps > 0.0, "{qps_line}");
     }
 
-    /// The table is the whole surface: a fresh dataset already reports
-    /// every family in it, `stats <ds>` every key in it, and the
-    /// `metrics` verb the very text `GET /metrics` serves.
+    /// The tables are the whole surface: a mined durable dataset and its
+    /// follower already report every family in them, `stats` (with and
+    /// without a name) every key in them, and the `metrics` verb the very
+    /// text `GET /metrics` serves.
     #[test]
     fn every_table_row_reaches_both_writers() {
+        let dir = std::env::temp_dir().join(format!("anno-expose-rows-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
         let service = std::sync::Arc::new(Service::new());
-        service.create("db", ServiceConfig::default()).unwrap();
+        let engine = crate::protocol::Engine::new(std::sync::Arc::clone(&service));
+        let dir_tok = dir.to_str().unwrap();
+        for line in [
+            format!("open db 0.4 0.7 dir {dir_tok}"),
+            "row db 28 85 Annot_1".to_string(),
+            "row db 28 85 Annot_1".to_string(),
+            "mine db".to_string(),
+            format!("attach f dir {dir_tok}"),
+        ] {
+            let reply = engine.execute(&line).lines;
+            assert!(reply[0].starts_with("OK"), "{line}: {reply:?}");
+        }
         // Two samples, so the scrapes below agree on the service-wide
         // rate families whatever the background sampler does meanwhile.
         service.sample_now();
         service.sample_now();
-        let engine = crate::protocol::Engine::new(std::sync::Arc::clone(&service));
 
         let text = render_prometheus(&service);
-        let families = (COUNTERS.iter().filter_map(|row| row.family))
-            .chain(LEVELS.iter().map(|row| row.family))
-            .chain(RATES.iter().map(|row| row.family));
+        let families =
+            (COUNTERS.iter().chain(LEVELS).chain(RATES)).filter_map(|row| Some(row.family?.name));
         for family in families {
-            let series = format!("\n{family}{{dataset=\"db\"");
-            assert!(text.contains(&series), "{family} has no series:\n{text}");
+            for ds in ["db", "f"] {
+                let series = format!("\n{family}{{dataset=\"{ds}\"");
+                assert!(text.contains(&series), "{series} missing:\n{text}");
+            }
         }
         for row in HISTOGRAMS {
             for suffix in ["_bucket", "_sum", "_count", "_quantile"] {
@@ -306,10 +262,22 @@ mod tests {
                 assert!(text.contains(&series), "{series} missing:\n{text}");
             }
         }
+        let service_families = (SERVICE.iter().filter_map(|row| Some(row.family?.name)))
+            .chain(SERVICE_HISTOGRAMS.iter().map(|row| row.family));
+        for family in service_families {
+            assert!(
+                text.contains(&format!("\n{family}")),
+                "{family} missing:\n{text}"
+            );
+        }
 
-        let stats = engine.execute("stats db").lines.join("\n");
+        let stats: Vec<String> = ["stats db", "stats f", "stats"]
+            .iter()
+            .flat_map(|line| engine.execute(line).lines)
+            .collect();
+        let stats = stats.join("\n");
         let keys =
-            (COUNTERS.iter().map(|row| row.key)).chain(LEVELS.iter().filter_map(|row| row.stats));
+            (COUNTERS.iter().chain(LEVELS).chain(RATES).chain(SERVICE)).filter_map(|row| row.key);
         for key in keys {
             assert!(
                 stats.contains(&format!(" {key}=")) || stats.contains(&format!("\n{key}=")),
@@ -323,6 +291,9 @@ mod tests {
         assert_eq!(verb[verb.len() - 1], ".");
         let body: Vec<&str> = verb[1..verb.len() - 1].iter().map(String::as_str).collect();
         assert_eq!(body, scrape.lines().collect::<Vec<_>>());
+        drop(engine);
+        drop(service);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -7,18 +7,18 @@
 //! updates stream in. This crate is that layer, wrapping `anno-store` +
 //! `anno-mine`:
 //!
-//! * [`Service`](service::Service) — a registry of named datasets, each an
+//! * [`Service`] — a registry of named datasets, each an
 //!   [`AnnotatedRelation`](anno_store::AnnotatedRelation) +
 //!   [`IncrementalMiner`](anno_mine::IncrementalMiner) pair with its own
-//!   write-behind worker thread ([`Dataset`](dataset::Dataset));
+//!   write-behind worker thread ([`Dataset`]);
 //! * **snapshot reads** — queries run against an immutable
-//!   [`RuleSnapshot`](snapshot::RuleSnapshot) behind an `Arc`; readers
+//!   [`RuleSnapshot`] behind an `Arc`; readers
 //!   clone the `Arc` and never block on an in-flight write batch (the
 //!   relation inside each snapshot is a persistent clone of the
 //!   segment-store database, sharing all storage with the live relation
 //!   at publish time);
 //! * **batched writes** — a coalescing [`queue`] folds streams of
-//!   [`UpdateOp`](queue::UpdateOp)s into single incremental-maintenance
+//!   [`UpdateOp`]s into single incremental-maintenance
 //!   passes (cases 1–3 of §4.3, plus the deletion cases) and atomically
 //!   publishes one fresh snapshot per drain;
 //! * a **query layer** ([`query`]) — rule listing/filtering by antecedent,
@@ -54,7 +54,7 @@
 //! | held | then taken | where |
 //! |---|---|---|
 //! | `opening` | `datasets` | `Service::register` (behind `create`, `open_durable_with` and `attach_follower`): the name check and the insert |
-//! | `datasets` | a dataset's `published` | `Service::list`, and `Service`'s `Debug` |
+//! | `datasets` | a dataset's `published` | `Service`'s `Debug` |
 //! | `datasets` | a dataset's `queue`, then its `worker` | `Service`'s `Drop`, through `Dataset::shutdown` |
 //! | a dataset's `queue` | its journal | the owner thread's exit guard (`owner.rs`), after a panic |
 //!
@@ -139,7 +139,7 @@ pub use protocol::{Engine, Reply};
 pub use query::{RuleFilter, RuleOrder, TopRecommendation};
 pub use queue::{QosClass, UpdateOp};
 pub use service::WindowedRates;
-pub use service::{DatasetSummary, Service, ServiceConfig};
+pub use service::{Service, ServiceConfig};
 pub use snapshot::RuleSnapshot;
 
 /// Poison propagation, stated once for the crate: a lock that another

@@ -1,45 +1,48 @@
-//! What a dataset reports, declared once.
+//! What a dataset and the service report, declared once.
 //!
 //! * **Counters and histograms** are the only state this module owns:
 //!   relaxed atomics ([`Metrics`]) bumped through the typed `record_*`
 //!   methods on the hot paths. They are telemetry, not synchronization,
 //!   so the cheapest ordering is correct and recording never blocks.
 //! * **Levels** (queue depth, store shape, WAL backlog, replication lag,
-//!   discovery shape) are not mirrored here. They are read where they
-//!   already live — the queue, the published status — when
+//!   discovery shape, the rule set's size, the miner's cases) are not
+//!   mirrored here. They are read where they already live — the queue,
+//!   the published snapshots and status — when
 //!   [`Dataset::observability`](crate::dataset::Dataset::observability)
-//!   freezes a [`DatasetObs`].
-//! * **The table** ([`COUNTERS`], [`LEVELS`], [`HISTOGRAMS`], [`RATES`])
-//!   names every per-dataset family once: exposition name, help, type,
-//!   `stats` key and how to read it off the frozen view. The exposition
-//!   writer (`expose.rs`) and the `key=value` writer
-//!   ([`DatasetObs::stats_line`]) walk it; neither knows a metric by name.
+//!   freezes a [`DatasetObs`], which keeps the publication it read.
+//! * **The tables** (`COUNTERS`, `LEVELS`, `HISTOGRAMS` and `RATES` per
+//!   dataset, `SERVICE` and `SERVICE_HISTOGRAMS` for the service) hold
+//!   every reported number once: its `stats` key and line, its
+//!   exposition family, and where in the frozen view it is read. Three
+//!   writers walk them: the exposition (`expose.rs`), `stats` with or
+//!   without a dataset and the `datasets` listing (below), and the role
+//!   line `attach` and `catchup` print. None of them knows a metric by
+//!   name; `stats` adds only the facts that are not numbers.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
+use anno_discover::DiscoverySnapshot;
 use anno_metrics::{Histogram, HistogramSnapshot};
+use anno_mine::MaintenanceStats;
+use anno_wal::{CheckpointPolicy, GroupCommitStats, WalStats};
 
-use crate::dataset::Role;
+use crate::dataset::{Published, ReplicationStatus, Role};
 use crate::queue::QosClass;
-use crate::service::WindowedRates;
-
-/// One counter family: `stats` prints it under `key`; `/metrics` under
-/// `family` when it has one (the two nanosecond sums are `stats`-only).
-pub(crate) struct CounterRow {
-    pub key: &'static str,
-    pub family: Option<&'static str>,
-    pub help: &'static str,
-    pub get: fn(&MetricsReport) -> u64,
-}
+use crate::service::{ServiceView, WindowedRates};
+use crate::snapshot::RuleSnapshot;
 
 /// The one list of counters. Each line is a field of the live atomics, a
 /// field of [`MetricsReport`] (documented by the help text), its `stats`
-/// key (the field's name) and its row in [`COUNTERS`].
+/// key (the field's name) and its row in `COUNTERS`, exported when it
+/// names a family (the two nanosecond sums are `stats`-only).
 macro_rules! counters {
-    (@family) => { None };
-    (@family $family:literal) => { Some($family) };
+    (@family $help:literal) => { None };
+    (@family $help:literal $family:literal) => {
+        Some(Family { name: $family, help: $help, by_class: false })
+    };
     ($($field:ident $(=> $family:literal)?, $help:literal;)*) => {
         /// The live counters of one dataset.
         #[derive(Debug, Default)]
@@ -62,12 +65,11 @@ macro_rules! counters {
         }
 
         /// Every counter, in `stats` and exposition order.
-        pub(crate) const COUNTERS: &[CounterRow] = &[
-            $(CounterRow {
-                key: stringify!($field),
-                family: counters!(@family $($family)?),
-                help: $help,
-                get: |r| r.$field,
+        pub(crate) const COUNTERS: &[Row] = &[
+            $(Row {
+                key: Some(stringify!($field)),
+                family: counters!(@family $help $($family)?),
+                read: Counter(|r| r.$field),
             },)*
         ];
     };
@@ -265,9 +267,9 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
 }
 
 /// Everything one dataset reports, frozen at one instant: the counters
-/// and histograms from its [`Metrics`], the levels from the owner's last
-/// publish and from the queue. `stats`, `metrics` and `GET /metrics` all
-/// read this and nothing else.
+/// and histograms from its [`Metrics`], the levels from the queue and
+/// from the owner's last publish. `stats`, `metrics` and `GET /metrics`
+/// all read this and nothing else.
 #[derive(Debug, Clone, Default)]
 pub struct DatasetObs {
     /// The plain counters.
@@ -292,201 +294,366 @@ pub struct DatasetObs {
     pub unacked_drains: u64,
     /// Admission cap on pending updates (same lock).
     pub queue_cap: u64,
-    /// `true` when the tenant's QoS class is bulk (same lock).
-    pub qos_bulk: bool,
-    /// `true` once a rule snapshot is published.
-    pub mined: bool,
-    /// Live tuples as of the last publish.
-    pub live_tuples: u64,
+    /// The tenant's QoS class (same lock).
+    pub qos_class: QosClass,
     /// Relation segments as of the last publish.
     pub segments: u64,
     /// Vocabulary chunks as of the last publish.
     pub vocab_chunks: u64,
     /// Log bytes accumulated since the last checkpoint (0 without a log).
     pub wal_backlog_bytes: u64,
-    /// Annotation pairs the published discovery index tracks (0 pre-mine).
-    pub discover_pairs_tracked: u64,
-    /// Entries in the published cross-namespace discovery top-k.
-    pub discover_topk_cross: u64,
-    /// Entries in the published within-namespace discovery top-k.
-    pub discover_topk_within: u64,
-    /// Cost of the most recent incremental discovery refresh (ns).
-    pub discover_last_update_ns: u64,
-    /// `true` while the dataset is a read-only follower replica. The five
-    /// replication numbers below are the follower's tailing progress as
-    /// of its last poll, and 0 on a leader — a promoted one included.
-    pub follower: bool,
-    /// Leader log segment the follower has applied up to.
-    pub repl_applied_seq: u64,
-    /// Highest segment in the tailed leader directory.
-    pub repl_leader_seq: u64,
-    /// On-disk log bytes not yet applied by the follower.
-    pub repl_bytes_behind: u64,
-    /// Shipped records the follower has applied since attach.
-    pub repl_records_applied: u64,
-    /// Checkpoint restarts the follower performed.
-    pub repl_restarts: u64,
+    /// The publication the levels were read from. The rows that read the
+    /// rule set, discovery, the log or a follower's progress read it here.
+    pub(crate) published: Arc<Published>,
+    /// The dataset's windowed rates, when frozen into a service view.
+    pub(crate) windowed: Option<WindowedRates>,
 }
 
-/// One level family: a gauge — or a counter something other than
-/// [`Metrics`] keeps — read off the frozen view.
-pub(crate) struct LevelRow {
-    pub family: &'static str,
-    pub help: &'static str,
-    /// Exposition type: `counter` or `gauge`.
-    pub typ: &'static str,
-    /// Key in the `stats` counters line. `None` for a level `stats`
-    /// already prints on a line of its own, beside facts that are not
-    /// metrics (`queue_depth=` by `qos_class=`, `applied_seq=` by `role=`).
-    pub stats: Option<&'static str>,
-    /// Label the series by the tenant's QoS class as well.
-    pub by_class: bool,
-    pub get: fn(&DatasetObs) -> u64,
+/// Where in the frozen view a row's number lives, which is also the
+/// `stats` line it prints on: a level names its line, every other
+/// section has one. Every section but the levels and the service's own
+/// block can be absent — no rule set before the first mine, no discovery
+/// snapshot, no tailing progress on a leader, no log on a memory dataset,
+/// no committer without grouped sync, no window before two samples.
+/// `stats` skips an absent section; the exposition reads it as 0 for a
+/// dataset and leaves a service family out.
+#[derive(Clone, Copy)]
+pub(crate) enum Read {
+    Counter(fn(&MetricsReport) -> u64),
+    Level(Line, fn(&DatasetObs) -> u64),
+    Mined(fn(&RuleSnapshot) -> u64),
+    Cases(fn(&MaintenanceStats) -> u64),
+    Discovery(fn(&DiscoverySnapshot) -> u64),
+    Follower(fn(&ReplicationStatus) -> u64),
+    Wal(fn(&WalStats) -> u64),
+    Committer(fn(&GroupCommitStats) -> u64),
+    Service(fn(&ServiceView) -> u64),
+    Window(fn(&WindowedRates) -> u64),
+    Rate(fn(&WindowedRates) -> f64),
 }
+use Read::{
+    Cases, Committer, Counter, Discovery, Follower, Level, Mined, Rate, Service, Wal, Window,
+};
 
-const fn gauge(family: &'static str, help: &'static str, get: fn(&DatasetObs) -> u64) -> LevelRow {
-    LevelRow {
-        family,
-        help,
-        typ: "gauge",
-        stats: None,
-        by_class: false,
-        get,
+impl Read {
+    /// The `stats` line a number read here prints on.
+    fn line(self) -> Line {
+        match self {
+            Level(line, _) => line,
+            Counter(_) => Line::Counters,
+            Mined(_) => Line::Shape,
+            Cases(_) => Line::Cases,
+            Discovery(_) => Line::Discovery,
+            Follower(_) => Line::Role,
+            Wal(_) => Line::Wal,
+            Committer(_) => Line::Committer,
+            Service(_) => Line::Fsync,
+            Window(_) | Rate(_) => Line::Window,
+        }
     }
 }
 
-impl LevelRow {
-    const fn stats(self, key: &'static str) -> LevelRow {
-        LevelRow {
-            stats: Some(key),
+/// A number a row read: a count, or a rate (`stats` prints it to two
+/// places, the exposition as it is).
+#[derive(Clone, Copy)]
+pub(crate) enum Num {
+    Count(u64),
+    Rate(f64),
+}
+
+impl fmt::Display for Num {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Num::Count(n) => n.fmt(f),
+            Num::Rate(x) => x.fmt(f),
+        }
+    }
+}
+
+/// The `stats` lines a number prints on, in print order: `stats <ds>`'s
+/// eight, then the two bare `stats` adds.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Line {
+    /// `tuples=`, then the rule set's shape once mined.
+    Shape,
+    /// The miner's §4.3 per-case batch counts.
+    Cases,
+    Discovery,
+    /// After `qos_class=`.
+    Queue,
+    /// The store's shape, then the counters.
+    Counters,
+    /// After `role=`: a follower's tailing progress.
+    Role,
+    /// After `wal_position=`.
+    Wal,
+    Committer,
+    /// The shared committer's fsyncs and the service journal.
+    Fsync,
+    /// Service-wide rates.
+    Window,
+}
+
+/// An exposition family.
+#[derive(Clone, Copy)]
+pub(crate) struct Family {
+    pub name: &'static str,
+    pub help: &'static str,
+    /// Label the series by the tenant's QoS class as well.
+    pub by_class: bool,
+}
+
+impl Family {
+    /// Exposition type: a counter's name ends in `_total`, by the
+    /// format's convention; every other family is a gauge.
+    pub fn typ(&self) -> &'static str {
+        if self.name.ends_with("_total") {
+            "counter"
+        } else {
+            "gauge"
+        }
+    }
+}
+
+/// One reported number.
+pub(crate) struct Row {
+    /// Its `stats` key. `None` only for the numbers the exposition alone
+    /// prints.
+    pub key: Option<&'static str>,
+    /// Its exposition family. `None` for a `stats`-only number.
+    pub family: Option<Family>,
+    pub read: Read,
+}
+
+/// A number `stats` prints under `key`.
+const fn stat(key: &'static str, read: Read) -> Row {
+    Row {
+        key: Some(key),
+        family: None,
+        read,
+    }
+}
+
+/// A number only the exposition prints.
+const fn unlisted(read: Read) -> Row {
+    Row {
+        key: None,
+        family: None,
+        read,
+    }
+}
+
+impl Row {
+    /// Export the number as the family `name`.
+    const fn family(self, name: &'static str, help: &'static str) -> Row {
+        Row {
+            family: Some(Family {
+                name,
+                help,
+                by_class: false,
+            }),
             ..self
         }
     }
 }
 
-/// Every level, in `stats` and exposition order.
-pub(crate) const LEVELS: &[LevelRow] = &[
-    LevelRow {
-        typ: "counter",
-        ..gauge(
-            "anno_events_total",
-            "Maintenance journal events recorded.",
-            |o| o.events_total,
-        )
-    },
-    gauge(
+/// Every per-dataset level, in exposition order; the `stats`-only rows
+/// sit where their line prints them.
+pub(crate) const LEVELS: &[Row] = &[
+    unlisted(Level(Line::Counters, |o| o.events_total))
+        .family("anno_events_total", "Maintenance journal events recorded."),
+    stat("queue_cap", Level(Line::Queue, |o| o.queue_cap)),
+    stat("queue_depth", Level(Line::Queue, |o| o.queue_depth)).family(
         "anno_write_queue_depth",
         "Pending individual updates in the write queue.",
-        |o| o.queue_depth,
     ),
-    gauge(
+    stat(
+        "unacked_drains",
+        Level(Line::Counters, |o| o.unacked_drains),
+    )
+    .family(
         "anno_unacked_drains",
         "Applied-but-unacked pipelined drains.",
-        |o| o.unacked_drains,
-    )
-    .stats("unacked_drains"),
-    gauge(
+    ),
+    stat("store_segments", Level(Line::Counters, |o| o.segments)).family(
         "anno_store_segments",
         "Relation segments as of the last drain.",
-        |o| o.segments,
-    )
-    .stats("store_segments"),
-    gauge(
+    ),
+    stat("vocab_chunks", Level(Line::Counters, |o| o.vocab_chunks)).family(
         "anno_vocab_chunks",
         "Vocabulary chunks as of the last drain.",
-        |o| o.vocab_chunks,
-    )
-    .stats("vocab_chunks"),
-    gauge(
+    ),
+    stat("wal_segments", Wal(|w| w.segments)),
+    stat("wal_appends", Wal(|w| w.appends)),
+    stat("wal_appended_bytes", Wal(|w| w.appended_bytes)),
+    stat("wal_syncs", Wal(|w| w.syncs)),
+    stat("wal_checkpoints", Wal(|w| w.checkpoints)),
+    stat("wal_replayed", Wal(|w| w.replayed_records)),
+    stat("wal_damaged_tails", Wal(|w| w.damaged_tails)),
+    stat(
+        "wal_since_ckpt_records",
+        Wal(|w| w.since_checkpoint_records),
+    ),
+    stat("wal_since_ckpt_bytes", Wal(|w| w.since_checkpoint_bytes)).family(
         "anno_wal_since_checkpoint_bytes",
         "Log bytes accumulated since the last checkpoint.",
-        |o| o.wal_backlog_bytes,
     ),
-    gauge(
-        "anno_live_tuples",
-        "Live tuples as of the last drain.",
-        |o| o.live_tuples,
-    ),
-    gauge(
+    stat(
+        "tuples",
+        Level(Line::Shape, |o| o.published.status.tuples as u64),
+    )
+    .family("anno_live_tuples", "Live tuples as of the last drain."),
+    stat("rules", Mined(|s| s.rules().len() as u64)),
+    stat("candidates", Mined(|s| s.candidate_count() as u64)),
+    stat("epoch", Mined(|s| s.epoch())),
+    stat("relation_epoch", Mined(|s| s.relation_epoch())),
+    stat("full_remines", Cases(|c| c.full_remines)),
+    stat("case1_batches", Cases(|c| c.case1_batches)),
+    stat("case2_batches", Cases(|c| c.case2_batches)),
+    stat("case3_batches", Cases(|c| c.case3_batches)),
+    stat("deletion_batches", Cases(|c| c.deletion_batches)),
+    stat("discovered_itemsets", Cases(|c| c.discovered_itemsets)),
+    unlisted(Level(Line::Role, |o| u64::from(o.role() == Role::Follower))).family(
         "anno_replication_follower",
         "1 while the dataset is a read-only follower replica.",
-        |o| u64::from(o.follower),
     ),
-    gauge(
+    stat("applied_seq", Follower(|r| r.applied_seq)).family(
         "anno_replication_applied_seq",
         "Leader log segment the follower has applied up to.",
-        |o| o.repl_applied_seq,
     ),
-    gauge(
+    stat("leader_seq", Follower(|r| r.leader_seq)).family(
         "anno_replication_leader_seq",
         "Highest segment seen in the leader's log directory.",
-        |o| o.repl_leader_seq,
     ),
-    gauge(
+    stat("bytes_behind", Follower(|r| r.bytes_behind)).family(
         "anno_replication_bytes_behind",
         "On-disk leader log bytes not yet applied by the follower.",
-        |o| o.repl_bytes_behind,
     ),
-    gauge(
+    stat("records_applied", Follower(|r| r.records_applied)).family(
         "anno_replication_records_applied",
         "Shipped log records the follower has applied since attach.",
-        |o| o.repl_records_applied,
     ),
-    gauge(
+    stat("restarts", Follower(|r| r.restarts)).family(
         "anno_replication_restarts",
         "Checkpoint restarts the follower's tail cursor performed.",
-        |o| o.repl_restarts,
     ),
-    gauge(
+    stat("polls", Follower(|r| r.polls)),
+    stat("discovery_epoch", Discovery(|d| d.epoch)),
+    stat("discovery_pairs", Discovery(|d| d.pairs_tracked)).family(
         "anno_discover_pairs_tracked",
         "Annotation pairs the discovery index tracks.",
-        |o| o.discover_pairs_tracked,
-    )
-    .stats("discover_pairs"),
-    gauge(
+    ),
+    stat("discovery_topk_cross", Discovery(|d| d.cross.len() as u64)).family(
         "anno_discover_topk_cross",
         "Entries in the published cross-namespace discovery top-k.",
-        |o| o.discover_topk_cross,
     ),
-    gauge(
+    stat(
+        "discovery_topk_within",
+        Discovery(|d| d.within.len() as u64),
+    )
+    .family(
         "anno_discover_topk_within",
         "Entries in the published within-namespace discovery top-k.",
-        |o| o.discover_topk_within,
     ),
-    gauge(
+    stat("discovery_updates", Discovery(|d| d.stats.updates)),
+    stat("discovery_rebuilds", Discovery(|d| d.stats.rebuilds)),
+    stat("discovery_rescored", Discovery(|d| d.stats.rescored)),
+    stat(
+        "discover_last_update_ns",
+        Level(Line::Counters, |o| {
+            o.published.status.discover_last_update_ns
+        }),
+    )
+    .family(
         "anno_discover_last_update_ns",
         "Cost of the most recent incremental discovery refresh.",
-        |o| o.discover_last_update_ns,
-    )
-    .stats("discover_last_update_ns"),
+    ),
     // Queue depth again, labelled by the tenant's QoS class, so dashboards
     // can tell interactive saturation from bulk saturation without
     // joining against the class gauge.
-    LevelRow {
-        by_class: true,
-        ..gauge(
-            "anno_admission_queue_depth",
-            "Pending individual updates, labelled by the tenant's QoS class.",
-            |o| o.queue_depth,
-        )
+    Row {
+        family: Some(Family {
+            by_class: true,
+            name: "anno_admission_queue_depth",
+            help: "Pending individual updates, labelled by the tenant's QoS class.",
+        }),
+        ..unlisted(Level(Line::Queue, |o| o.queue_depth))
     },
-    gauge(
+    unlisted(Level(Line::Queue, |o| {
+        u64::from(o.qos_class == QosClass::Bulk)
+    }))
+    .family(
         "anno_admission_bulk_class",
         "1 while the tenant's QoS class is bulk.",
-        |o| u64::from(o.qos_bulk),
     ),
+];
+
+/// Every per-dataset windowed rate, in exposition order (0 until two
+/// samples of the dataset are in the ring's window).
+pub(crate) const RATES: &[Row] = &[
+    unlisted(Rate(|w| w.drains_per_sec)).family(
+        "anno_drains_per_sec",
+        "Drains per second over the ring's window.",
+    ),
+    unlisted(Rate(|w| w.queries_per_sec)).family(
+        "anno_queries_per_sec",
+        "Queries per second over the ring's window.",
+    ),
+    unlisted(Rate(|w| w.fsyncs_per_drain)).family(
+        "anno_fsyncs_per_drain",
+        "Own-log fsyncs per drain over the ring's window.",
+    ),
+];
+
+/// Every service-level number, in exposition order: the registry, the
+/// shared committer's fsyncs, the service journal, the committer and the
+/// service-wide rates.
+pub(crate) const SERVICE: &[Row] = &[
+    unlisted(Service(|v| v.datasets.len() as u64)).family("anno_datasets", "Registered datasets."),
+    stat("service_fsyncs", Service(|v| v.fsync_latency.count())),
+    stat("fsync_p50_ns", Service(|v| v.fsync_latency.quantile(0.50))),
+    stat("fsync_p99_ns", Service(|v| v.fsync_latency.quantile(0.99))),
+    stat("service_events", Service(|v| v.events_total)).family(
+        "anno_service_events_total",
+        "Service-level journal events recorded (group-commit windows).",
+    ),
+    stat("grouped_submitted", Committer(|c| c.submitted)).family(
+        "anno_grouped_submitted_total",
+        "Appends submitted to the shared group committer.",
+    ),
+    stat("grouped_syncs", Committer(|c| c.syncs)).family(
+        "anno_grouped_syncs_total",
+        "fsyncs the shared committer issued.",
+    ),
+    stat("grouped_windows", Committer(|c| c.windows)).family(
+        "anno_grouped_windows_total",
+        "Sync windows the shared committer closed.",
+    ),
+    stat("drains_per_sec", Rate(|w| w.drains_per_sec)).family(
+        "anno_service_drains_per_sec",
+        "Drains per second across all datasets.",
+    ),
+    stat("queries_per_sec", Rate(|w| w.queries_per_sec)).family(
+        "anno_service_queries_per_sec",
+        "Queries per second across all datasets.",
+    ),
+    stat("fsyncs_per_drain", Rate(|w| w.fsyncs_per_drain)).family(
+        "anno_service_fsyncs_per_drain",
+        "All fsyncs (committer + per-dataset) per drain.",
+    ),
+    stat("window_samples", Window(|w| w.samples as u64)),
 ];
 
 /// One histogram family. The exposition writer derives its `_bucket` /
 /// `_sum` / `_count` series and the `_quantile` companion family.
-pub(crate) struct HistogramRow {
+pub(crate) struct HistogramRow<T> {
     pub family: &'static str,
     pub help: &'static str,
-    pub get: fn(&DatasetObs) -> &HistogramSnapshot,
+    pub get: fn(&T) -> &HistogramSnapshot,
 }
 
 /// Every per-dataset histogram, in exposition order.
-pub(crate) const HISTOGRAMS: &[HistogramRow] = &[
+pub(crate) const HISTOGRAMS: &[HistogramRow<DatasetObs>] = &[
     HistogramRow {
         family: "anno_query_latency_ns",
         help: "Rule + recommend + discover query latency.",
@@ -519,67 +686,194 @@ pub(crate) const HISTOGRAMS: &[HistogramRow] = &[
     },
 ];
 
-/// One windowed-rate family, read off the ring's
-/// [`WindowedRates`] (0 until two samples of the dataset are in the
-/// window).
-pub(crate) struct RateRow {
-    pub family: &'static str,
-    pub help: &'static str,
-    pub get: fn(&WindowedRates) -> f64,
+/// The service's histogram, after its numbers.
+pub(crate) const SERVICE_HISTOGRAMS: &[HistogramRow<ServiceView>] = &[HistogramRow {
+    family: "anno_service_fsync_latency_ns",
+    help: "Shared group committer fsync latency.",
+    get: |v| &v.fsync_latency,
+}];
+
+/// `key=value` for every row of `rows` on `line` whose section `read`
+/// finds, space-separated.
+fn numbers(rows: &[Row], line: Line, read: impl Fn(Read) -> Option<Num>) -> String {
+    let pairs: Vec<String> = (rows.iter())
+        .filter(|row| row.read.line() == line)
+        .filter_map(|row| Some((row.key?, read(row.read)?)))
+        .map(|(key, value)| match value {
+            Num::Rate(x) => format!("{key}={x:.2}"),
+            count => format!("{key}={count}"),
+        })
+        .collect();
+    pairs.join(" ")
 }
 
-/// Every per-dataset windowed rate, in exposition order.
-pub(crate) const RATES: &[RateRow] = &[
-    RateRow {
-        family: "anno_drains_per_sec",
-        help: "Drains per second over the ring's window.",
-        get: |w| w.drains_per_sec,
-    },
-    RateRow {
-        family: "anno_queries_per_sec",
-        help: "Queries per second over the ring's window.",
-        get: |w| w.queries_per_sec,
-    },
-    RateRow {
-        family: "anno_fsyncs_per_drain",
-        help: "Own-log fsyncs per drain over the ring's window.",
-        get: |w| w.fsyncs_per_drain,
-    },
-];
+/// The role line `stats <ds>`, `attach` and `catchup` print: `role=`,
+/// then a follower's tailing progress and why it stopped, if it did.
+pub(crate) fn role_line(role: Role, lag: Option<&ReplicationStatus>) -> String {
+    let mut line = format!("role={}", role.label());
+    if let Some(rs) = lag {
+        let progress = numbers(LEVELS, Line::Role, |read| match read {
+            Follower(get) => Some(Num::Count(get(rs))),
+            _ => None,
+        });
+        let _ = write!(line, " {progress}");
+        if let Some(why) = &rs.failed {
+            let _ = write!(line, " failed={why:?}");
+        }
+    }
+    line
+}
+
+/// Render a checkpoint policy for reply/stats lines: `off`, or the set
+/// thresholds joined with `+` (e.g. `records=64+bytes=1048576`).
+pub(crate) fn render_policy(policy: &CheckpointPolicy) -> String {
+    let mut parts = Vec::new();
+    if let Some(b) = policy.log_bytes {
+        parts.push(format!("bytes={b}"));
+    }
+    if let Some(r) = policy.replayed_records {
+        parts.push(format!("records={r}"));
+    }
+    if let Some(i) = policy.interval {
+        parts.push(format!("secs={}", i.as_secs()));
+    }
+    if parts.is_empty() {
+        "off".to_string()
+    } else {
+        parts.join("+")
+    }
+}
 
 impl DatasetObs {
     /// Which side of replication the dataset was on.
     pub fn role(&self) -> Role {
-        if self.follower {
-            Role::Follower
-        } else {
-            Role::Leader
+        match self.published.status.replication {
+            Some(_) => Role::Follower,
+            None => Role::Leader,
         }
     }
 
-    /// The tenant's QoS class.
-    pub fn qos_class(&self) -> QosClass {
-        if self.qos_bulk {
-            QosClass::Bulk
-        } else {
-            QosClass::Interactive
-        }
+    /// What `read` finds in this view; `None` when its section is absent.
+    pub(crate) fn read(&self, read: Read) -> Option<Num> {
+        let p = &*self.published;
+        let count = match read {
+            Counter(get) => get(&self.report),
+            Level(_, get) => get(self),
+            Mined(get) => get(p.rules.as_deref()?),
+            Cases(get) => get(&p.rules.as_deref()?.stats()),
+            Discovery(get) => get(p.discovery.as_deref()?),
+            Follower(get) => get(p.status.replication.as_ref()?),
+            Wal(get) => get(&p.status.wal.as_ref()?.stats),
+            Rate(get) => return Some(Num::Rate(get(self.windowed.as_ref()?))),
+            Committer(_) | Service(_) | Window(_) => return None,
+        };
+        Some(Num::Count(count))
     }
 
-    /// The `stats` counters line: every level with a `stats` key, then
-    /// the counters ([`MetricsReport::render`]).
-    pub fn stats_line(&self) -> String {
-        let mut line = String::new();
-        for (key, get) in LEVELS.iter().filter_map(|l| Some((l.stats?, l.get))) {
-            let _ = write!(line, "{key}={} ", get(self));
+    /// `key=value` for the level under `key`, 0 when its section is
+    /// absent: what the listings' one-line summaries print.
+    fn keyed(&self, key: &str) -> String {
+        let row = LEVELS.iter().find(|row| row.key == Some(key));
+        let value = row.and_then(|row| self.read(row.read));
+        format!("{key}={}", value.unwrap_or(Num::Count(0)))
+    }
+
+    /// The counters line: the store's shape, then every counter and the
+    /// derived ratios ([`MetricsReport::render`]).
+    fn counters_line(&self) -> String {
+        let levels = numbers(LEVELS, Line::Counters, |read| self.read(read));
+        format!("{levels} {}", self.report.render())
+    }
+
+    /// `stats <ds>`: each line whose section is present, its numbers
+    /// beside the facts that are not numbers — thresholds, the QoS
+    /// class, the role, the log's position, sync mode and policy. The
+    /// committer line reads one snapshot of the dataset's committer.
+    pub(crate) fn stats(&self) -> Vec<String> {
+        let p = &*self.published;
+        let line = |line| numbers(LEVELS, line, |read| self.read(read));
+        let mut out = Vec::new();
+        match &p.rules {
+            Some(snap) => {
+                let cfg = snap.config();
+                let t = cfg.thresholds;
+                out.push(line(Line::Shape));
+                out.push(format!(
+                    "alpha={} beta={} retention={}",
+                    t.min_support, t.min_confidence, cfg.retention
+                ));
+                out.push(line(Line::Cases));
+            }
+            None => out.push(format!("{} (not mined)", line(Line::Shape))),
         }
-        let _ = write!(
-            line,
-            "discover_topk={} {}",
-            self.discover_topk_cross + self.discover_topk_within,
-            self.report.render()
-        );
-        line
+        if p.discovery.is_some() {
+            out.push(line(Line::Discovery));
+        }
+        let queue = line(Line::Queue);
+        out.push(format!("qos_class={} {queue}", self.qos_class.label()));
+        out.push(self.counters_line());
+        out.push(role_line(self.role(), p.status.replication.as_ref()));
+        if let Some(wal) = &p.status.wal {
+            let (position, log) = (wal.stats.position, line(Line::Wal));
+            out.push(format!("wal_position={position} {log}"));
+            out.push(format!(
+                "wal_sync={} auto_checkpoint={}",
+                wal.sync.label(),
+                render_policy(&p.status.auto_checkpoint),
+            ));
+            if let Some(c) = wal.sync.committer().map(|c| c.stats()) {
+                out.push(numbers(SERVICE, Line::Committer, |read| match read {
+                    Committer(get) => Some(Num::Count(get(&c))),
+                    _ => None,
+                }));
+            }
+        }
+        out
+    }
+}
+
+impl ServiceView {
+    /// What `read` finds in the service block; `None` when its section
+    /// is absent.
+    pub(crate) fn read(&self, read: Read) -> Option<Num> {
+        Some(match read {
+            Service(get) => Num::Count(get(self)),
+            Committer(get) => Num::Count(get(self.committer.as_ref()?)),
+            Window(get) => Num::Count(get(self.windowed.as_ref()?)),
+            Rate(get) => Num::Rate(get(self.windowed.as_ref()?)),
+            _ => return None,
+        })
+    }
+
+    /// Bare `stats`: one summary line per dataset, then the committer,
+    /// fsync and window lines whose sections are present.
+    pub(crate) fn stats(&self) -> Vec<String> {
+        let mut out: Vec<String> = (self.datasets.iter())
+            .map(|(name, obs)| {
+                let mined = obs.published.rules.is_some();
+                let (tuples, depth) = (obs.keyed("tuples"), obs.keyed("queue_depth"));
+                format!(
+                    "{name} {tuples} mined={mined} {depth} {}",
+                    obs.counters_line()
+                )
+            })
+            .collect();
+        let lines = [Line::Committer, Line::Fsync, Line::Window];
+        let lines = lines.map(|line| numbers(SERVICE, line, |read| self.read(read)));
+        out.extend(lines.into_iter().filter(|numbers| !numbers.is_empty()));
+        out
+    }
+
+    /// `datasets`: one line per dataset.
+    pub(crate) fn listing(&self) -> Vec<String> {
+        (self.datasets.iter())
+            .map(|(name, obs)| {
+                let mined = obs.published.rules.is_some();
+                let (tuples, rules, epoch) =
+                    (obs.keyed("tuples"), obs.keyed("rules"), obs.keyed("epoch"));
+                format!("{name} {tuples} {rules} {epoch} mined={mined}")
+            })
+            .collect()
     }
 }
 
@@ -612,21 +906,19 @@ impl MetricsReport {
         }
     }
 
-    /// Render as `key=value` pairs for the protocol's `stats` command:
+    /// Render as `key=value` pairs, as the `stats` counters line ends:
     /// every counter under its field name, then the derived ratios.
     pub fn render(&self) -> String {
-        let mut line = String::new();
-        for row in COUNTERS {
-            let _ = write!(line, "{}={} ", row.key, (row.get)(self));
-        }
-        let _ = write!(
-            line,
-            "mean_read_ns={} mean_write_ns={} fsyncs_per_drain={:.2}",
+        let counters = numbers(COUNTERS, Line::Counters, |read| match read {
+            Counter(get) => Some(Num::Count(get(self))),
+            _ => None,
+        });
+        format!(
+            "{counters} mean_read_ns={} mean_write_ns={} fsyncs_per_drain={:.2}",
             self.mean_read_nanos().unwrap_or(0),
             self.mean_write_nanos().unwrap_or(0),
             self.fsyncs_per_drain(),
-        );
-        line
+        )
     }
 }
 

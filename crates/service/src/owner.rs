@@ -267,7 +267,6 @@ impl Owner {
         if q.shutdown || (has_mail && !q.paused) {
             if !q.pending.is_empty() {
                 q.pending_updates = 0;
-                q.drains += 1;
                 // Wake enqueuers blocked on backpressure now that the
                 // queue is empty again; they need not wait for the apply.
                 inner.queue_cv.notify_all();

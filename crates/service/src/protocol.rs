@@ -35,7 +35,7 @@ use anno_store::{Item, ItemKind, TupleId};
 
 use crate::dataset::Dataset;
 use crate::error::ServiceError;
-use crate::metrics::timed;
+use crate::metrics::{render_policy, role_line, timed};
 use crate::query::{top_k_for_items, top_k_for_tuple, RuleFilter, RuleOrder};
 use crate::queue::{QosClass, UpdateOp};
 use crate::service::{Service, ServiceConfig};
@@ -262,7 +262,7 @@ static VERBS: &[Verb] = &[
             let rs = ds.catchup_now()?;
             Ok(Reply::ok(format!(
                 "catchup {name} {}",
-                render_replication(ds.role(), &rs)
+                role_line(ds.role(), Some(&rs))
             )))
         }),
     ),
@@ -430,17 +430,7 @@ impl Engine {
     }
 
     fn datasets(&self, _: &Verb, _: &[&str]) -> Result<Reply, ServiceError> {
-        let payload: Vec<String> = self
-            .service
-            .list()
-            .into_iter()
-            .map(|d| {
-                format!(
-                    "{} tuples={} rules={} epoch={} mined={}",
-                    d.name, d.tuples, d.rules, d.epoch, d.mined
-                )
-            })
-            .collect();
+        let payload = self.service.observe().listing();
         Ok(Reply::block(format!("{} datasets", payload.len()), payload))
     }
 
@@ -555,7 +545,7 @@ impl Engine {
         Ok(Reply::ok(format!(
             "attach {name} dir={path} poll_ms={} {}",
             poll.as_millis(),
-            render_replication(ds.role(), &rs)
+            role_line(ds.role(), Some(&rs))
         )))
     }
 
@@ -767,188 +757,18 @@ impl Engine {
         ))
     }
 
-    /// `stats` with no dataset: one summary line per open dataset plus
-    /// the aggregated committer and windowed-rate numbers, all from one
-    /// frozen [`ServiceView`](crate::service::ServiceView).
-    fn service_stats(&self) -> Reply {
-        let service = self.service.observe();
-        let mut payload: Vec<String> = (service.datasets.iter())
-            .map(|ds| {
-                format!(
-                    "{} tuples={} mined={} queue_depth={} {}",
-                    ds.name,
-                    ds.obs.live_tuples,
-                    ds.obs.mined,
-                    ds.obs.queue_depth,
-                    ds.obs.stats_line(),
-                )
-            })
-            .collect();
-        payload.extend(service.committer.as_ref().map(render_committer));
-        let fsync = &service.fsync_latency;
-        payload.push(format!(
-            "service_fsyncs={} fsync_p50_ns={} fsync_p99_ns={} service_events={}",
-            fsync.count(),
-            fsync.quantile(0.50),
-            fsync.quantile(0.99),
-            service.events_total,
-        ));
-        if let Some(w) = &service.windowed {
-            payload.push(format!(
-                "drains_per_sec={:.2} queries_per_sec={:.2} fsyncs_per_drain={:.2} \
-                 window_samples={}",
-                w.drains_per_sec, w.queries_per_sec, w.fsyncs_per_drain, w.samples,
-            ));
-        }
-        Reply::block(
-            format!("service stats {} datasets", service.datasets.len()),
-            payload,
-        )
-    }
-
-    /// `stats <ds>`, from one `Dataset::freeze`: the metrics through
-    /// [`DatasetObs::stats_line`](crate::metrics::DatasetObs::stats_line),
-    /// and beside them what the same publication says that is not a
-    /// metric — thresholds, miner cases, discovery epochs, the log.
+    /// `stats <ds>` from one [`Dataset::observability`], or with no
+    /// name the service block from one [`Service::observe`]; both are
+    /// writers over `metrics.rs`'s tables.
     fn stats(&self, verb: &Verb, args: &[&str]) -> Result<Reply, ServiceError> {
         if args.is_empty() {
-            return Ok(self.service_stats());
+            let service = self.service.observe();
+            let header = format!("service stats {} datasets", service.datasets.len());
+            return Ok(Reply::block(header, service.stats()));
         }
         let (name, ds) = self.tenant(verb, args)?;
-        let (obs, published) = ds.freeze();
-        let mut payload = Vec::new();
-        match &published.rules {
-            Some(snap) => {
-                let cfg = snap.config();
-                let t = cfg.thresholds;
-                let s = snap.stats();
-                payload.push(format!(
-                    "tuples={} rules={} candidates={} epoch={} relation_epoch={}",
-                    snap.db_size(),
-                    snap.rules().len(),
-                    snap.candidate_count(),
-                    snap.epoch(),
-                    snap.relation_epoch(),
-                ));
-                payload.push(format!(
-                    "alpha={} beta={} retention={}",
-                    t.min_support, t.min_confidence, cfg.retention
-                ));
-                payload.push(format!(
-                    "full_remines={} case1_batches={} case2_batches={} case3_batches={} \
-                     deletion_batches={} discovered_itemsets={}",
-                    s.full_remines,
-                    s.case1_batches,
-                    s.case2_batches,
-                    s.case3_batches,
-                    s.deletion_batches,
-                    s.discovered_itemsets,
-                ));
-            }
-            None => payload.push(format!("tuples={} (not mined)", obs.live_tuples)),
-        }
-        if let Some(d) = &published.discovery {
-            payload.push(format!(
-                "discovery_epoch={} discovery_pairs={} discovery_topk_cross={} \
-                 discovery_topk_within={} discovery_updates={} discovery_rebuilds={} \
-                 discovery_rescored={}",
-                d.epoch,
-                obs.discover_pairs_tracked,
-                obs.discover_topk_cross,
-                obs.discover_topk_within,
-                d.stats.updates,
-                d.stats.rebuilds,
-                d.stats.rescored,
-            ));
-        }
-        payload.push(format!(
-            "qos_class={} queue_cap={} queue_depth={}",
-            obs.qos_class().label(),
-            obs.queue_cap,
-            obs.queue_depth,
-        ));
-        payload.push(obs.stats_line());
-        let status = &published.status;
-        match &status.replication {
-            Some(rs) => payload.push(render_replication(obs.role(), rs)),
-            None => payload.push(format!("role={}", obs.role().label())),
-        }
-        if let Some(wal) = &status.wal {
-            let ws = &wal.stats;
-            payload.push(format!(
-                "wal_position={} wal_segments={} wal_appends={} wal_appended_bytes={} \
-                 wal_syncs={} wal_checkpoints={} wal_replayed={} wal_damaged_tails={} \
-                 wal_since_ckpt_records={} wal_since_ckpt_bytes={}",
-                ws.position,
-                ws.segments,
-                ws.appends,
-                ws.appended_bytes,
-                ws.syncs,
-                ws.checkpoints,
-                ws.replayed_records,
-                ws.damaged_tails,
-                ws.since_checkpoint_records,
-                obs.wal_backlog_bytes,
-            ));
-            payload.push(format!(
-                "wal_sync={} auto_checkpoint={}",
-                wal.sync.label(),
-                render_policy(&status.auto_checkpoint),
-            ));
-            payload.extend(wal.sync.committer().map(|c| render_committer(&c.stats())));
-        }
+        let payload = ds.observability().stats();
         Ok(Reply::block(format!("stats {name}"), payload))
-    }
-}
-
-/// The shared group committer's counters, as `stats` prints them.
-fn render_committer(gc: &anno_wal::GroupCommitStats) -> String {
-    format!(
-        "grouped_submitted={} grouped_syncs={} grouped_windows={}",
-        gc.submitted, gc.syncs, gc.windows,
-    )
-}
-
-/// Render a follower's role + lag numbers for `attach`/`catchup`/`stats`
-/// lines.
-fn render_replication(
-    role: crate::dataset::Role,
-    rs: &crate::dataset::ReplicationStatus,
-) -> String {
-    let mut line = format!(
-        "role={} applied_seq={} leader_seq={} bytes_behind={} records_applied={} \
-         restarts={} polls={}",
-        role.label(),
-        rs.applied_seq,
-        rs.leader_seq,
-        rs.bytes_behind,
-        rs.records_applied,
-        rs.restarts,
-        rs.polls,
-    );
-    if let Some(why) = &rs.failed {
-        line.push_str(&format!(" failed={why:?}"));
-    }
-    line
-}
-
-/// Render a checkpoint policy for reply/stats lines: `off`, or the set
-/// thresholds joined with `+` (e.g. `records=64+bytes=1048576`).
-fn render_policy(policy: &anno_wal::CheckpointPolicy) -> String {
-    let mut parts = Vec::new();
-    if let Some(b) = policy.log_bytes {
-        parts.push(format!("bytes={b}"));
-    }
-    if let Some(r) = policy.replayed_records {
-        parts.push(format!("records={r}"));
-    }
-    if let Some(i) = policy.interval {
-        parts.push(format!("secs={}", i.as_secs()));
-    }
-    if parts.is_empty() {
-        "off".to_string()
-    } else {
-        parts.join("+")
     }
 }
 

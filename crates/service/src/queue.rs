@@ -175,10 +175,6 @@ pub(crate) struct QueueState {
     /// open. Admission control decides on it under this lock, and
     /// `anno_unacked_drains` reads it from here.
     pub unacked: usize,
-    /// Writer passes that took work off the queue (each is one coalesced
-    /// drain — the unit the publish-cost model is amortized over, and the
-    /// `M` in "readers pinned across M drains" stress runs).
-    pub drains: u64,
     /// Set once at shutdown; the writer drains what is pending, then exits.
     pub shutdown: bool,
     /// Set only when the writer thread died abnormally (panic): pending
@@ -205,7 +201,6 @@ impl Default for QueueState {
             enqueued: 0,
             applied: 0,
             unacked: 0,
-            drains: 0,
             shutdown: false,
             writer_dead: false,
             paused: false,

@@ -383,7 +383,7 @@ fn admit(stream: TcpStream) -> Option<Conn> {
 /// Accept connections forever on an already-bound listener, hashing each
 /// to one of `shards` shard loops at accept time. Accept errors (fd
 /// exhaustion under a connection burst, aborted handshakes) back off
-/// exponentially (see [`AcceptBackoff`]) and are survived — one
+/// exponentially (see `AcceptBackoff`) and are survived — one
 /// recoverable error must not tear down every dataset in the daemon.
 pub fn serve_listener_sharded(
     service: Arc<Service>,

@@ -4,7 +4,7 @@
 //! [`crate::reactor`]: connections are hashed to shard loops at accept
 //! time and read non-blockingly, with per-tenant admission control and
 //! QoS classes. Every shard shares one [`Engine`] (itself over a shared
-//! [`Service`](crate::service::Service)) — every connection sees the same
+//! [`Service`]) — every connection sees the same
 //! datasets, which is the point of a multi-tenant serving layer. No async
 //! runtime: the workspace is dependency-free by construction, and the
 //! front end is built entirely on `std::net`.

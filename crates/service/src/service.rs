@@ -44,21 +44,6 @@ const SERVICE_JOURNAL_CAPACITY: usize = 512;
 /// retention 0.5).
 pub type ServiceConfig = anno_mine::IncrementalConfig;
 
-/// One row of the `datasets` listing.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DatasetSummary {
-    /// Dataset name.
-    pub name: String,
-    /// Live tuples (from the snapshot if mined, else the write state).
-    pub tuples: usize,
-    /// Valid rules in the latest snapshot (0 pre-mine).
-    pub rules: usize,
-    /// Latest published snapshot epoch (0 pre-mine).
-    pub epoch: u64,
-    /// Whether a snapshot has been published.
-    pub mined: bool,
-}
-
 /// The concurrent, multi-tenant correlation-serving engine.
 ///
 /// Thread-safe: share it behind an `Arc` between protocol handlers,
@@ -238,12 +223,12 @@ fn take_sample(datasets: &Registry, obs: &ServiceObs) {
     obs.ring.push(ServiceSample { total, per_dataset });
 }
 
-/// Everything the service reports, frozen once per `stats` or scrape:
-/// each dataset's [`DatasetObs`] with its windowed rates, and the
-/// service-level block.
+/// Everything the service reports, frozen once per `stats`, `datasets`
+/// or scrape: each dataset's [`DatasetObs`] with its windowed rates, and
+/// the service-level block. The `SERVICE` rows of `metrics.rs` read it.
 pub(crate) struct ServiceView {
-    /// Every registered dataset, in name order.
-    pub datasets: Vec<DatasetView>,
+    /// Every registered dataset and its name, in name order.
+    pub datasets: Vec<(Arc<str>, DatasetObs)>,
     /// The shared group committer's counters, once it exists.
     pub committer: Option<GroupCommitStats>,
     /// The shared group committer's fsync latency.
@@ -251,13 +236,6 @@ pub(crate) struct ServiceView {
     /// Service-level journal events ever recorded.
     pub events_total: u64,
     /// Rates over the totals of every dataset.
-    pub windowed: Option<WindowedRates>,
-}
-
-/// One dataset's part of a [`ServiceView`].
-pub(crate) struct DatasetView {
-    pub name: Arc<str>,
-    pub obs: DatasetObs,
     pub windowed: Option<WindowedRates>,
 }
 
@@ -424,29 +402,6 @@ impl Service {
         Ok(())
     }
 
-    /// Summaries of every registered dataset, in name order.
-    pub fn list(&self) -> Vec<DatasetSummary> {
-        let map = self.datasets.read().unpoisoned("registry lock");
-        map.values()
-            .map(|ds| match ds.try_snapshot() {
-                Some(snap) => DatasetSummary {
-                    name: ds.name().to_string(),
-                    tuples: snap.db_size(),
-                    rules: snap.rules().len(),
-                    epoch: snap.epoch(),
-                    mined: true,
-                },
-                None => DatasetSummary {
-                    name: ds.name().to_string(),
-                    tuples: ds.live_tuples(),
-                    rules: 0,
-                    epoch: 0,
-                    mined: false,
-                },
-            })
-            .collect()
-    }
-
     /// Take one counter sample into the time-series ring immediately,
     /// without waiting for the background sampler's next tick. Tests and
     /// embedders use this for deterministic windowed rates.
@@ -494,18 +449,22 @@ impl Service {
         self.window_ends(|_| false).0?.rates()
     }
 
-    /// Freeze everything `stats` and the exposition report: one registry
-    /// read, one ring pass, one [`Dataset::observability`] per dataset.
+    /// Freeze everything `stats`, `datasets` and the exposition report:
+    /// one registry read, one ring pass, one [`Dataset::observability`]
+    /// per dataset.
     pub(crate) fn observe(&self) -> ServiceView {
         let (total, per_dataset) = self.window_ends(|_| true);
         let registry = self.datasets.read().unpoisoned("registry lock").clone();
         ServiceView {
             datasets: registry
                 .into_iter()
-                .map(|(name, ds)| DatasetView {
-                    windowed: per_dataset.get(&name).and_then(WindowEnds::rates),
-                    obs: ds.observability(),
-                    name,
+                .map(|(name, ds)| {
+                    let windowed = per_dataset.get(&name).and_then(WindowEnds::rates);
+                    let obs = DatasetObs {
+                        windowed,
+                        ..ds.observability()
+                    };
+                    (name, obs)
                 })
                 .collect(),
             committer: self.committer_stats(),
@@ -608,11 +567,9 @@ mod tests {
             .unwrap();
         ds.flush().unwrap();
 
-        let listing = service.list();
+        let listing = service.observe().listing();
         assert_eq!(listing.len(), 2);
-        assert_eq!(listing[0].name, "a");
-        assert_eq!(listing[0].tuples, 1);
-        assert!(!listing[0].mined);
+        assert_eq!(listing[0], "a tuples=1 rules=0 epoch=0 mined=false");
 
         assert!(service.get("a").is_ok());
         service.remove("a").unwrap();

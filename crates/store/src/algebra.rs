@@ -10,7 +10,7 @@
 //! * [`KRelation::join`] combines matching pairs with `·`.
 //!
 //! The bridge [`KRelation::from_annotated`] turns an
-//! [`AnnotatedRelation`](crate::relation::AnnotatedRelation) into a
+//! [`AnnotatedRelation`] into a
 //! `KRelation` by valuating each tuple's annotation lineage, which is what
 //! lets the mining layer's databases participate in principled provenance
 //! queries (see the `provenance_tracking` example).

@@ -4,7 +4,7 @@
 //! correlations on raw values are brittle. A [`Taxonomy`] maps annotations
 //! onto *concept labels* ("Invalid", "wrong", "incorrect" ⇒ `Invalidation`)
 //! and labels onto higher labels (multi-level hierarchies à la Han & Fu,
-//! the paper's reference [1]). Applying a taxonomy to a relation appends
+//! the paper's reference \[1\]). Applying a taxonomy to a relation appends
 //! each implied label to the carrying tuples — at most once per tuple —
 //! producing the *extended annotated database* on which ordinary mining
 //! then discovers generalization-based correlations.

@@ -4,15 +4,15 @@
 //! (`anno-mine`). It implements everything the paper's system needs from
 //! its storage layer, plus the workload tooling the evaluation requires:
 //!
-//! * [`item`] — interned [`Item`](item::Item)s: data values, raw
+//! * [`item`] — interned [`Item`]s: data values, raw
 //!   annotations, and generalization labels in one tagged 32-bit space;
 //! * [`vocab`] — the persistent, structurally shared
-//!   [`Vocabulary`](vocab::Vocabulary): an `Arc`-chunked append-only name
+//!   [`Vocabulary`]: an `Arc`-chunked append-only name
 //!   arena plus a hash-array-mapped index, so cloning the interner is
 //!   O(#chunks) and interning fresh names copies only the tail chunk and
 //!   the touched index path — never the whole table;
-//! * [`tuple`] / [`relation`] — annotated tuples (Definition 4.1) and the
-//!   [`AnnotatedRelation`](relation::AnnotatedRelation) with liveness
+//! * [`mod@tuple`] / [`relation`] — annotated tuples (Definition 4.1) and the
+//!   [`AnnotatedRelation`] with liveness
 //!   tracking and consistent mutation under the paper's three evolution
 //!   cases (plus deletion, the paper's future-work item);
 //! * [`segment`] — the persistent, structurally shared tuple store
@@ -27,7 +27,7 @@
 //! * [`snapshot`] — the exact binary encoding of a relation (tombstones,
 //!   labels, and interning order preserved) and its readable text dump,
 //!   written and read with [`codec`], the workspace's one byte codec;
-//! * [`generate`] — reproducible synthetic workloads with planted ground
+//! * [`mod@generate`] — reproducible synthetic workloads with planted ground
 //!   truth, standing in for the paper's unpublished ≈8000-tuple dataset;
 //! * [`algebra`] — provenance-propagating relational algebra over any
 //!   semiring from `anno-semiring`, bridging annotated relations into the
