@@ -1,16 +1,16 @@
 //! The experiment harness: regenerates every measurable table, figure, and
-//! claim of the paper and prints paper-vs-measured rows (EXPERIMENTS.md is
-//! produced from this output).
+//! claim of the paper and prints paper-vs-measured rows.
 //!
 //! ```text
 //! cargo run --release -p anno-bench --bin experiments            # all
 //! cargo run --release -p anno-bench --bin experiments e1 e4 e7   # subset
 //! ```
 //!
-//! Experiment ids follow DESIGN.md: E1 = Fig. 16, E2 = §4.3 support-sweep
-//! claim, E3 = Fig. 11 semantics, E4 = the three per-case equivalence
-//! results, E5 = Fig. 7 rule output, E6 = §4.1 generalization, E7 = §5
-//! exploitation quality, E8 = design ablations, E9 = scalability.
+//! Experiment ids: E1 = Fig. 16, E2 = §4.3 support-sweep claim, E3 =
+//! Fig. 11 semantics, E4 = the three per-case equivalence results, E5 =
+//! Fig. 7 rule output, E6 = §4.1 generalization, E7 = §5 exploitation
+//! quality, E8 = design ablations, E9 = scalability, E10 = retention-factor
+//! ablation.
 
 use std::time::Instant;
 
@@ -174,17 +174,20 @@ fn e2_support_sweep() {
     let ds = paper_workload();
     let transactions = transactions_of(&ds.relation, MiningMode::Annotated);
     println!("    {:>8} {:>12} {:>12}", "α", "time", "itemsets");
-    let mut last = 0.0f64;
+    let mut counts = Vec::new();
     for &alpha in &[0.5, 0.4, 0.3, 0.25, 0.2, 0.15] {
         let mut itemsets = 0usize;
         let ms = median_ms(3, || {
             itemsets = apriori(&transactions, alpha, MiningMode::Annotated).len();
         });
         println!("    {alpha:>8} {ms:>9.1} ms {itemsets:>12}");
-        last = ms;
+        counts.push(itemsets);
     }
-    let _ = last;
-    println!("    shape check: monotone growth as α falls ✓");
+    assert!(
+        counts.windows(2).all(|w| w[0] <= w[1]) && counts.first() < counts.last(),
+        "E2: itemset counts {counts:?} must never fall, and must grow, as α falls"
+    );
+    println!("    shape check: itemsets never fall and grow overall as α falls ✓");
 }
 
 // ---------------------------------------------------------------------
@@ -574,7 +577,7 @@ fn e9_scalability() {
 }
 
 // ---------------------------------------------------------------------
-// E10 — retention-factor ablation (DESIGN.md decision 6/7).
+// E10 — retention-factor ablation: how deep the candidate store runs.
 // ---------------------------------------------------------------------
 fn e10_retention() {
     banner(
@@ -588,6 +591,7 @@ fn e10_retention() {
         "    {:>10} {:>10} {:>12} {:>14} {:>14} {:>12}",
         "retention", "table", "candidates", "initial mine", "case3 batch", "budget"
     );
+    let mut sizes = Vec::new();
     for &retention in &[1.0f64, 0.75, 0.5, 0.25] {
         let config = IncrementalConfig {
             thresholds: paper_thresholds(),
@@ -610,6 +614,11 @@ fn e10_retention() {
             batch_ms,
             miner.remaining_tuple_budget()
         );
+        sizes.push((miner.table().len(), miner.remaining_tuple_budget()));
     }
-    println!("    shape check: lower retention ⇒ bigger table & budget, costlier mine/update");
+    assert!(
+        sizes.windows(2).all(|w| w[0].0 < w[1].0 && w[0].1 < w[1].1),
+        "E10: (table, budget) {sizes:?} must strictly grow as retention falls"
+    );
+    println!("    shape check: table and budget strictly grow as retention falls ✓");
 }

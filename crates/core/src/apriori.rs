@@ -78,7 +78,7 @@ pub fn apriori(
 /// Join + prune step: candidates of length `k+1` from the sorted frequent
 /// `k`-itemsets, dropping those with an infrequent sub-itemset or an
 /// inadmissible shape.
-pub fn generate_candidates(
+pub(crate) fn generate_candidates(
     level: &[ItemSet],
     mode: MiningMode,
     frequent: &FrequentItemsets,

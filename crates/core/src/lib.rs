@@ -79,7 +79,7 @@ pub mod report;
 pub mod rules;
 pub mod summary;
 
-pub use apriori::{apriori, generate_candidates};
+pub use apriori::apriori;
 pub use eclat::eclat;
 pub use frequent::{support_count_threshold, FrequentItemsets};
 pub use hashtree::HashTree;
@@ -94,9 +94,7 @@ pub use recommend::{
     Recommendation, RuleIndex,
 };
 pub use report::{parse_rules_file, ParsedRule};
-pub use rules::{
-    derive_rules, derive_rules_partitioned, AssociationRule, RuleKind, RuleSet, Thresholds,
-};
+pub use rules::{derive_rules, AssociationRule, RuleKind, RuleSet, Thresholds};
 pub use summary::{MetricSummary, RuleSetSummary};
 
 /// Commonly used items, for glob import in examples and tests.

@@ -15,8 +15,8 @@
 //!    layer answers its `recommend` verb from the same index.
 //!
 //! [`score_recommendations`] evaluates prediction quality against hidden
-//! ground truth (precision / recall / F1), which EXPERIMENTS.md reports as
-//! experiment E7.
+//! ground truth (precision / recall / F1); the `experiments` binary
+//! reports it as experiment E7.
 
 use anno_store::fxhash::{FxHashMap, FxHashSet};
 use anno_store::{AnnotatedRelation, AnnotationUpdate, Item, TupleId, Vocabulary};

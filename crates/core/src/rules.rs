@@ -293,7 +293,7 @@ pub fn derive_rules(table: &FrequentItemsets, thresholds: &Thresholds) -> RuleSe
 
 /// Derive rules at `loose` thresholds and partition them into those meeting
 /// `strict` (the valid set) and the rest (the retained candidate set).
-pub fn derive_rules_partitioned(
+pub(crate) fn derive_rules_partitioned(
     table: &FrequentItemsets,
     strict: &Thresholds,
     loose: &Thresholds,

@@ -10,8 +10,8 @@
 //! lineage, why-provenance, access control, cost, and probability — all from
 //! one query evaluator.
 //!
-//! This crate is the foundation the rest of the `annomine` workspace builds
-//! on. It provides:
+//! No other crate of the `annomine` workspace depends on this one: mining,
+//! discovery and serving evaluate no semiring. It provides:
 //!
 //! * the [`Semiring`] trait family ([`CommutativeMonoid`], [`Semiring`],
 //!   [`NaturallyOrdered`], [`SemiringHom`]);
@@ -32,10 +32,9 @@
 //!   making each an *m-semiring* and giving annotated relational algebra a
 //!   principled `difference` operator.
 //!
-//! The mining layer (`anno-mine`) treats a tuple's *annotation set* as its
-//! lineage over the annotation vocabulary, and annotation *generalization*
-//! (mapping raw annotations onto concepts) is exactly a semiring homomorphism
-//! applied to that lineage — see [`hom`].
+//! A tuple's *annotation set* can be read as its lineage over the annotation
+//! vocabulary, and annotation *generalization* (mapping raw annotations onto
+//! concepts) as a semiring homomorphism applied to that lineage — see [`hom`].
 //!
 //! # Example
 //!

@@ -5,7 +5,7 @@
 //! present values. Lineage is the coarsest set-valued provenance: it forgets
 //! *how* facts combine and remembers only *which* were involved.
 //!
-//! In `annomine`, a tuple's annotation set (paper Definition 4.1) *is* its
+//! A tuple's annotation set (paper Definition 4.1) can be read as its
 //! lineage over the annotation vocabulary, and applying a generalization
 //! taxonomy to it is a homomorphism `Lin(X) → Lin(Y)` induced by the
 //! variable map — see [`crate::hom::rename`].

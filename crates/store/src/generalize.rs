@@ -8,17 +8,11 @@
 //! each implied label to the carrying tuples — at most once per tuple —
 //! producing the *extended annotated database* on which ordinary mining
 //! then discovers generalization-based correlations.
-//!
-//! Formally the taxonomy induces a map on provenance variables, so
-//! generalization is a semiring homomorphism on tuple lineage
-//! ([`Taxonomy::lineage_hom`]); the property tests in `anno-semiring`
-//! cover the homomorphism laws, and the tests here cover the database side.
 
 use crate::fxhash::FxHashMap;
 use crate::item::{Item, ItemKind};
 use crate::relation::AnnotatedRelation;
 use crate::vocab::Vocabulary;
-use anno_semiring::Var;
 
 /// A generalization taxonomy: direct parent labels per annotation-like item.
 ///
@@ -130,32 +124,6 @@ impl Taxonomy {
             }
             for label in labels {
                 relation.add_annotation(tid, label);
-            }
-        }
-    }
-
-    /// The labels a fresh annotation implies on a tuple, given the tuple's
-    /// current annotation set — used by incremental maintenance to extend
-    /// Case-3 deltas with generalization labels.
-    pub fn implied_labels(&self, ann: Item, already_present: &[Item]) -> Vec<Item> {
-        self.ancestors(ann)
-            .into_iter()
-            .filter(|l| !already_present.contains(l))
-            .collect()
-    }
-
-    /// The semiring-homomorphism view: a variable map sending each
-    /// annotation to its *first-level* concept (or itself if ungeneralized).
-    ///
-    /// Applying this through [`anno_semiring::rename`] on tuple lineage is
-    /// the formal counterpart of [`Taxonomy::extend_relation`] restricted to
-    /// one level.
-    pub fn lineage_hom(&self) -> impl Fn(Var) -> Var + '_ {
-        move |v: Var| {
-            let item = Item::from_var(v);
-            match self.parents(item).first() {
-                Some(&label) => label.as_var(),
-                None => v,
             }
         }
     }
@@ -331,16 +299,6 @@ mod tests {
     }
 
     #[test]
-    fn implied_labels_skip_present_ones() {
-        let mut vocab = Vocabulary::new();
-        let tax = taxonomy_from_rules("Annot_1 -> X\nAnnot_1 -> Y", &mut vocab).unwrap();
-        let a1 = vocab.get(ItemKind::Annotation, "Annot_1").unwrap();
-        let x = vocab.get(ItemKind::Label, "X").unwrap();
-        let y = vocab.get(ItemKind::Label, "Y").unwrap();
-        assert_eq!(tax.implied_labels(a1, &[x]), vec![y]);
-    }
-
-    #[test]
     fn keyword_rule_matches_substrings_case_insensitively() {
         let mut vocab = Vocabulary::new();
         let bad = vocab.annotation("flagged: INVALID entry");
@@ -351,17 +309,5 @@ mod tests {
         assert!(rule.sources.contains(&wrong));
         assert!(!rule.sources.contains(&fine));
         assert_eq!(vocab.name(rule.label), "Invalidation");
-    }
-
-    #[test]
-    fn lineage_hom_maps_generalized_annotations() {
-        let mut vocab = Vocabulary::new();
-        let tax = taxonomy_from_rules("Annot_1 -> X", &mut vocab).unwrap();
-        let a1 = vocab.get(ItemKind::Annotation, "Annot_1").unwrap();
-        let a2 = vocab.annotation("Annot_2");
-        let x = vocab.get(ItemKind::Label, "X").unwrap();
-        let h = tax.lineage_hom();
-        assert_eq!(h(a1.as_var()), x.as_var());
-        assert_eq!(h(a2.as_var()), a2.as_var());
     }
 }

@@ -10,8 +10,6 @@
 //! data values before raw annotations before labels — exactly the layout the
 //! miner wants (LHS data prefix, annotation suffix).
 
-use anno_semiring::Var;
-
 /// The namespace an item belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ItemKind {
@@ -62,7 +60,7 @@ impl Item {
     /// The namespace of this item.
     #[expect(
         clippy::unreachable,
-        reason = "the tag is set only by the three constructors, and `from_raw` validates through this match; any other tag is corruption"
+        reason = "the tag is set only by the three constructors and by `try_from_raw`, which refuses any tag but these three; any other tag is corruption"
     )]
     pub fn kind(self) -> ItemKind {
         match self.0 >> TAG_SHIFT {
@@ -99,23 +97,6 @@ impl Item {
     pub fn try_from_raw(raw: u32) -> Option<Item> {
         (raw >> TAG_SHIFT <= ItemKind::Label as u32).then_some(Item(raw))
     }
-
-    /// Reconstruct from [`Item::raw`].
-    pub fn from_raw(raw: u32) -> Item {
-        let item = Item(raw);
-        let _ = item.kind(); // validate tag
-        item
-    }
-
-    /// The provenance variable standing for this item in semiring-land.
-    pub fn as_var(self) -> Var {
-        Var(self.0)
-    }
-
-    /// Inverse of [`Item::as_var`].
-    pub fn from_var(v: Var) -> Item {
-        Item::from_raw(v.0)
-    }
 }
 
 #[cfg(test)]
@@ -148,9 +129,10 @@ mod tests {
     }
 
     #[test]
-    fn raw_and_var_roundtrip() {
-        let a = Item::annotation(77);
-        assert_eq!(Item::from_raw(a.raw()), a);
-        assert_eq!(Item::from_var(a.as_var()), a);
+    fn raw_roundtrip_refuses_a_fourth_tag() {
+        for item in [Item::data(5), Item::annotation(77), Item::label(0)] {
+            assert_eq!(Item::try_from_raw(item.raw()), Some(item));
+        }
+        assert_eq!(Item::try_from_raw(3 << TAG_SHIFT), None);
     }
 }

@@ -29,9 +29,6 @@
 //!   written and read with [`codec`], the workspace's one byte codec;
 //! * [`mod@generate`] — reproducible synthetic workloads with planted ground
 //!   truth, standing in for the paper's unpublished ≈8000-tuple dataset;
-//! * [`algebra`] — provenance-propagating relational algebra over any
-//!   semiring from `anno-semiring`, bridging annotated relations into the
-//!   Green–Karvounarakis–Tannen framework;
 //! * [`fxhash`] — the integer-keyed hash maps used throughout.
 
 #![warn(missing_docs)]
@@ -49,7 +46,6 @@
     clippy::allow_attributes_without_reason
 )]
 
-pub mod algebra;
 pub mod bitset;
 pub mod codec;
 pub mod fxhash;
@@ -64,7 +60,6 @@ pub mod textio;
 pub mod tuple;
 pub mod vocab;
 
-pub use algebra::KRelation;
 pub use bitset::BitSet;
 pub use generalize::{
     keyword_rule, parse_rules, taxonomy_from_rules, GeneralizationRule, Taxonomy,

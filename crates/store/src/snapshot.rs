@@ -45,7 +45,7 @@ use crate::relation::AnnotatedRelation;
 use crate::tuple::{Tuple, TupleId};
 
 /// Percent-escape a name for single-token storage.
-pub fn escape_name(name: &str) -> String {
+fn escape_name(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     for b in name.bytes() {
         match b {

@@ -7,7 +7,6 @@
 //! annotation suffix are recoverable in O(log n) via partition point.
 
 use crate::item::Item;
-use anno_semiring::Lineage;
 
 /// Dense identifier of a tuple within one [`AnnotatedRelation`].
 ///
@@ -131,12 +130,6 @@ impl Tuple {
             Err(_) => false,
         }
     }
-
-    /// The tuple's annotation set viewed as provenance lineage: each
-    /// annotation is a base-fact variable.
-    pub fn lineage(&self) -> Lineage {
-        Lineage::from_vars(self.annotations().iter().map(|a| a.as_var()))
-    }
 }
 
 impl FromIterator<Item> for Tuple {
@@ -148,7 +141,6 @@ impl FromIterator<Item> for Tuple {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use anno_semiring::Semiring;
 
     fn t(data: &[u32], anns: &[u32]) -> Tuple {
         Tuple::new(
@@ -221,14 +213,5 @@ mod tests {
     fn data_values_cannot_be_added_as_annotations() {
         let mut tup = t(&[1], &[]);
         tup.add_annotation(Item::data(2));
-    }
-
-    #[test]
-    fn lineage_reflects_annotations() {
-        let tup = t(&[1], &[3, 4]);
-        let lin = tup.lineage();
-        assert!(lin.contains(Item::annotation(3).as_var()));
-        assert!(lin.contains(Item::annotation(4).as_var()));
-        assert_eq!(t(&[1], &[]).lineage(), Lineage::one());
     }
 }

@@ -7,14 +7,9 @@
 //! maintained** as the database evolves, and exploits them to recommend
 //! missing annotations:
 //!
-//! * [`semiring`] — provenance semirings: the formal foundation of
-//!   annotated data (Green–Karvounarakis–Tannen), with nine instances and
-//!   homomorphism machinery; annotation generalization *is* a semiring
-//!   homomorphism.
 //! * [`store`] — the annotated-relation substrate: interned items, tuples,
 //!   the annotation inverted index, generalization taxonomies, the paper's
-//!   text formats, reproducible synthetic workloads, and a provenance-
-//!   propagating relational algebra.
+//!   text formats, and reproducible synthetic workloads.
 //! * [`mine`] — the paper's contribution: Apriori mining of
 //!   data-to-annotation and annotation-to-annotation rules (with Eclat as
 //!   the tests' independent cross-check), the
@@ -33,14 +28,12 @@
 //! measured figure of the paper.
 
 pub use anno_mine as mine;
-pub use anno_semiring as semiring;
 pub use anno_service as service;
 pub use anno_store as store;
 
 /// One-stop prelude: the items most programs need.
 pub mod prelude {
     pub use anno_mine::prelude::*;
-    pub use anno_semiring::prelude::*;
     pub use anno_service::{Service, ServiceConfig, UpdateOp};
     pub use anno_store::{
         AnnotatedRelation, AnnotationUpdate, Item, ItemKind, Taxonomy, Tuple, TupleId, Vocabulary,
